@@ -19,9 +19,11 @@ from pathlib import Path
 
 from . import __version__
 from .ingest import (
+    ParseError,
     builtin_catalog,
     builtin_models,
     completeness_report,
+    load_json,
     load_scores,
     load_space,
     load_task_map,
@@ -30,7 +32,7 @@ from .ingest import (
 )
 from .importance import importance_report
 from .model import Context, CovsearchError, ScoreTable
-from .protocols import budget_curve, compare_protocols, loo_cbs
+from .protocols import _select_contexts, budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
 from . import ranking as ranking_mod
@@ -142,11 +144,11 @@ def _filter_contexts(
 ) -> list[Context] | None:
     if datasets is None and sizes is None:
         return None
+    datasets, sizes = _select_contexts(table, datasets, sizes)
     contexts = [
         ctx
         for ctx in table.contexts(split)
-        if (datasets is None or ctx.dataset in datasets)
-        and (sizes is None or ctx.train_size in sizes)
+        if ctx.dataset in datasets and ctx.train_size in sizes
     ]
     if not contexts:
         raise CovsearchError("no contexts match the --datasets/--train-sizes filter")
@@ -300,7 +302,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     task_map = load_task_map(args.task_map)
     default_config = None
     if args.default_config is not None:
-        values = json.loads(Path(args.default_config).read_text(encoding="utf-8"))
+        values = load_json(args.default_config)
+        if not isinstance(values, (dict, list)):
+            raise ParseError(
+                f"default configuration in {args.default_config} must be an"
+                f" object of hyperparameter values or an array of them"
+            )
         default_config = table.space.configuration(values)
     elif args.model is not None or args.method is not None:
         if args.model is None or args.method is None:

@@ -32,9 +32,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-from scipy.special import rel_entr
-
 from .model import (
     Configuration,
     Context,
@@ -46,12 +43,24 @@ from .model import (
     ScoreTable,
     ValidationError,
 )
+from .protocols import _select_contexts
 from .ranking import TopSet, top_set
 
 DEFAULT_THRESHOLD = 0.95
 DEFAULT_PERMUTATIONS = 100
 
 _LN2 = math.log(2.0)
+
+# numpy and scipy.special take about half a second to import and only the
+# distance and the permutation test use them, so they are bound on first
+# use instead of at import time, which every CLI command would pay.
+np = rel_entr = None
+
+
+def _load_numeric() -> None:
+    global np, rel_entr
+    import numpy as np
+    from scipy.special import rel_entr
 
 
 def top_set_95(table: ScoreTable, context: Context, split: str = "test") -> TopSet:
@@ -89,6 +98,8 @@ def js_distance(p: Sequence[float], q: Sequence[float]) -> float:
     identical vectors give exactly 0 and disjoint supports exactly 1.
     The 0 * log 0 = 0 convention applies.
     """
+    if np is None:
+        _load_numeric()
     a = np.asarray(p, dtype=float)
     b = np.asarray(q, dtype=float)
     if a.shape != b.shape:
@@ -130,7 +141,7 @@ def _dataset_pools(
     threshold: float,
 ) -> dict[str, list[Configuration]]:
     """Per-dataset top-set membership lists, in the documented pool order."""
-    names = sorted(set(datasets)) if datasets is not None else table.datasets()
+    names, _ = _select_contexts(table, datasets, None)
     if len(names) < 2:
         raise DataError("need at least two datasets to compare distributions")
     pools: dict[str, list[Configuration]] = {}
@@ -183,6 +194,7 @@ def permutation_pval(
     """
     if permutations < 1:
         raise ValidationError(f"permutations must be >= 1, got {permutations}")
+    _load_numeric()
     hp = table.space.hyperparameter(hp_name)
     sizes = _resolve_sizes(table, train_size, combine_train_sizes)
     pools = _dataset_pools(table, datasets, sizes, split, threshold)

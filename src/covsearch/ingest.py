@@ -74,6 +74,29 @@ class ParseError(CovsearchError):
         super().__init__(message)
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, with newlines translated as ``Path.read_text``
+    does; a byte sequence that is not UTF-8 is a ParseError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"invalid UTF-8 in {path}: byte {data[exc.start]:#04x}",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_json(path: str | Path) -> object:
+    """Parse a UTF-8 JSON file; malformed content is a ParseError at its line."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from None
+
+
 # ---------------------------------------------------------------------------
 # Space files
 # ---------------------------------------------------------------------------
@@ -140,7 +163,7 @@ def serialize_space(space: ConfigSpace) -> str:
 
 
 def load_space(path: str | Path) -> ConfigSpace:
-    return parse_space(Path(path).read_text(encoding="utf-8"))
+    return parse_space(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +186,10 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
     offending physical line number on any malformed content.
     """
     header: list[str] | None = None
-    hp_columns: list[Hyperparameter] = []
+    # Per hyperparameter, in space order: its field position and a memo of
+    # stripped raw text -> canonical domain value.  Only values that proved
+    # domain members enter it, so a bad value fails on every line it is on.
+    columns: list[tuple[Hyperparameter, int, dict[str, str]]] = []
     records: dict[tuple[Context, str, Configuration], float] = {}
     first_line: dict[tuple[Context, str, Configuration], int] = {}
 
@@ -193,12 +219,14 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
                 )
             if len(set(hp_names)) != len(hp_names):
                 raise ParseError("duplicate hyperparameter column", line=lineno)
-            hp_columns = [space.hyperparameter(n) for n in hp_names]
+            columns = [
+                (hp, 4 + hp_names.index(hp.name), {}) for hp in space.hyperparameters
+            ]
             continue
 
-        if len(fields) != 4 + len(hp_columns):
+        if len(fields) != len(header):
             raise ParseError(
-                f"expected {4 + len(hp_columns)} fields, got {len(fields)}",
+                f"expected {len(header)} fields, got {len(fields)}",
                 line=lineno,
             )
         dataset = fields[0].strip()
@@ -228,13 +256,18 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
             raise ParseError(f"score must be finite, got {score_text!r}", line=lineno)
         if score < 0:
             raise ParseError(f"negative score at row", line=lineno)
-        values = {}
-        for hp, raw in zip(hp_columns, fields[4:]):
-            values[hp.name] = raw.strip()
-        try:
-            config = space.configuration(values)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        items = []
+        for hp, position, memo in columns:
+            text = fields[position].strip()
+            value = memo.get(text)
+            if value is None:
+                try:
+                    value = hp.domain[hp.index(text)]
+                except ValidationError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+                memo[text] = value
+            items.append((hp.name, value))
+        config = Configuration(tuple(items))
 
         context = Context(dataset=dataset, train_size=train_size)
         key = (context, split, config)
@@ -292,9 +325,7 @@ def serialize_scores(table: ScoreTable) -> str:
 
 
 def load_scores(path: str | Path, space: ConfigSpace, *, warn_incomplete: bool = True) -> ScoreTable:
-    return parse_scores(
-        Path(path).read_text(encoding="utf-8"), space, warn_incomplete=warn_incomplete
-    )
+    return parse_scores(_read_text(path), space, warn_incomplete=warn_incomplete)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +468,7 @@ def load_task_map(source: str | Path) -> dict[str, str]:
     """Load a dataset-to-task mapping; the literal "builtin" uses the bundle."""
     if str(source) == "builtin":
         return builtin_task_map()
-    doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    doc = load_json(source)
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
     ):

@@ -125,11 +125,19 @@ class Hyperparameter:
         object.__setattr__(self, "_value_index", {v: i for i, v in enumerate(canon)})
 
     def canonical(self, raw: object) -> str:
+        # A domain value is already canonical (canonical_value is
+        # idempotent), so it needs no Decimal round-trip.
+        if type(raw) is str and raw in self._value_index:  # type: ignore[attr-defined]
+            return raw
         return canonical_value(self.kind, raw)
 
     def index(self, raw: object) -> int:
         """Position of a value inside the domain; raises if not a member."""
-        value = self.canonical(raw)
+        if type(raw) is str:
+            position = self._value_index.get(raw)  # type: ignore[attr-defined]
+            if position is not None:
+                return position
+        value = canonical_value(self.kind, raw)
         try:
             return self._value_index[value]  # type: ignore[attr-defined]
         except KeyError:
@@ -241,12 +249,12 @@ class ConfigSpace:
                 raise ValidationError(
                     f"expected {len(self.hyperparameters)} values, got {len(aligned)}"
                 )
-        items = []
-        for hp, raw in zip(self.hyperparameters, aligned):
-            value = hp.canonical(raw)
-            hp.index(value)  # membership check
-            items.append((hp.name, value))
-        return Configuration(tuple(items))
+        return Configuration(
+            tuple(
+                (hp.name, hp.domain[hp.index(raw)])
+                for hp, raw in zip(self.hyperparameters, aligned)
+            )
+        )
 
     def validate_config(self, config: Configuration) -> None:
         if config.names != self.names:

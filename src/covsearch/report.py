@@ -16,7 +16,6 @@ from .model import (
     BudgetCurve,
     Configuration,
     CoverageRanking,
-    FixedConfigResult,
     ImportanceReport,
     LooResult,
 )
@@ -142,24 +141,20 @@ def render_compare(rows: Sequence[CompareRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_fixed(result: FixedConfigResult) -> str:
-    lines = [f"fixed configuration: {result.config}"]
-    for ctx, score in result.scores:
-        lines.append(f"  {ctx}: test={score:.4f}")
-    for task, mean in result.macro_averages:
-        lines.append(f"macro-average [{task}]: {mean:.4f}")
-    return "\n".join(lines) + "\n"
-
-
 def render_completeness(report: CompletenessReport) -> str:
     lines = []
     if report.is_complete:
         lines.append("grid complete")
+    # The same configurations go missing in many cells; format each once.
+    rows: dict[Configuration, str] = {}
     for ctx, split, missing in report.missing:
         if missing:
             lines.append(f"{ctx} [{split}]: {len(missing)} missing configuration(s)")
             for cfg in missing:
-                lines.append(f"  {cfg}")
+                row = rows.get(cfg)
+                if row is None:
+                    row = rows[cfg] = f"  {cfg}"
+                lines.append(row)
     for ctx, split in report.single_split:
         lines.append(f"warning: {ctx} has records only for the {split} split")
     return "\n".join(lines) + "\n"

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .model import (
     ConfigSpace,
     Context,
@@ -75,6 +73,8 @@ def synthetic_table(
     sizes = sorted(set(train_sizes))
     if not sizes:
         raise ValidationError("need at least one train size")
+
+    import numpy as np  # only here, so importing the package stays cheap
 
     rng = np.random.default_rng(seed)
     grid = space.grid()

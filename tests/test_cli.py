@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import covsearch
 
 from covsearch import builtin_catalog, load_scores, load_space
 from covsearch.cli import main
@@ -254,3 +259,127 @@ class TestUsageErrors:
             "importance", "--space", space, "--scores", scores,
             "--train-size", "100", "--combine-sizes",
         ]) == 1
+
+
+class TestErrorContract:
+    """Malformed inputs exit 2 with one diagnostic line, never a traceback."""
+
+    @staticmethod
+    def assert_one_line_error(capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("covsearch: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_malformed_task_map_json(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t",\n  oops}', encoding="utf-8")
+        assert main([
+            "compare", "--space", space, "--scores", scores,
+            "--task-map", str(task_map),
+        ]) == 2
+        self.assert_one_line_error(capsys, "line 2", "invalid JSON")
+
+    def test_malformed_default_config_json(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "t"}', encoding="utf-8")
+        default = tmp_path / "default.json"
+        default.write_text('{"hp": "x"', encoding="utf-8")
+        assert main([
+            "compare", "--space", space, "--scores", scores,
+            "--task-map", str(task_map), "--default-config", str(default),
+        ]) == 2
+        self.assert_one_line_error(capsys, "line 1", "invalid JSON")
+
+    def test_non_object_default_config(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        default = tmp_path / "default.json"
+        default.write_text("7", encoding="utf-8")
+        assert main([
+            "compare", "--space", space, "--scores", scores,
+            "--task-map", "builtin", "--default-config", str(default),
+        ]) == 2
+        self.assert_one_line_error(capsys, "default configuration")
+
+    def test_non_utf8_scores(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        with open(scores, "ab") as handle:
+            handle.write(b"D,100,test,1,\xff\n")
+        assert main(["validate", "--space", space, "--scores", scores]) == 2
+        self.assert_one_line_error(capsys, "line 10", "UTF-8")
+
+    def test_non_utf8_space(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        Path(space).write_bytes(b'{"label": "\xe9"}')
+        assert main(["rank", "--space", space, "--scores", scores]) == 2
+        self.assert_one_line_error(capsys, "line 1", "UTF-8")
+
+
+class TestContextSelector:
+    def test_rank_rejects_unknown_dataset_like_loo(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        for command in ("rank", "loo"):
+            assert main([
+                command, "--space", space, "--scores", scores,
+                "--datasets", "A,nosuch",
+            ]) == 2
+            assert "dataset(s) not in table: ['nosuch']" in capsys.readouterr().err
+
+    def test_rank_rejects_unknown_train_size(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        assert main([
+            "rank", "--space", space, "--scores", scores, "--train-sizes", "100,7",
+        ]) == 2
+        assert "train size(s) not in table: [7]" in capsys.readouterr().err
+
+    def test_rank_filter_keeps_named_contexts(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        assert main([
+            "rank", "--space", space, "--scores", scores,
+            "--datasets", "A,B", "--format", "machine",
+        ]) == 0
+        ranking = json.loads(capsys.readouterr().out)["ranking"]
+        assert ranking["contexts"] == ["A@100", "B@100"]
+
+    def test_importance_rejects_unknown_dataset(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        assert main([
+            "importance", "--space", space, "--scores", scores,
+            "--datasets", "A,B,nosuch", "--permutations", "2",
+        ]) == 2
+        assert "dataset(s) not in table: ['nosuch']" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_light_commands_never_load_numpy_or_scipy(self, tmp_path):
+        validation = [r.replace(",test,", ",validation,") for r in THREE_CONTEXT_ROWS]
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS + validation)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "t"}', encoding="utf-8")
+        io = ["--space", space, "--scores", scores]
+        commands = [
+            ["validate", *io],
+            ["rank", *io],
+            ["loo", *io],
+            ["budget", *io, "--max-budget", "2"],
+            ["compare", *io, "--task-map", str(task_map)],
+        ]
+        script = f"""
+import sys
+def heavy():
+    return sorted({{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})
+import covsearch.cli
+assert heavy() == [], ("import", heavy())
+for argv in {commands!r}:
+    assert covsearch.cli.main(argv) == 0, argv
+    assert heavy() == [], (argv[0], heavy())
+"""
+        src = str(Path(covsearch.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr

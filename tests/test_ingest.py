@@ -152,6 +152,35 @@ class TestScoreFiles:
         assert again == table
         assert serialize_scores(again) == text
 
+    def test_spellings_of_one_value_parse_alike(self):
+        spelled = [
+            "d1,100,test,0.5,1e-4,5",
+            "d1,100,test,0.25,0.0001,10",
+            "d2,100,test,0.7,1.0E-4,5.0",
+            "d2,100,test,0.1, 5e-05 ,10",
+        ]
+        canonical = [
+            "d1,100,test,0.5,1.0e-4,5",
+            "d1,100,test,0.25,1.0e-4,10",
+            "d2,100,test,0.7,1.0e-4,5",
+            "d2,100,test,0.1,5.0e-5,10",
+        ]
+        a = parse_scores(scores_text(spelled), self.space, warn_incomplete=False)
+        b = parse_scores(scores_text(canonical), self.space, warn_incomplete=False)
+        assert a == b
+        assert serialize_scores(a) == serialize_scores(b)
+
+    def test_bad_value_reported_at_first_line_every_parse(self):
+        rows = [
+            "d1,100,test,0.5,1e-4,5",
+            "d1,100,test,0.5,1e-4,7",
+            "d2,100,test,0.5,1e-4,7",
+        ]
+        for _ in range(2):
+            with pytest.raises(ParseError, match="not in domain") as exc:
+                parse_scores(scores_text(rows), self.space)
+            assert exc.value.line == 3
+
     def test_quoted_categorical_values(self):
         space = make_space(("tag", "categorical", ["a,b", "plain"]))
         table = build_table(space, {"test": {("d", 100): {("a,b",): 1.0}}})

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covsearch import (
     ConfigSpace,
@@ -87,6 +89,60 @@ class TestHyperparameter:
     def test_membership(self):
         hp = Hyperparameter("batch", "integer", ("8", "32"))
         assert "8" in hp and "32.0" in hp and "16" not in hp
+
+
+# Raw values of every type a space file or score file can hand over.
+RAW_VALUES = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.decimals(allow_nan=False, allow_infinity=False).map(lambda d: f"{d:E}"),
+    st.text(max_size=12),
+)
+
+
+def canonical_or_none(kind, raw):
+    try:
+        return canonical_value(kind, raw)
+    except ValidationError:
+        return None
+
+
+def index_outcome(hp, raw):
+    try:
+        return hp.index(raw)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestCanonicalProperties:
+    """Hyperparameter.canonical and .index return a domain value as it is;
+    that is only sound because canonicalization is idempotent."""
+
+    @given(kind=st.sampled_from(["real", "integer", "categorical"]), raw=RAW_VALUES)
+    def test_canonical_value_is_idempotent(self, kind, raw):
+        value = canonical_or_none(kind, raw)
+        if value is not None:
+            assert canonical_value(kind, value) == value
+
+    @given(
+        kind=st.sampled_from(["real", "integer", "categorical"]),
+        domain=st.lists(RAW_VALUES, min_size=1, max_size=6),
+        raws=st.lists(RAW_VALUES, max_size=6),
+    )
+    def test_index_agrees_with_index_of_canonical(self, kind, domain, raws):
+        canon = {canonical_or_none(kind, v) for v in domain} - {None}
+        if not canon:
+            return
+        hp = Hyperparameter("h", kind, tuple(sorted(canon)))
+        for raw in list(domain) + list(raws) + [str(v) for v in domain]:
+            try:
+                expected = hp.index(hp.canonical(raw))
+            except ValidationError as exc:
+                expected = str(exc)
+            assert index_outcome(hp, raw) == expected
+            if isinstance(expected, int):
+                assert hp.canonical(raw) == hp.domain[expected]
 
 
 class TestConfigSpace:
