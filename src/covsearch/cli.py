@@ -31,8 +31,8 @@ from .ingest import (
     serialize_space,
 )
 from .importance import importance_report
-from .model import Context, CovsearchError, ScoreTable
-from .protocols import _select_contexts, budget_curve, compare_protocols, loo_cbs
+from .model import CovsearchError, ScoreTable
+from .protocols import _contexts_of, _select_contexts, budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
 from . import ranking as ranking_mod
@@ -139,22 +139,6 @@ def _load_inputs(args: argparse.Namespace) -> ScoreTable:
     return load_scores(args.scores, space, warn_incomplete=False)
 
 
-def _filter_contexts(
-    table: ScoreTable, split: str, datasets: list[str] | None, sizes: list[int] | None
-) -> list[Context] | None:
-    if datasets is None and sizes is None:
-        return None
-    datasets, sizes = _select_contexts(table, datasets, sizes)
-    contexts = [
-        ctx
-        for ctx in table.contexts(split)
-        if ctx.dataset in datasets and ctx.train_size in sizes
-    ]
-    if not contexts:
-        raise CovsearchError("no contexts match the --datasets/--train-sizes filter")
-    return contexts
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -170,10 +154,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     table = _load_inputs(args)
-    contexts = _filter_contexts(table, args.split, args.datasets, args.train_sizes)
+    datasets, sizes = _select_contexts(table, args.datasets, args.train_sizes)
     ranking = rank(
         table,
-        contexts,
+        _contexts_of(table, args.split, datasets, sizes),
         split=args.split,
         threshold=args.threshold,
         skip_degenerate=args.skip_degenerate,
@@ -252,13 +236,19 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_importance(args: argparse.Namespace) -> int:
+    if args.train_sizes is not None and (args.train_size or args.combine_sizes):
+        sys.stderr.write("covsearch importance: error: --train-sizes excludes"
+                         " --train-size and --combine-sizes\n")
+        return 1
     table = _load_inputs(args)
     if args.train_size is not None:
         scopes = [args.train_size]
     elif args.combine_sizes:
         scopes = [None]
     else:
-        scopes = table.train_sizes()
+        scopes = _select_contexts(table, args.datasets, args.train_sizes)[1]
+        if not scopes:
+            raise CovsearchError("no train sizes match the --train-sizes filter")
     reports = [
         importance_report(
             table,
@@ -281,6 +271,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
             "split",
             "threshold",
             "datasets",
+            "train_sizes",
             "train_size",
             "combine_sizes",
             "permutations",

@@ -169,9 +169,7 @@ def _resolve_sizes(
             f"table has several train sizes {available}; pass train_size or"
             f" combine_train_sizes=True"
         )
-    if train_size not in available:
-        raise DataError(f"train size {train_size} not in table (has {available})")
-    return (train_size,)
+    return tuple(_select_contexts(table, None, [train_size])[1])
 
 
 def permutation_pval(

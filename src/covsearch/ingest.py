@@ -21,9 +21,9 @@ Score file (delimited text, UTF-8)::
 One record per line; lines starting with '#' and blank lines are ignored.
 The first four columns are fixed; the remaining columns must be exactly the
 hyperparameters of the space (any order).  ``split`` is "validation" or
-"test"; scores are non-negative decimals with '.' separator.  Fields
-containing the delimiter must be quoted; embedded newlines are not
-supported.
+"test"; scores are non-negative ASCII decimals (``model.NUMBER``), train
+sizes positive ASCII integers.  Fields containing the delimiter must be
+quoted; embedded newlines are not supported.
 
 Missing grid cells are tolerated with a warning rather than an error: real
 result dumps are often partial, and all downstream math operates over the
@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,16 +48,16 @@ from .model import (
     Context,
     CovsearchError,
     Hyperparameter,
+    INTEGER,
+    NUMBER,
+    RESERVED_COLUMNS,
     ScoreRecord,
     ScoreTable,
     ValidationError,
-    SPLITS,
 )
 
 CATALOG_METHODS = ("full_ft", "lora")
 CATALOG_SOURCES = ("cbs_recommendation", "default_baseline")
-
-_FIXED_COLUMNS = ("dataset", "train_size", "split", "score")
 
 
 class ParseError(CovsearchError):
@@ -190,8 +189,9 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
     # stripped raw text -> canonical domain value.  Only values that proved
     # domain members enter it, so a bad value fails on every line it is on.
     columns: list[tuple[Hyperparameter, int, dict[str, str]]] = []
-    records: dict[tuple[Context, str, Configuration], float] = {}
-    first_line: dict[tuple[Context, str, Configuration], int] = {}
+    # (dataset, train size, split, values) -> (first line, record).
+    seen: dict[tuple, tuple[int, ScoreRecord]] = {}
+    names = space.names
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -200,9 +200,9 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
         fields = _parse_csv_line(line, lineno)
         if header is None:
             header = [f.strip() for f in fields]
-            if tuple(header[:4]) != _FIXED_COLUMNS:
+            if tuple(header[:4]) != RESERVED_COLUMNS:
                 raise ParseError(
-                    f"header must start with {','.join(_FIXED_COLUMNS)},"
+                    f"header must start with {','.join(RESERVED_COLUMNS)},"
                     f" got {','.join(header[:4])}",
                     line=lineno,
                 )
@@ -229,70 +229,43 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
                 f"expected {len(header)} fields, got {len(fields)}",
                 line=lineno,
             )
-        dataset = fields[0].strip()
-        if not dataset:
-            raise ParseError("empty dataset identifier", line=lineno)
-        try:
-            train_size = int(fields[1].strip())
-        except ValueError:
+        size_text, score_text = fields[1].strip(), fields[3].strip()
+        if not INTEGER.fullmatch(size_text):
             raise ParseError(
                 f"train_size must be an integer, got {fields[1]!r}", line=lineno
-            ) from None
-        if train_size <= 0:
-            raise ParseError(
-                f"train_size must be positive, got {train_size}", line=lineno
             )
-        split = fields[2].strip()
-        if split not in SPLITS:
-            raise ParseError(
-                f"split must be one of {SPLITS}, got {split!r}", line=lineno
-            )
-        score_text = fields[3].strip()
+        if not NUMBER.fullmatch(score_text):
+            raise ParseError(f"invalid score {score_text!r}", line=lineno)
         try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"invalid score {score_text!r}", line=lineno) from None
-        if math.isnan(score) or math.isinf(score):
-            raise ParseError(f"score must be finite, got {score_text!r}", line=lineno)
-        if score < 0:
-            raise ParseError(f"negative score at row", line=lineno)
-        items = []
-        for hp, position, memo in columns:
-            text = fields[position].strip()
-            value = memo.get(text)
-            if value is None:
-                try:
-                    value = hp.domain[hp.index(text)]
-                except ValidationError as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-                memo[text] = value
-            items.append((hp.name, value))
-        config = Configuration(tuple(items))
-
-        context = Context(dataset=dataset, train_size=train_size)
-        key = (context, split, config)
-        if key in records:
-            if records[key] == score:
-                continue  # identical duplicate: collapse silently
+            values = []
+            for hp, position, memo in columns:
+                text = fields[position].strip()
+                value = memo.get(text)
+                if value is None:
+                    value = memo[text] = hp.domain[hp.index(text)]
+                values.append(value)
+            key = (fields[0].strip(), int(size_text), fields[2].strip(), tuple(values))
+            record = ScoreRecord(
+                context=Context(dataset=key[0], train_size=key[1]),
+                split=key[2],
+                config=Configuration(tuple(zip(names, values))),
+                score=float(score_text),
+            )
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        first = seen.setdefault(key, (lineno, record))
+        if first[1].score != record.score:
             raise ParseError(
-                f"conflicting duplicate of line {first_line[key]}:"
-                f" {context} {split} ({config}) has score {records[key]!r}"
-                f" vs {score!r}",
+                f"conflicting duplicate of line {first[0]}: {record.context}"
+                f" {record.split} ({record.config}) has score {first[1].score!r}"
+                f" vs {record.score!r}",
                 line=lineno,
             )
-        records[key] = score
-        first_line[key] = lineno
 
     if header is None:
         raise ParseError("missing header row", line=1)
 
-    table = ScoreTable(
-        space,
-        (
-            ScoreRecord(context=ctx, split=split, config=cfg, score=score)
-            for (ctx, split, cfg), score in records.items()
-        ),
-    )
+    table = ScoreTable(space, (record for _, record in seen.values()))
     if warn_incomplete:
         report = completeness_report(table)
         n_missing = sum(len(m) for _, _, m in report.missing)
@@ -315,7 +288,7 @@ def serialize_scores(table: ScoreTable) -> str:
     """Canonical score-file serialization (sorted rows, shortest floats)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(_FIXED_COLUMNS) + list(table.space.names))
+    writer.writerow(list(RESERVED_COLUMNS) + list(table.space.names))
     for rec in table.records:
         writer.writerow(
             [rec.context.dataset, rec.context.train_size, rec.split, repr(rec.score)]
@@ -352,16 +325,15 @@ class CompletenessReport:
 
 
 def completeness_report(table: ScoreTable) -> CompletenessReport:
-    grid = table.space.grid()
+    grid = range(table.space.size)
+    decode = table.space.config_at
     missing = []
-    for ctx in table.contexts():
-        for split in table.splits_for(ctx):
-            present = set(table.scores(ctx, split))
-            absent = tuple(cfg for cfg in grid if cfg not in present)
-            missing.append((ctx, split, absent))
     single = []
     for ctx in table.contexts():
         splits = table.splits_for(ctx)
+        for split in splits:
+            present = table.cell(ctx, split)
+            missing.append((ctx, split, tuple(decode(i) for i in grid if i not in present)))
         if len(splits) == 1:
             single.append((ctx, splits[0]))
     return CompletenessReport(missing=tuple(missing), single_split=tuple(single))

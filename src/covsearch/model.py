@@ -8,7 +8,11 @@ here rescales them.
 
 The order in which hyperparameters are declared, and the order of values
 inside each domain, define the grid enumeration order and every
-deterministic tie-break downstream.
+deterministic tie-break downstream.  Inside a score table a configuration's
+identity is its grid id: its mixed-radix position in that order, with the
+last hyperparameter varying fastest (``ConfigSpace.config_index`` encodes,
+``ConfigSpace.config_at`` decodes).  The analyses work on grid ids;
+``Configuration`` objects are built only where results leave the package.
 
 All types are immutable after construction and safe to share across
 concurrent readers.
@@ -16,10 +20,12 @@ concurrent readers.
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 VALID_KINDS = ("real", "integer", "categorical")
@@ -31,6 +37,11 @@ RESERVED_COLUMNS = ("dataset", "train_size", "split", "score")
 
 # Guard against accidentally materializing an astronomically large grid.
 MAX_GRID_SIZE = 10_000_000
+
+# The one grammar of numbers read from outside the program (ASCII digits, no
+# digit-group underscores), and its integer part alone for counts.
+NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 class CovsearchError(Exception):
@@ -53,6 +64,16 @@ class DegenerateContextError(DataError):
     """All scores in a (context, split) are zero; normalization is undefined."""
 
 
+def _check_split(split: str) -> None:
+    if split not in SPLITS:
+        raise ValidationError(f"split must be one of {SPLITS}, got {split!r}")
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < 1:
+        raise ValidationError(f"threshold must be in (0, 1), got {threshold!r}")
+
+
 def canonical_value(kind: str, raw: object) -> str:
     """Canonicalize a single hyperparameter value for the given kind.
 
@@ -72,12 +93,9 @@ def canonical_value(kind: str, raw: object) -> str:
         raise ValidationError("hyperparameter value must not contain newlines")
     if kind == "categorical":
         return text
-    try:
-        dec = Decimal(text)
-    except InvalidOperation:
-        raise ValidationError(f"value {text!r} is not a valid {kind}") from None
-    if not dec.is_finite():
-        raise ValidationError(f"value {text!r} is not finite")
+    if not NUMBER.fullmatch(text):
+        raise ValidationError(f"value {text!r} is not a valid {kind}")
+    dec = Decimal(text)
     if kind == "integer":
         if dec != dec.to_integral_value():
             raise ValidationError(f"value {text!r} is not an integer")
@@ -125,10 +143,6 @@ class Hyperparameter:
         object.__setattr__(self, "_value_index", {v: i for i, v in enumerate(canon)})
 
     def canonical(self, raw: object) -> str:
-        # A domain value is already canonical (canonical_value is
-        # idempotent), so it needs no Decimal round-trip.
-        if type(raw) is str and raw in self._value_index:  # type: ignore[attr-defined]
-            return raw
         return canonical_value(self.kind, raw)
 
     def index(self, raw: object) -> int:
@@ -208,12 +222,13 @@ class ConfigSpace:
                 f"grid size {product} = {math.prod(sizes)} exceeds the"
                 f" supported maximum of {MAX_GRID_SIZE}"
             )
+        object.__setattr__(self, "_decoded", {})  # grid id -> Configuration
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(hp.name for hp in self.hyperparameters)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return math.prod(len(hp.domain) for hp in self.hyperparameters)
 
@@ -225,11 +240,7 @@ class ConfigSpace:
 
     def grid(self) -> list[Configuration]:
         """Full Cartesian product, last hyperparameter varying fastest."""
-        names = self.names
-        return [
-            Configuration(tuple(zip(names, combo)))
-            for combo in itertools.product(*(hp.domain for hp in self.hyperparameters))
-        ]
+        return [self.config_at(index) for index in range(self.size)]
 
     def configuration(
         self, values: Mapping[str, object] | Sequence[object]
@@ -257,20 +268,35 @@ class ConfigSpace:
         )
 
     def validate_config(self, config: Configuration) -> None:
+        self.config_index(config)
+
+    def config_index(self, config: Configuration) -> int:
+        """Grid id of a configuration: its position in grid() order.  Raises
+        ValidationError unless fields and values are this space's."""
         if config.names != self.names:
             raise ValidationError(
                 f"configuration fields {config.names} do not match space"
                 f" fields {self.names}"
             )
-        for hp, value in zip(self.hyperparameters, config.values):
-            hp.index(value)
-
-    def config_index(self, config: Configuration) -> int:
-        """Position of a configuration in grid() enumeration order."""
         idx = 0
         for hp, value in zip(self.hyperparameters, config.values):
             idx = idx * len(hp.domain) + hp.index(value)
         return idx
+
+    def config_at(self, index: int) -> Configuration:
+        """The configuration with one grid id; inverse of config_index.  Each
+        id is decoded once per space and the Configuration shared after."""
+        decoded = self._decoded  # type: ignore[attr-defined]
+        config = decoded.get(index)
+        if config is None:
+            if not 0 <= index < self.size:
+                raise ValidationError(f"grid id {index} outside 0..{self.size - 1}")
+            items, rest = [], index
+            for hp in reversed(self.hyperparameters):
+                rest, position = divmod(rest, len(hp.domain))
+                items.append((hp.name, hp.domain[position]))
+            config = decoded[index] = Configuration(tuple(reversed(items)))
+        return config
 
 
 @dataclass(frozen=True, order=True)
@@ -304,80 +330,89 @@ class ScoreRecord:
     score: float
 
     def __post_init__(self) -> None:
-        if self.split not in SPLITS:
-            raise ValidationError(
-                f"split must be one of {SPLITS}, got {self.split!r}"
-            )
+        _check_split(self.split)
         score = float(self.score)
         if not math.isfinite(score):
             raise ValidationError(f"score must be finite, got {self.score!r}")
         if score < 0:
-            raise ValidationError(f"score must be non-negative, got {score!r}")
+            raise ValidationError(f"negative score {score!r}; scores must be non-negative")
         object.__setattr__(self, "score", score)
 
 
 class ScoreTable:
     """Immutable container for grid-search results against one config space.
 
-    Records are re-ordered canonically at construction (by context, split,
-    then grid position), so every downstream computation is independent of
-    the order records arrived in.  The grid may be partially populated;
-    analyses operate over the records present.
+    Each (context, split) cell maps grid ids to raw scores, ids ascending,
+    so every downstream computation is independent of the order records
+    arrived in.  The grid may be partially populated; analyses operate over
+    the records present.
     """
 
     def __init__(self, space: ConfigSpace, records: Iterable[ScoreRecord]):
         self.space = space
-        recs = list(records)
-        for rec in recs:
-            space.validate_config(rec.config)
-        recs.sort(
-            key=lambda r: (r.context, r.split, space.config_index(r.config))
-        )
-        scores: dict[tuple[Context, str], dict[Configuration, float]] = {}
-        for rec in recs:
-            cell = scores.setdefault((rec.context, rec.split), {})
-            if rec.config in cell:
+        cells: dict[tuple[Context, str], dict[int, float]] = {}
+        for rec in records:
+            cell = cells.setdefault((rec.context, rec.split), {})
+            index = space.config_index(rec.config)
+            if index in cell:
                 raise ValidationError(
                     f"duplicate record for {rec.context} {rec.split}"
                     f" config ({rec.config})"
                 )
-            cell[rec.config] = rec.score
-        self._records = tuple(recs)
-        self._scores = scores
+            cell[index] = rec.score
+        self._cells = {
+            key: MappingProxyType(dict(sorted(cells[key].items())))
+            for key in sorted(cells)
+        }
 
     @property
     def records(self) -> tuple[ScoreRecord, ...]:
-        return self._records
+        """Every record, ordered by context, split, then grid id."""
+        config_at = self.space.config_at
+        return tuple(
+            ScoreRecord(ctx, split, config_at(index), score)
+            for (ctx, split), cell in self._cells.items()
+            for index, score in cell.items()
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(cell) for cell in self._cells.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return self.space == other.space and set(self._records) == set(other._records)
+        return self.space == other.space and self._cells == other._cells
 
     def contexts(self, split: str | None = None) -> list[Context]:
         """Sorted contexts, optionally restricted to one split."""
         if split is None:
-            return sorted({ctx for ctx, _ in self._scores})
-        return sorted({ctx for ctx, sp in self._scores if sp == split})
+            return sorted({ctx for ctx, _ in self._cells})
+        return sorted({ctx for ctx, sp in self._cells if sp == split})
 
     def datasets(self) -> list[str]:
-        return sorted({ctx.dataset for ctx, _ in self._scores})
+        return sorted({ctx.dataset for ctx, _ in self._cells})
 
     def train_sizes(self) -> list[int]:
-        return sorted({ctx.train_size for ctx, _ in self._scores})
+        return sorted({ctx.train_size for ctx, _ in self._cells})
 
     def splits_for(self, context: Context) -> list[str]:
-        return sorted(sp for ctx, sp in self._scores if ctx == context)
+        return sorted(sp for ctx, sp in self._cells if ctx == context)
+
+    def cell(self, context: Context, split: str) -> Mapping[int, float]:
+        """Read-only grid id -> score map of one (context, split); empty if absent."""
+        return self._cells.get((context, split), {})
 
     def scores(self, context: Context, split: str) -> dict[Configuration, float]:
         """Scores for one (context, split), in grid order; empty if absent."""
-        return dict(self._scores.get((context, split), {}))
+        config_at = self.space.config_at
+        return {config_at(i): score for i, score in self.cell(context, split).items()}
 
     def score(self, context: Context, split: str, config: Configuration) -> float | None:
-        return self._scores.get((context, split), {}).get(config)
+        try:
+            index = self.space.config_index(config)
+        except ValidationError:
+            return None
+        return self.cell(context, split).get(index)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +451,7 @@ class CoverageRanking:
     threshold: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.threshold < 1:
-            raise ValidationError(
-                f"threshold must be in (0, 1), got {self.threshold!r}"
-            )
+        _check_threshold(self.threshold)
         sizes = [len(e.coverage) for e in self.entries]
         if sizes != sorted(sizes, reverse=True):
             raise ValidationError("ranking entries must be sorted by coverage size")

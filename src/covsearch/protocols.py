@@ -29,7 +29,6 @@ from .model import (
     BudgetCurve,
     BudgetDetail,
     BudgetPoint,
-    ConfigSpace,
     Configuration,
     Context,
     CoverageRanking,
@@ -41,7 +40,9 @@ from .model import (
     UpperBoundResult,
     ValidationError,
 )
-from .ranking import DEFAULT_THRESHOLD, normalize, rank
+# normalize is not called here (held-out scores divide by the cell maximum);
+# it stays a module attribute, which perfbench/tracing.py wraps.
+from .ranking import DEFAULT_THRESHOLD, _cell_and_best, normalize, rank  # noqa: F401
 
 DEFAULT_MAX_BUDGET = 10
 NORMALIZE_MODES = ("test_max", "upper_bound")
@@ -59,11 +60,11 @@ def fixed_config_eval(
     contexts fall into a single "all" group.  The macro-average is the
     unweighted mean over the contexts of each task.
     """
-    table.space.validate_config(config)
+    index = table.space.config_index(config)
     selected = sorted(set(contexts)) if contexts is not None else table.contexts("test")
     if not selected:
         raise DataError("no contexts to evaluate")
-    missing = [ctx for ctx in selected if table.score(ctx, "test", config) is None]
+    missing = [ctx for ctx in selected if index not in table.cell(ctx, "test")]
     if missing:
         raise DataError(
             f"configuration ({config}) has no test record for context(s):"
@@ -74,7 +75,7 @@ def fixed_config_eval(
         if unknown:
             raise DataError(f"dataset(s) missing from task map: {unknown}")
 
-    scores = tuple((ctx, table.score(ctx, "test", config)) for ctx in selected)
+    scores = tuple((ctx, table.cell(ctx, "test")[index]) for ctx in selected)
     groups: dict[str, list[float]] = {}
     for ctx, score in scores:
         task = task_map[ctx.dataset] if task_map is not None else "all"
@@ -90,16 +91,15 @@ def upper_bound(table: ScoreTable, context: Context) -> UpperBoundResult:
 
     Validation ties break toward the configuration earliest in grid order.
     """
-    val = table.scores(context, "validation")
+    val = table.cell(context, "validation")
     if not val:
         raise DataError(f"validation split unavailable for context {context}")
-    if not table.scores(context, "test"):
+    test = table.cell(context, "test")
+    if not test:
         raise DataError(f"test split unavailable for context {context}")
-    best_config, best_score = None, -1.0
-    for cfg, score in val.items():  # grid order: first maximum wins ties
-        if score > best_score:
-            best_config, best_score = cfg, score
-    test_score = table.score(context, "test", best_config)
+    best_id = max(val, key=val.__getitem__)  # grid order: first maximum wins ties
+    best_config = table.space.config_at(best_id)
+    test_score = test.get(best_id)
     if test_score is None:
         raise DataError(
             f"validation-selected configuration ({best_config}) has no test"
@@ -108,7 +108,7 @@ def upper_bound(table: ScoreTable, context: Context) -> UpperBoundResult:
     return UpperBoundResult(
         context=context,
         config=best_config,
-        validation_score=best_score,
+        validation_score=val[best_id],
         test_score=test_score,
     )
 
@@ -131,6 +131,17 @@ def _select_contexts(
     return ds, sizes
 
 
+def _contexts_of(
+    table: ScoreTable, split: str, datasets: Sequence[str], train_sizes: Sequence[int]
+) -> list[Context]:
+    """Contexts with ``split`` records among the given datasets and train sizes."""
+    return [
+        ctx
+        for ctx in table.contexts(split)
+        if ctx.dataset in datasets and ctx.train_size in train_sizes
+    ]
+
+
 def _held_out_ranking(
     table: ScoreTable,
     held_out: str,
@@ -140,13 +151,8 @@ def _held_out_ranking(
     threshold: float,
     skip_degenerate: bool,
 ) -> CoverageRanking:
-    contexts = [
-        ctx
-        for ctx in table.contexts(split)
-        if ctx.dataset != held_out
-        and ctx.dataset in datasets
-        and ctx.train_size in train_sizes
-    ]
+    others = [d for d in datasets if d != held_out]
+    contexts = _contexts_of(table, split, others, train_sizes)
     if not contexts:
         raise DataError(f"no contexts remain after holding out {held_out!r}")
     return rank(
@@ -157,11 +163,7 @@ def _held_out_ranking(
 def _held_out_contexts(
     table: ScoreTable, held_out: str, train_sizes: Sequence[int]
 ) -> list[Context]:
-    contexts = [
-        ctx
-        for ctx in table.contexts("test")
-        if ctx.dataset == held_out and ctx.train_size in train_sizes
-    ]
+    contexts = _contexts_of(table, "test", [held_out], train_sizes)
     if not contexts:
         raise DataError(
             f"held-out dataset {held_out!r} has no test records for the"
@@ -195,17 +197,18 @@ def loo_cbs(
             table, held_out, ds, sizes, split, threshold, skip_degenerate
         )
         recommended = ranking.recommended
+        index = table.space.config_index(recommended)
         scores = []
         for ctx in _held_out_contexts(table, held_out, sizes):
-            raw = table.score(ctx, "test", recommended)
+            cell, best = _cell_and_best(table, ctx, "test")
+            raw = cell.get(index)
             if raw is None:
                 raise DataError(
                     f"recommended configuration ({recommended}) has no test"
                     f" record on held-out context {ctx}"
                 )
-            normalized = normalize(table, ctx, "test")[recommended]
             scores.append(
-                LooScore(context=ctx, test_score=raw, normalized_test_score=normalized)
+                LooScore(context=ctx, test_score=raw, normalized_test_score=raw / best)
             )
         results.append(
             LooResult(
@@ -253,13 +256,14 @@ def budget_curve(
         ranking = _held_out_ranking(
             table, held_out, ds, sizes, split, threshold, skip_degenerate
         )
-        candidates = [entry.config for entry in ranking.entries]
+        candidates = [(table.space.config_index(e.config), e.config) for e in ranking.entries]
         for ctx in _held_out_contexts(table, held_out, sizes):
-            val = table.scores(ctx, "validation")
+            val = table.cell(ctx, "validation")
             if not val:
                 raise DataError(f"validation split unavailable for context {ctx}")
+            test = table.cell(ctx, "test")
             if normalize_by == "test_max":
-                denominator = max(table.scores(ctx, "test").values())
+                denominator = _cell_and_best(table, ctx, "test")[1]
             else:
                 denominator = upper_bound(table, ctx).test_score
                 if denominator <= 0:
@@ -267,18 +271,18 @@ def budget_curve(
                         f"upper-bound test score is zero for context {ctx};"
                         f" cannot normalize"
                     )
-            best_config, best_val = None, -1.0
+            best, best_val = None, -1.0
             for k in range(1, max_budget + 1):
                 if k <= len(candidates):
-                    cfg = candidates[k - 1]
-                    cand_val = val.get(cfg)
+                    cand_val = val.get(candidates[k - 1][0])
                     if cand_val is not None and cand_val > best_val:
-                        best_config, best_val = cfg, cand_val
-                if best_config is None:
+                        best, best_val = candidates[k - 1], cand_val
+                if best is None:
                     raise DataError(
                         f"no top-{k} candidate has a validation record on {ctx}"
                     )
-                test_score = table.score(ctx, "test", best_config)
+                best_id, best_config = best
+                test_score = test.get(best_id)
                 if test_score is None:
                     raise DataError(
                         f"selected configuration ({best_config}) has no test"
@@ -354,7 +358,7 @@ def compare_protocols(
         raise DataError(f"dataset(s) missing from task map: {unknown}")
 
     loo = {
-        res.held_out_dataset: res
+        s.context: s.test_score
         for res in loo_cbs(
             table,
             ds,
@@ -363,6 +367,7 @@ def compare_protocols(
             threshold=threshold,
             skip_degenerate=skip_degenerate,
         )
+        for s in res.scores
     }
 
     rows = []
@@ -370,19 +375,10 @@ def compare_protocols(
     for task in tasks:
         members = [d for d in ds if task_map[d] == task]
         for size in sizes:
-            contexts = [
-                ctx
-                for ctx in table.contexts("test")
-                if ctx.dataset in members and ctx.train_size == size
-            ]
+            contexts = _contexts_of(table, "test", members, [size])
             if not contexts:
                 continue
-            cbs1_scores = []
-            for ctx in contexts:
-                match = [
-                    s for s in loo[ctx.dataset].scores if s.context == ctx
-                ]
-                cbs1_scores.append(match[0].test_score)
+            cbs1_scores = [loo[ctx] for ctx in contexts]
             ub_scores = [upper_bound(table, ctx).test_score for ctx in contexts]
             default_score = None
             if default_config is not None:

@@ -10,7 +10,8 @@ how many contexts they cover.
 
 Determinism: contexts are processed in sorted order, configurations in grid
 order, and score sums use exact (fsum) accumulation, so equal inputs yield
-bit-identical rankings regardless of record order.
+bit-identical rankings regardless of record order.  Configurations are
+handled as grid ids throughout and decoded only into the results.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .model import (
+    ConfigSpace,
     Configuration,
     Context,
     CoverageRanking,
@@ -29,8 +31,8 @@ from .model import (
     EmptyContextError,
     RankingEntry,
     ScoreTable,
-    ValidationError,
-    SPLITS,
+    _check_split,
+    _check_threshold,
 )
 
 DEFAULT_THRESHOLD = 0.97
@@ -42,32 +44,45 @@ class TopSet:
 
     Members carry their normalized score and are listed in grid order; the
     context argmax (normalized score exactly 1.0) is always a member.
+    ``id_members`` holds them as (grid id, normalized score) pairs.
     """
 
     context: Context
     split: str
     threshold: float
-    members: tuple[tuple[Configuration, float], ...]
+    space: ConfigSpace
+    id_members: tuple[tuple[int, float], ...]
+
+    @property
+    def members(self) -> tuple[tuple[Configuration, float], ...]:
+        return tuple((self.space.config_at(i), sn) for i, sn in self.id_members)
 
     @property
     def configs(self) -> tuple[Configuration, ...]:
-        return tuple(cfg for cfg, _ in self.members)
+        return tuple(self.space.config_at(i) for i, _ in self.id_members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.id_members)
 
     def __contains__(self, config: Configuration) -> bool:
-        return any(cfg == config for cfg, _ in self.members)
+        return config in self.configs
 
 
-def _check_split(split: str) -> None:
-    if split not in SPLITS:
-        raise ValidationError(f"split must be one of {SPLITS}, got {split!r}")
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0 < threshold < 1:
-        raise ValidationError(f"threshold must be in (0, 1), got {threshold!r}")
+def _cell_and_best(
+    table: ScoreTable, context: Context, split: str
+) -> tuple[Mapping[int, float], float]:
+    """The id-keyed scores of one (context, split) and their maximum, which
+    must be positive (EmptyContextError, DegenerateContextError)."""
+    _check_split(split)
+    cell = table.cell(context, split)
+    if not cell:
+        raise EmptyContextError(f"empty context: no {split} records for {context}")
+    best = max(cell.values())
+    if best <= 0:
+        raise DegenerateContextError(
+            f"degenerate context: all {split} scores are zero for {context}"
+        )
+    return cell, best
 
 
 def normalize(
@@ -79,16 +94,9 @@ def normalize(
     EmptyContextError when no records exist and DegenerateContextError when
     the maximum score is zero.
     """
-    _check_split(split)
-    rows = table.scores(context, split)
-    if not rows:
-        raise EmptyContextError(f"empty context: no {split} records for {context}")
-    best = max(rows.values())
-    if best <= 0:
-        raise DegenerateContextError(
-            f"degenerate context: all {split} scores are zero for {context}"
-        )
-    return {cfg: score / best for cfg, score in rows.items()}
+    cell, best = _cell_and_best(table, context, split)
+    config_at = table.space.config_at
+    return {config_at(i): score / best for i, score in cell.items()}
 
 
 def top_set(
@@ -99,11 +107,10 @@ def top_set(
 ) -> TopSet:
     """Configurations with normalized score strictly above the threshold."""
     _check_threshold(threshold)
-    normalized = normalize(table, context, split)
-    members = tuple(
-        (cfg, sn) for cfg, sn in normalized.items() if sn > threshold
-    )
-    return TopSet(context=context, split=split, threshold=threshold, members=members)
+    cell, best = _cell_and_best(table, context, split)
+    scaled = ((i, score / best) for i, score in cell.items())
+    members = tuple(pair for pair in scaled if pair[1] > threshold)
+    return TopSet(context, split, threshold, table.space, members)
 
 
 def rank(
@@ -143,37 +150,33 @@ def rank(
 
     used = sorted(top_sets)
 
-    # Score sum per configuration over the contexts where it is a top-set
-    # member.  fsum makes the result independent of accumulation order.
-    member_scores: dict[Configuration, list[float]] = {}
+    # Score sum per grid id over the contexts where it is a top-set member.
+    # fsum makes the result independent of accumulation order.
+    member_scores: dict[int, list[float]] = {}
     for ctx in used:
-        for cfg, sn in top_sets[ctx].members:
-            member_scores.setdefault(cfg, []).append(sn)
-    score_sum = {cfg: math.fsum(vals) for cfg, vals in member_scores.items()}
+        for i, sn in top_sets[ctx].id_members:
+            member_scores.setdefault(i, []).append(sn)
+    score_sum = {i: math.fsum(vals) for i, vals in member_scores.items()}
 
     # A configuration covers a context iff it is in the top set and ties the
     # maximal score sum there; no strictly higher-ranked member can then be
     # present, which is the set-difference definition in closed form.
-    coverage: dict[Configuration, set[Context]] = {cfg: set() for cfg in score_sum}
+    coverage: dict[int, set[Context]] = {i: set() for i in score_sum}
     for ctx in used:
-        members = top_sets[ctx].configs
-        best = max(score_sum[cfg] for cfg in members)
-        for cfg in members:
-            if score_sum[cfg] == best:
-                coverage[cfg].add(ctx)
+        best = max(score_sum[i] for i, _ in top_sets[ctx].id_members)
+        for i, _ in top_sets[ctx].id_members:
+            if score_sum[i] == best:
+                coverage[i].add(ctx)
 
-    index = table.space.config_index
-    ordered = sorted(
-        score_sum,
-        key=lambda cfg: (-len(coverage[cfg]), -score_sum[cfg], index(cfg)),
-    )
+    ordered = sorted(score_sum, key=lambda i: (-len(coverage[i]), -score_sum[i], i))
+    config_at = table.space.config_at
     entries = tuple(
         RankingEntry(
-            config=cfg,
-            score_sum=score_sum[cfg],
-            coverage=frozenset(coverage[cfg]),
+            config=config_at(i),
+            score_sum=score_sum[i],
+            coverage=frozenset(coverage[i]),
         )
-        for cfg in ordered
+        for i in ordered
     )
     return CoverageRanking(
         entries=entries, contexts=tuple(used), split=split, threshold=threshold

@@ -216,6 +216,25 @@ class TestImportanceCommand:
         assert matrix_header == ["hyperparameter\t100\t1000"]
 
 
+    def test_train_sizes_are_the_scopes(self, tmp_path, capsys):
+        scores, space = tmp_path / "s.csv", tmp_path / "space.json"
+        main([
+            "synth", "--out-scores", str(scores), "--out-space", str(space),
+            "--datasets", "4", "--seed", "3",
+        ])
+        io = ["importance", "--space", str(space), "--scores", str(scores),
+              "--permutations", "3"]
+        capsys.readouterr()
+        assert main([*io, "--train-sizes", "1000"]) == 0
+        out = capsys.readouterr().out
+        matrix_header = [l for l in out.splitlines() if l.startswith("hyperparameter\t")]
+        assert matrix_header == ["hyperparameter\t1000"]
+        assert main([*io, "--train-sizes", "100,7"]) == 2
+        assert "train size(s) not in table: [7]" in capsys.readouterr().err
+        assert main([*io, "--train-sizes", "100", "--train-size", "100"]) == 1
+        assert main([*io, "--train-sizes", "100", "--combine-sizes"]) == 1
+
+
 class TestCompareCommand:
     def test_compare_report(self, tmp_path, capsys):
         scores, space = tmp_path / "s.csv", tmp_path / "space.json"
@@ -293,6 +312,11 @@ class TestErrorContract:
             "--task-map", str(task_map), "--default-config", str(default),
         ]) == 2
         self.assert_one_line_error(capsys, "line 1", "invalid JSON")
+
+    def test_number_outside_the_ascii_grammar(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, ["A,100,test,1,x", "A,100,test,1_000,y"])
+        assert main(["rank", "--space", space, "--scores", scores]) == 2
+        self.assert_one_line_error(capsys, "line 3", "invalid score '1_000'")
 
     def test_non_object_default_config(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)

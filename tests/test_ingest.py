@@ -188,6 +188,50 @@ class TestScoreFiles:
         assert parse_scores(text, space, warn_incomplete=False) == table
 
 
+# Spellings outside the ASCII decimal grammar, as (case, line, row): the row
+# replaces FULL_ROWS at that line (the header is line 1) and is otherwise
+# valid, so the spelling alone must be rejected.
+STRICT_NUMBER_CASES = [
+    ("digit-group underscore in a score", 3, "d2,100,test,1_000,5e-05,10"),
+    ("digit-group underscore in a train size", 2, "d2,1_00,test,0.5,5e-05,5"),
+    ("Arabic-Indic digits in a score", 4, "d2,100,test,\u0661\u0662,1e-04,5"),
+    ("Arabic-Indic digit in a real value", 5, "d2,100,test,0.9,\u0665e-5,10"),
+    ("digit-group underscore in an integer value", 2, "d2,100,test,0.5,5e-05,1_0"),
+    ("train size with a fraction", 3, "d2,100.0,test,0.7,5e-05,10"),
+    ("train size with an exponent", 3, "d2,1e2,test,0.7,5e-05,10"),
+    ("spelled-out non-finite score", 4, "d2,100,test,Infinity,1e-04,5"),
+]
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize(
+        "line,row", [c[1:] for c in STRICT_NUMBER_CASES], ids=[c[0] for c in STRICT_NUMBER_CASES]
+    )
+    def test_rejected_with_line_number(self, line, row):
+        rows = list(FULL_ROWS)
+        rows[line - 2] = row
+        with pytest.raises(ParseError) as exc:
+            parse_scores(scores_text(rows), parse_space(SPACE_DOC), warn_incomplete=False)
+        assert exc.value.line == line
+
+    def test_grammar_spellings_parse_as_before(self):
+        spelled = [
+            "d1,+100,test,+0.5,5e-05,5",
+            "d1,0100,test,.7,5e-05,1e1",
+            "d1,100,test,4.E-1,+1.0E-4,+5",
+            "d1, 100 ,test,9e-1,.0001,10.0",
+        ]
+        plain = [
+            "d1,100,test,0.5,5e-05,5",
+            "d1,100,test,0.7,5e-05,10",
+            "d1,100,test,0.4,1e-04,5",
+            "d1,100,test,0.9,1e-04,10",
+        ]
+        space = parse_space(SPACE_DOC)
+        a = parse_scores(scores_text(spelled), space, warn_incomplete=False)
+        assert a == parse_scores(scores_text(plain), space, warn_incomplete=False)
+
+
 class TestCompleteness:
     def test_empty_table_empty_report(self):
         space = cat_space([2])

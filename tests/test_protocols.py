@@ -3,17 +3,21 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsearch import (
     Context,
     DataError,
+    ScoreTable,
     budget_curve,
     compare_protocols,
     fixed_config_eval,
     loo_cbs,
+    rank,
     upper_bound,
 )
-from helpers import build_table, make_space, random_instance
+from helpers import build_table, cat_space, make_space, random_instance
 from oracle_impl import reference_budget, reference_loo
 
 
@@ -317,3 +321,121 @@ class TestCompare:
         ]
         assert rows[0].upper_bound_score == 15.0
         assert rows[2].upper_bound_score == 70.0
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic properties: transformations of the input that must leave every
+# result unchanged (up to the transformation itself).
+# ---------------------------------------------------------------------------
+
+SPLITS = ("validation", "test")
+# A few repeated values make score ties, and with them coverage and
+# validation tie-breaks, common.
+SCORES = st.sampled_from([0.25, 0.5, 0.97, 1.0]) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def instances(draw):
+    """(domain sizes, {split: {(dataset, size): {values: score}}}) on a full
+    grid of a categorical space, with two to four datasets."""
+    domains = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    grid = [c.values for c in cat_space(domains).grid()]
+    datasets = [f"d{i}" for i in range(draw(st.integers(2, 4)))]
+    sizes = draw(st.sampled_from([(100,), (100, 1000)]))
+    raw = {
+        split: {
+            (dataset, size): {values: draw(SCORES) for values in grid}
+            for dataset in datasets
+            for size in sizes
+        }
+        for split in SPLITS
+    }
+    return domains, raw
+
+
+def outcomes(table):
+    upper_bounds = [upper_bound(table, ctx) for ctx in table.contexts("test")]
+    return rank(table), loo_cbs(table), budget_curve(table, max_budget=3), upper_bounds
+
+
+class TestMetamorphic:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances(), rnd=st.randoms(use_true_random=False))
+    def test_record_order_changes_nothing(self, instance, rnd):
+        domains, raw = instance
+        space = cat_space(domains)
+        table = build_table(space, raw)
+        records = list(table.records)
+        rnd.shuffle(records)
+        assert outcomes(ScoreTable(space, records)) == outcomes(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=instances(),
+        names=st.lists(st.text("abz-_", min_size=1, max_size=4), min_size=4, max_size=4,
+                       unique=True),
+    )
+    def test_order_preserving_dataset_rename_changes_only_names(self, instance, names):
+        domains, raw = instance
+        space = cat_space(domains)
+        old = sorted({dataset for by_context in raw.values() for dataset, _ in by_context})
+        rename = dict(zip(old, sorted(names)))
+        renamed = {
+            split: {(rename[d], size): rows for (d, size), rows in by_context.items()}
+            for split, by_context in raw.items()
+        }
+        ranking, loo, curve, bounds = outcomes(build_table(space, raw))
+        ranking2, loo2, curve2, bounds2 = outcomes(build_table(space, renamed))
+
+        def ctx(c):
+            return Context(rename[c.dataset], c.train_size)
+
+        assert [(e.config, e.score_sum, {ctx(c) for c in e.coverage})
+                for e in ranking.entries] == [
+            (e.config, e.score_sum, set(e.coverage)) for e in ranking2.entries
+        ]
+        assert [(rename[r.held_out_dataset], r.recommended_config,
+                 [(ctx(s.context), s.test_score, s.normalized_test_score) for s in r.scores])
+                for r in loo] == [
+            (r.held_out_dataset, r.recommended_config,
+             [(s.context, s.test_score, s.normalized_test_score) for s in r.scores])
+            for r in loo2
+        ]
+        assert curve.points == curve2.points
+        assert [(d.k, ctx(d.context), d.config, d.validation_score, d.normalized_test_score)
+                for d in curve.details] == [
+            (d.k, d.context, d.config, d.validation_score, d.normalized_test_score)
+            for d in curve2.details
+        ]
+        assert [(ctx(u.context), u.config, u.validation_score, u.test_score)
+                for u in bounds] == [
+            (u.context, u.config, u.validation_score, u.test_score) for u in bounds2
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances(), data=st.data())
+    def test_new_zero_scored_domain_value_changes_nothing(self, instance, data):
+        domains, raw = instance
+        hp = data.draw(st.integers(0, len(domains) - 1))
+        position = data.draw(st.integers(0, domains[hp]))
+        space = cat_space(domains)
+        new_domains = [[f"v{j}" for j in range(n)] for n in domains]
+        new_domains[hp].insert(position, "vnew")
+        # Every grid id changes: the radix of hyperparameter hp grows, and so
+        # does the position of each value after the new one.
+        wider = make_space(*((f"h{i}", "categorical", d) for i, d in enumerate(new_domains)))
+        zeros = {c.values: 0.0 for c in wider.grid() if "vnew" in c.values}
+        padded = {
+            split: {key: {**rows, **zeros} for key, rows in by_context.items()}
+            for split, by_context in raw.items()
+        }
+        assert outcomes(build_table(wider, padded)) == outcomes(build_table(space, raw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances())
+    def test_budget_at_one_is_the_loo_mean(self, instance):
+        domains, raw = instance
+        table = build_table(cat_space(domains), raw)
+        normalized = [s.normalized_test_score for r in loo_cbs(table) for s in r.scores]
+        first = budget_curve(table, max_budget=1).points[0]
+        assert first.mean_normalized_test_score == math.fsum(normalized) / len(normalized)
