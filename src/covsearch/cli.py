@@ -2,9 +2,10 @@
 
 One subcommand per analysis protocol; no interactive mode.  Every command
 is deterministic given its inputs and flags, and every output embeds a run
-manifest (command, version, and the flags that produced it) for
-provenance: as '#' comment lines in text and delimited outputs, as a
-"manifest" object in JSON outputs.
+manifest for provenance: the command, the version, and every option that
+shaped the result (all but --out, --format and synth's output paths), as
+'#' comment lines in text and delimited outputs, as a "manifest" object in
+JSON outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+import warnings
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +33,7 @@ from .ingest import (
     serialize_space,
 )
 from .importance import importance_report
-from .model import CovsearchError, ScoreTable
+from .model import INTEGER, NUMBER, CovsearchError, ScoreTable
 from .protocols import _contexts_of, _select_contexts, budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
@@ -40,40 +42,25 @@ from . import report
 from .synth import synthetic_table
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block recorded verbatim into every output."""
-
-    command: str
-    version: str
-    options: tuple[tuple[str, str], ...]
-
-    def comment_lines(self) -> list[str]:
-        lines = [f"# covsearch {self.command}", f"# version: {self.version}"]
-        lines += [f"# {key}: {value}" for key, value in self.options]
-        return lines
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "options": dict(self.options),
-        }
+# Namespace entries that are not recorded: the subcommand and its handler,
+# and the options that only say where the output goes or how it is encoded.
+_UNRECORDED = frozenset({"command", "func", "out", "format", "out_scores", "out_space"})
 
 
-def _manifest(command: str, args: argparse.Namespace, keys: list[str]) -> RunManifest:
-    options = []
-    values = vars(args)
-    for key in keys:
-        value = values.get(key)
-        if value is None:
+def _manifest(args: argparse.Namespace) -> dict:
+    """The run manifest: command, version and every option of the subcommand
+    in declaration order (argparse fills the namespace with each option's
+    default in that order), except the unset ones and those in _UNRECORDED."""
+    options = {}
+    for key, value in vars(args).items():
+        if key in _UNRECORDED or value is None:
             continue
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
-        options.append((key.replace("_", "-"), str(value)))
-    return RunManifest(command=command, version=__version__, options=tuple(options))
+        options[key.replace("_", "-")] = str(value)
+    return {"command": args.command, "version": __version__, "options": options}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,11 +71,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Numeric flags follow the score file's number grammar, so a spelling such
+# as `1_0` or `١٢` is a usage error here as it is a parse error there.
+
+
+def _real(text: str) -> float:
+    if not NUMBER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
+    return float(text)
+
+
+def _integer(text: str) -> int:
+    if not INTEGER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _threshold(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid threshold {text!r}") from None
+    value = _real(text)
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(
             f"threshold must be strictly between 0 and 1, got {text}"
@@ -97,12 +97,16 @@ def _threshold(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -111,12 +115,16 @@ def _comma_list(text: str) -> list[str]:
 
 
 def _comma_ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in _comma_list(text)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of integers, got {text!r}"
-        ) from None
+    return [_integer(part) for part in _comma_list(text)]
+
+
+def _count_or_names(text: str) -> int | list[str]:
+    """synth --datasets: one all-digit item is a count (so any digits, not
+    only ASCII ones, must pass the grammar), anything else a list of names."""
+    names = _comma_list(text)
+    if len(names) == 1 and names[0].isdigit():
+        return _integer(names[0])
+    return names
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,12 +134,31 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _with_manifest(body: str, manifest: RunManifest) -> str:
-    return "\n".join(manifest.comment_lines()) + "\n" + body
+def _with_manifest(args: argparse.Namespace, body: str) -> str:
+    manifest = _manifest(args)
+    lines = [f"# covsearch {manifest['command']}", f"# version: {manifest['version']}"]
+    lines += [f"# {key}: {value}" for key, value in manifest["options"].items()]
+    return "\n".join(lines + [body])
 
 
-def _json_output(manifest: RunManifest, payload: dict) -> str:
-    return json.dumps({"manifest": manifest.as_dict(), **payload}, indent=2) + "\n"
+def _write(args: argparse.Namespace, result, render, key: str | None = None) -> int:
+    """Write one command's result in the requested format: ``render(result)``
+    under the manifest's comment lines, or with ``--format machine`` a JSON
+    object holding the manifest and the result's ``to_dict()`` under key."""
+    if getattr(args, "format", "text") == "machine":
+        if isinstance(result, (list, tuple)):
+            data = [r.to_dict() for r in result]
+        else:
+            data = result.to_dict()
+        text = json.dumps({"manifest": _manifest(args), key: data}, indent=2) + "\n"
+    else:
+        text = _with_manifest(args, render(result))
+    _emit(text, args.out)
+    return 0
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"covsearch: warning: {message}\n")
 
 
 def _load_inputs(args: argparse.Namespace) -> ScoreTable:
@@ -146,10 +173,7 @@ def _load_inputs(args: argparse.Namespace) -> ScoreTable:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     table = _load_inputs(args)
-    manifest = _manifest("validate", args, ["space", "scores"])
-    body = report.render_completeness(completeness_report(table))
-    _emit(_with_manifest(body, manifest), args.out)
-    return 0
+    return _write(args, completeness_report(table), report.render_completeness)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -162,16 +186,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         skip_degenerate=args.skip_degenerate,
     )
-    manifest = _manifest(
-        "rank",
-        args,
-        ["space", "scores", "split", "threshold", "datasets", "train_sizes", "top"],
-    )
-    if args.format == "machine":
-        _emit(_json_output(manifest, {"ranking": ranking.to_dict()}), args.out)
-    else:
-        _emit(_with_manifest(report.render_ranking(ranking, args.top), manifest), args.out)
-    return 0
+    return _write(args, ranking, partial(report.render_ranking, top=args.top), "ranking")
 
 
 def cmd_loo(args: argparse.Namespace) -> int:
@@ -184,19 +199,7 @@ def cmd_loo(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         skip_degenerate=args.skip_degenerate,
     )
-    manifest = _manifest(
-        "loo",
-        args,
-        ["space", "scores", "split", "threshold", "datasets", "train_sizes"],
-    )
-    if args.format == "machine":
-        _emit(
-            _json_output(manifest, {"results": [r.to_dict() for r in results]}),
-            args.out,
-        )
-    else:
-        _emit(_with_manifest(report.render_loo(results), manifest), args.out)
-    return 0
+    return _write(args, results, report.render_loo, "results")
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
@@ -211,28 +214,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         normalize_by=args.normalize_by,
         skip_degenerate=args.skip_degenerate,
     )
-    manifest = _manifest(
-        "budget",
-        args,
-        [
-            "space",
-            "scores",
-            "split",
-            "threshold",
-            "datasets",
-            "train_sizes",
-            "max_budget",
-            "normalize_by",
-        ],
-    )
-    if args.format == "machine":
-        _emit(_json_output(manifest, {"curve": curve.to_dict()}), args.out)
-    else:
-        _emit(
-            _with_manifest(report.render_budget(curve, details=args.details), manifest),
-            args.out,
-        )
-    return 0
+    return _write(args, curve, partial(report.render_budget, details=args.details), "curve")
 
 
 def cmd_importance(args: argparse.Namespace) -> int:
@@ -262,30 +244,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
         )
         for size in scopes
     ]
-    manifest = _manifest(
-        "importance",
-        args,
-        [
-            "space",
-            "scores",
-            "split",
-            "threshold",
-            "datasets",
-            "train_sizes",
-            "train_size",
-            "combine_sizes",
-            "permutations",
-            "seed",
-        ],
-    )
-    if args.format == "machine":
-        _emit(
-            _json_output(manifest, {"reports": [r.to_dict() for r in reports]}),
-            args.out,
-        )
-    else:
-        _emit(_with_manifest(report.render_importance(reports), manifest), args.out)
-    return 0
+    return _write(args, reports, report.render_importance, "reports")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -326,29 +285,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         split=args.split,
         skip_degenerate=args.skip_degenerate,
     )
-    manifest = _manifest(
-        "compare",
-        args,
-        [
-            "space",
-            "scores",
-            "task_map",
-            "default_config",
-            "model",
-            "method",
-            "split",
-            "threshold",
-            "datasets",
-            "train_sizes",
-        ],
-    )
-    if args.format == "machine":
-        _emit(
-            _json_output(manifest, {"rows": [r.to_dict() for r in rows]}), args.out
-        )
-    else:
-        _emit(_with_manifest(report.render_compare(rows), manifest), args.out)
-    return 0
+    return _write(args, rows, report.render_compare, "rows")
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
@@ -361,51 +298,26 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         entries = [e for e in entries if e.method.lower() == args.method.lower()]
     if args.top is not None:
         entries = [e for e in entries if e.rank <= args.top]
-    manifest = _manifest(
-        "recommend", args, ["model", "method", "source", "top"]
-    )
     if args.format == "machine":
         body = report.catalog_csv(entries)
     else:
         body = report.render_catalog(entries)
-    _emit(_with_manifest(body, manifest), args.out)
+    _emit(_with_manifest(args, body), args.out)
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     space = load_space(args.space) if args.space else None
-    datasets: int | list[str]
-    if args.datasets is not None and not all(d.isdigit() for d in args.datasets):
-        datasets = args.datasets
-    elif args.datasets is not None and len(args.datasets) == 1:
-        datasets = int(args.datasets[0])
-    elif args.datasets is not None:
-        datasets = args.datasets
-    else:
-        datasets = 6
     table = synthetic_table(
         space,
-        datasets,
+        6 if args.datasets is None else args.datasets,
         args.train_sizes or (100, 1000),
         correlation=args.correlation,
         noise=args.noise,
         seed=args.seed,
         scale=args.scale,
     )
-    manifest = _manifest(
-        "synth",
-        args,
-        [
-            "space",
-            "datasets",
-            "train_sizes",
-            "correlation",
-            "noise",
-            "seed",
-            "scale",
-        ],
-    )
-    scores_text = _with_manifest(serialize_scores(table), manifest)
+    scores_text = _with_manifest(args, serialize_scores(table))
     Path(args.out_scores).write_text(scores_text, encoding="utf-8")
     if args.out_space:
         Path(args.out_space).write_text(
@@ -429,7 +341,10 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common_arguments(
-    parser: argparse.ArgumentParser, *, default_threshold: float
+    parser: argparse.ArgumentParser,
+    *,
+    default_threshold: float = ranking_mod.DEFAULT_THRESHOLD,
+    skip_degenerate: bool = True,
 ) -> None:
     parser.add_argument(
         "--split",
@@ -449,11 +364,12 @@ def _add_common_arguments(
     parser.add_argument(
         "--train-sizes", type=_comma_ints, default=None, help="comma-separated filter"
     )
-    parser.add_argument(
-        "--skip-degenerate",
-        action="store_true",
-        help="skip all-zero contexts with a warning instead of failing",
-    )
+    if skip_degenerate:
+        parser.add_argument(
+            "--skip-degenerate",
+            action="store_true",
+            help="skip all-zero contexts with a warning instead of failing",
+        )
 
 
 def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
@@ -483,20 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="build the coverage ranking")
     _add_io_arguments(p)
-    _add_common_arguments(p, default_threshold=ranking_mod.DEFAULT_THRESHOLD)
+    _add_common_arguments(p)
     p.add_argument("--top", type=_positive_int, default=None, help="limit output rows")
     _add_output_arguments(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("loo", help="leave-one-dataset-out evaluation")
     _add_io_arguments(p)
-    _add_common_arguments(p, default_threshold=ranking_mod.DEFAULT_THRESHOLD)
+    _add_common_arguments(p)
     _add_output_arguments(p)
     p.set_defaults(func=cmd_loo)
 
     p = sub.add_parser("budget", help="budget-vs-performance curve")
     _add_io_arguments(p)
-    _add_common_arguments(p, default_threshold=ranking_mod.DEFAULT_THRESHOLD)
+    _add_common_arguments(p)
     p.add_argument("--max-budget", type=_positive_int, default=10)
     p.add_argument(
         "--normalize-by",
@@ -510,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("importance", help="per-hyperparameter consistency")
     _add_io_arguments(p)
-    _add_common_arguments(p, default_threshold=importance_mod.DEFAULT_THRESHOLD)
+    _add_common_arguments(
+        p, default_threshold=importance_mod.DEFAULT_THRESHOLD, skip_degenerate=False
+    )
     scope = p.add_mutually_exclusive_group()
     scope.add_argument("--train-size", type=_positive_int, default=None)
     scope.add_argument(
@@ -519,13 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool top sets over all train sizes instead of one scope per size",
     )
     p.add_argument("--permutations", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_output_arguments(p)
     p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("compare", help="default vs recommendation vs upper bound")
     _add_io_arguments(p)
-    _add_common_arguments(p, default_threshold=ranking_mod.DEFAULT_THRESHOLD)
+    _add_common_arguments(p)
     p.add_argument(
         "--task-map",
         required=True,
@@ -559,15 +477,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", default=None, help="use this space instead of the demo one")
     p.add_argument(
         "--datasets",
-        type=_comma_list,
+        type=_count_or_names,
         default=None,
         help="dataset count or comma-separated names (default: 6)",
     )
     p.add_argument("--train-sizes", type=_comma_ints, default=None)
-    p.add_argument("--correlation", type=float, default=0.7)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=100.0)
+    p.add_argument("--correlation", type=_real, default=0.7)
+    p.add_argument("--noise", type=_real, default=0.1)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--scale", type=_real, default=100.0)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -579,14 +497,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except CovsearchError as exc:
-        sys.stderr.write(f"covsearch: error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"covsearch: error: {exc}\n")
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (CovsearchError, OSError) as exc:
+            sys.stderr.write(f"covsearch: error: {exc}\n")
+            return 2
 
 
 def entrypoint() -> None:

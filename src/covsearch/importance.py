@@ -42,6 +42,7 @@ from .model import (
     ImportanceReport,
     ScoreTable,
     ValidationError,
+    _check_seed,
 )
 from .protocols import _select_contexts
 from .ranking import TopSet, top_set
@@ -192,6 +193,7 @@ def permutation_pval(
     """
     if permutations < 1:
         raise ValidationError(f"permutations must be >= 1, got {permutations}")
+    _check_seed(seed)
     _load_numeric()
     hp = table.space.hyperparameter(hp_name)
     sizes = _resolve_sizes(table, train_size, combine_train_sizes)
@@ -242,6 +244,7 @@ def importance_report(
     Entries keep the space's declaration order.  Per-hyperparameter
     failures are recorded on the entry rather than aborting the report.
     """
+    _check_seed(seed)
     sizes = _resolve_sizes(table, train_size, combine_train_sizes)
     pools = _dataset_pools(table, datasets, sizes, split, threshold)
     names = sorted(pools)

@@ -43,6 +43,11 @@ MAX_GRID_SIZE = 10_000_000
 NUMBER = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
+# Largest decimal exponent of a nonzero real or integer value: the float
+# range, so no value overflows Decimal's context, underflows to zero, or
+# expands into an arbitrarily long integer string.
+MAX_EXPONENT = 308
+
 
 class CovsearchError(Exception):
     """Base class for all errors raised by this package."""
@@ -74,6 +79,11 @@ def _check_threshold(threshold: float) -> None:
         raise ValidationError(f"threshold must be in (0, 1), got {threshold!r}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed!r}")
+
+
 def canonical_value(kind: str, raw: object) -> str:
     """Canonicalize a single hyperparameter value for the given kind.
 
@@ -96,6 +106,11 @@ def canonical_value(kind: str, raw: object) -> str:
     if not NUMBER.fullmatch(text):
         raise ValidationError(f"value {text!r} is not a valid {kind}")
     dec = Decimal(text)
+    if dec and abs(dec.adjusted()) > MAX_EXPONENT:
+        raise ValidationError(
+            f"value {text!r} has a decimal exponent outside"
+            f" [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+        )
     if kind == "integer":
         if dec != dec.to_integral_value():
             raise ValidationError(f"value {text!r} is not an integer")

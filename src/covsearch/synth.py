@@ -23,6 +23,7 @@ from .model import (
     ScoreTable,
     ValidationError,
     SPLITS,
+    _check_seed,
 )
 
 
@@ -60,6 +61,7 @@ def synthetic_table(
         raise ValidationError(f"noise must be in [0, 1), got {noise!r}")
     if scale <= 0:
         raise ValidationError(f"scale must be positive, got {scale!r}")
+    _check_seed(seed)
     if space is None:
         space = demo_space()
     if isinstance(datasets, int):

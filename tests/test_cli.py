@@ -5,7 +5,10 @@ import math
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
+
+import pytest
 
 import covsearch
 
@@ -279,6 +282,47 @@ class TestUsageErrors:
             "--train-size", "100", "--combine-sizes",
         ]) == 1
 
+    def test_importance_has_no_skip_degenerate(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS + ["D,100,test,0,x"])
+        assert main([
+            "importance", "--space", space, "--scores", scores, "--skip-degenerate",
+        ]) == 1
+        assert "unrecognized arguments: --skip-degenerate" in capsys.readouterr().err
+
+
+# Each numeric flag with a spelling outside the number grammar, or a
+# negative seed.
+BAD_NUMERIC_FLAGS = [
+    ("rank", "--train-sizes", "1_00"),
+    ("rank", "--threshold", "0.9_7"),
+    ("rank", "--top", "1_0"),
+    ("budget", "--max-budget", "1_0"),
+    ("importance", "--train-size", "1_00"),
+    ("importance", "--permutations", "1_0"),
+    ("importance", "--seed", "1_0"),
+    ("importance", "--seed", "-1"),
+    ("synth", "--datasets", "\u0661\u0662"),
+    ("synth", "--train-sizes", "1_00"),
+    ("synth", "--correlation", "0.7_0"),
+    ("synth", "--noise", "0.1_0"),
+    ("synth", "--scale", "1_00"),
+    ("synth", "--seed", "-1"),
+]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command,flag,value", BAD_NUMERIC_FLAGS)
+    def test_usage_error(self, tmp_path, capsys, command, flag, value):
+        if command == "synth":
+            io = ["--out-scores", str(tmp_path / "out.csv")]
+        else:
+            space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+            io = ["--space", space, "--scores", scores]
+        assert main([command, *io, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestErrorContract:
     """Malformed inputs exit 2 with one diagnostic line, never a traceback."""
@@ -334,6 +378,25 @@ class TestErrorContract:
             handle.write(b"D,100,test,1,\xff\n")
         assert main(["validate", "--space", space, "--scores", scores]) == 2
         self.assert_one_line_error(capsys, "line 10", "UTF-8")
+
+    def test_exponent_beyond_float_range(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        scores = tmp_path / "scores.csv"
+        hps = [{"name": "lr", "kind": "real", "domain": ["1e-4", "1e9999999"]}]
+        space.write_text(json.dumps({"hyperparameters": hps}), encoding="utf-8")
+        scores.write_text("dataset,train_size,split,score,lr\n", encoding="utf-8")
+        io = ["validate", "--space", str(space), "--scores", str(scores)]
+        assert main(io) == 2
+        self.assert_one_line_error(capsys, "hyperparameters[0]", "1e9999999")
+
+        hps[0]["domain"] = ["1e-4"]
+        space.write_text(json.dumps({"hyperparameters": hps}), encoding="utf-8")
+        scores.write_text(
+            "dataset,train_size,split,score,lr\nA,100,test,1,1e-4\nA,100,test,1,1e9999999\n",
+            encoding="utf-8",
+        )
+        assert main(io) == 2
+        self.assert_one_line_error(capsys, "line 3", "1e9999999")
 
     def test_non_utf8_space(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
@@ -407,3 +470,66 @@ for argv in {commands!r}:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestManifest:
+    """The manifest records every option that shaped a result."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        scores, space = tmp_path / "s.csv", tmp_path / "space.json"
+        main([
+            "synth", "--out-scores", str(scores), "--out-space", str(space),
+            "--datasets", "a1,a2,b1", "--seed", "4",
+        ])
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"a1": "ta", "a2": "ta", "b1": "tb"}', encoding="utf-8")
+        capsys.readouterr()
+        return ["--space", str(space), "--scores", str(scores)], str(task_map)
+
+    @staticmethod
+    def text_manifest(out):
+        lines = takewhile(lambda line: line.startswith("# "), out.splitlines())
+        return dict(line[2:].split(": ", 1) for line in list(lines)[2:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--split", "validation", "--threshold", "0.9", "--datasets",
+             "a1,b1", "--train-sizes", "100", "--skip-degenerate", "--top", "2"],
+            ["loo", "--threshold", "0.9", "--train-sizes", "1000", "--skip-degenerate"],
+            ["budget", "--details", "--skip-degenerate", "--max-budget", "3",
+             "--normalize-by", "upper_bound"],
+            ["importance", "--split", "validation", "--datasets", "a1,a2",
+             "--train-size", "100", "--permutations", "3", "--seed", "5"],
+            ["importance", "--combine-sizes", "--permutations", "2"],
+            ["compare", "--task-map", "TASKS", "--skip-degenerate", "--threshold", "0.8"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_every_flag_is_recorded(self, inputs, capsys, argv):
+        io, task_map = inputs
+        argv = [task_map if a == "TASKS" else a for a in argv]
+        assert main([*argv, *io]) == 0
+        text = self.text_manifest(capsys.readouterr().out)
+        assert main([*argv, *io, "--format", "machine"]) == 0
+        doc = json.loads(capsys.readouterr().out)["manifest"]
+        assert doc["command"] == argv[0]
+        assert doc["options"] == text
+        expected = {"space": io[1], "scores": io[3]}
+        flags = argv[1:]
+        for i, flag in enumerate(flags):
+            if flag.startswith("--"):
+                nxt = flags[i + 1] if i + 1 < len(flags) else "--"
+                expected[flag[2:]] = "true" if nxt.startswith("--") else nxt
+        assert expected.items() <= text.items()
+
+    def test_skipped_context_warns_in_one_line(self, tmp_path, capsys):
+        rows = THREE_CONTEXT_ROWS + ["D,100,test,0,x", "D,100,test,0,y"]
+        space, scores = write_inputs(tmp_path, rows)
+        assert main([
+            "rank", "--space", space, "--scores", scores, "--skip-degenerate",
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "covsearch: warning: skipping degenerate context D@100\n"
+        assert "# skip-degenerate: true\n" in captured.out

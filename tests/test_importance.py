@@ -14,6 +14,7 @@ from covsearch import (
     js_distance,
     js_score,
     permutation_pval,
+    synthetic_table,
     top_set_95,
     value_distribution,
 )
@@ -226,3 +227,14 @@ class TestImportanceReport:
         # Pool per dataset: {a, b} at 100 plus {a} at 1000.
         assert entry.distributions == ((2 / 3, 1 / 3, 0.0), (2 / 3, 1 / 3, 0.0))
         assert entry.js_score == 1.0
+
+
+def test_negative_seed_is_a_validation_error():
+    rows = {"a": 100.0, "b": 99.0, "c": 10.0}
+    _, table = one_hp_table({(d, 100): dict(rows) for d in ("A", "B")})
+    with pytest.raises(ValidationError, match="seed"):
+        permutation_pval(table, "hp", seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        importance_report(table, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        synthetic_table(datasets=2, seed=-1)

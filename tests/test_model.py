@@ -57,6 +57,9 @@ class TestCanonicalValue:
             ("integer", "x"),
             ("categorical", ""),
             ("oops", "1"),
+            ("real", "1e9999999"),
+            ("real", "1e-9999999"),
+            ("integer", "1e999"),
         ],
     )
     def test_rejects(self, kind, raw):
