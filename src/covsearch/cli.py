@@ -498,6 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings():
+        warnings.simplefilter("once")
         warnings.showwarning = _show_warning
         try:
             return args.func(args)

@@ -134,43 +134,86 @@ def js_score(vectors: Sequence[Sequence[float]]) -> float:
     return 1.0 - math.fsum(distances) / len(distances)
 
 
-def _dataset_pools(
+def _pools(
     table: ScoreTable,
     datasets: Sequence[str] | None,
-    train_sizes: Sequence[int],
+    train_size: int | None,
+    combine_train_sizes: bool,
     split: str,
     threshold: float,
-) -> dict[str, list[Configuration]]:
-    """Per-dataset top-set membership lists, in the documented pool order."""
-    names, _ = _select_contexts(table, datasets, None)
-    if len(names) < 2:
-        raise DataError("need at least two datasets to compare distributions")
-    pools: dict[str, list[Configuration]] = {}
-    for dataset in names:
-        members: list[Configuration] = []
-        for size in sorted(train_sizes):
-            ctx = Context(dataset=dataset, train_size=size)
-            members.extend(top_set(table, ctx, split, threshold).configs)
-        pools[dataset] = members
-    return pools
-
-
-def _resolve_sizes(
-    table: ScoreTable, train_size: int | None, combine_train_sizes: bool
-) -> tuple[int, ...]:
+    permutations: int,
+    seed: int,
+) -> tuple[tuple[int, ...], dict[str, list[Configuration]]]:
+    """Check the permutation test's arguments; return the train sizes and the
+    per-dataset top-set membership lists, in the documented pool order, that
+    every hyperparameter's test shares."""
+    if permutations < 1:
+        raise ValidationError(f"permutations must be >= 1, got {permutations}")
+    _check_seed(seed)
     available = table.train_sizes()
     if combine_train_sizes:
         if train_size is not None:
             raise ValidationError("train_size and combine_train_sizes are exclusive")
-        return tuple(available)
-    if train_size is None:
-        if len(available) == 1:
-            return (available[0],)
+        sizes = tuple(available)
+    elif train_size is not None:
+        sizes = tuple(_select_contexts(table, None, [train_size])[1])
+    elif len(available) == 1:
+        sizes = (available[0],)
+    else:
         raise DataError(
             f"table has several train sizes {available}; pass train_size or"
             f" combine_train_sizes=True"
         )
-    return tuple(_select_contexts(table, None, [train_size])[1])
+    names, _ = _select_contexts(table, datasets, None)
+    if len(names) < 2:
+        raise DataError("need at least two datasets to compare distributions")
+    pools = {
+        dataset: [
+            cfg
+            for size in sizes
+            for cfg in top_set(table, Context(dataset, size), split, threshold).configs
+        ]
+        for dataset in names
+    }
+    return sizes, pools
+
+
+def _permutation_test(
+    pools: dict[str, list[Configuration]],
+    hp: Hyperparameter,
+    permutations: int,
+    seed: int,
+) -> tuple[tuple[tuple[float, ...], ...], float, float]:
+    """Per-dataset value distributions of one hyperparameter (datasets in
+    name order), their observed js_score and its permutation p-value."""
+    _load_numeric()
+    names = sorted(pools)
+    vectors = tuple(value_distribution(pools[d], hp) for d in names)
+    observed = js_score(vectors)
+
+    # Permute value indexes rather than configurations: dealing is
+    # positional, so the result is identical and cheap to recount.
+    pool_values = np.array(
+        [hp.index(cfg.get(hp.name)) for d in names for cfg in pools[d]],
+        dtype=np.intp,
+    )
+    counts = [len(pools[d]) for d in names]
+    offsets = np.cumsum([0] + counts)
+    domain_size = len(hp.domain)
+
+    greater = 0
+    for i in range(permutations):
+        order = np.random.default_rng((seed, i)).permutation(len(pool_values))
+        dealt = pool_values[order]
+        dealt_vectors = []
+        for j, n in enumerate(counts):
+            segment = dealt[offsets[j] : offsets[j] + n]
+            dealt_vectors.append(
+                tuple(np.bincount(segment, minlength=domain_size) / n)
+            )
+        if js_score(dealt_vectors) > observed:
+            greater += 1
+    return vectors, observed, greater / permutations
 
 
 def permutation_pval(
@@ -191,41 +234,12 @@ def permutation_pval(
     (seed, permutation index), never on the hyperparameter, so analyses of
     different hyperparameters under one seed share the same reshuffles.
     """
-    if permutations < 1:
-        raise ValidationError(f"permutations must be >= 1, got {permutations}")
-    _check_seed(seed)
-    _load_numeric()
     hp = table.space.hyperparameter(hp_name)
-    sizes = _resolve_sizes(table, train_size, combine_train_sizes)
-    pools = _dataset_pools(table, datasets, sizes, split, threshold)
-    names = sorted(pools)
-
-    observed_vectors = [value_distribution(pools[d], hp) for d in names]
-    observed = js_score(observed_vectors)
-
-    # Permute value indexes rather than configurations: dealing is
-    # positional, so the result is identical and cheap to recount.
-    pool_values = np.array(
-        [hp.index(cfg.get(hp.name)) for d in names for cfg in pools[d]],
-        dtype=np.intp,
+    _, pools = _pools(
+        table, datasets, train_size, combine_train_sizes, split, threshold,
+        permutations, seed,
     )
-    counts = [len(pools[d]) for d in names]
-    offsets = np.cumsum([0] + counts)
-    domain_size = len(hp.domain)
-
-    greater = 0
-    for i in range(permutations):
-        order = np.random.default_rng((seed, i)).permutation(len(pool_values))
-        dealt = pool_values[order]
-        vectors = []
-        for j, n in enumerate(counts):
-            segment = dealt[offsets[j] : offsets[j] + n]
-            vectors.append(
-                tuple(np.bincount(segment, minlength=domain_size) / n)
-            )
-        if js_score(vectors) > observed:
-            greater += 1
-    return observed, greater / permutations
+    return _permutation_test(pools, hp, permutations, seed)[1:]
 
 
 def importance_report(
@@ -241,49 +255,25 @@ def importance_report(
 ) -> ImportanceReport:
     """Consistency entry for every hyperparameter of the table's space.
 
-    Entries keep the space's declaration order.  Per-hyperparameter
-    failures are recorded on the entry rather than aborting the report.
+    Entries keep the space's declaration order; the per-dataset pools are
+    built once and shared by every hyperparameter's test.  Invalid
+    arguments raise; per-hyperparameter failures are recorded on the entry
+    rather than aborting the report.
     """
-    _check_seed(seed)
-    sizes = _resolve_sizes(table, train_size, combine_train_sizes)
-    pools = _dataset_pools(table, datasets, sizes, split, threshold)
-    names = sorted(pools)
+    sizes, pools = _pools(
+        table, datasets, train_size, combine_train_sizes, split, threshold,
+        permutations, seed,
+    )
+    names = tuple(sorted(pools))
 
     entries = []
     for hp in table.space.hyperparameters:
         try:
-            vectors = tuple(value_distribution(pools[d], hp) for d in names)
-            observed, pval = permutation_pval(
-                table,
-                hp.name,
-                datasets=names,
-                train_size=None if combine_train_sizes else sizes[0],
-                split=split,
-                threshold=threshold,
-                permutations=permutations,
-                seed=seed,
-                combine_train_sizes=combine_train_sizes,
-            )
-            entries.append(
-                HpImportance(
-                    name=hp.name,
-                    datasets=tuple(names),
-                    distributions=vectors,
-                    js_score=observed,
-                    js_pval=pval,
-                )
-            )
+            vectors, observed, pval = _permutation_test(pools, hp, permutations, seed)
+            result = dict(distributions=vectors, js_score=observed, js_pval=pval)
         except CovsearchError as exc:
-            entries.append(
-                HpImportance(
-                    name=hp.name,
-                    datasets=tuple(names),
-                    distributions=(),
-                    js_score=None,
-                    js_pval=None,
-                    error=str(exc),
-                )
-            )
+            result = dict(distributions=(), js_score=None, js_pval=None, error=str(exc))
+        entries.append(HpImportance(name=hp.name, datasets=names, **result))
     return ImportanceReport(
         entries=tuple(entries),
         threshold=threshold,
@@ -291,5 +281,5 @@ def importance_report(
         seed=seed,
         split=split,
         train_sizes=sizes,
-        datasets=tuple(names),
+        datasets=names,
     )

@@ -189,11 +189,6 @@ class Configuration:
 
     items: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "items", tuple((str(n), str(v)) for n, v in self.items)
-        )
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.items)

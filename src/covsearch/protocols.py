@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     BudgetCurve,
@@ -42,7 +42,7 @@ from .model import (
 )
 # normalize is not called here (held-out scores divide by the cell maximum);
 # it stays a module attribute, which perfbench/tracing.py wraps.
-from .ranking import DEFAULT_THRESHOLD, _cell_and_best, normalize, rank  # noqa: F401
+from .ranking import DEFAULT_THRESHOLD, _cell_and_best, _usable, normalize, rank  # noqa: F401
 
 DEFAULT_MAX_BUDGET = 10
 NORMALIZE_MODES = ("test_max", "upper_bound")
@@ -142,34 +142,39 @@ def _contexts_of(
     ]
 
 
-def _held_out_ranking(
+def _held_out(
     table: ScoreTable,
-    held_out: str,
-    datasets: Sequence[str],
-    train_sizes: Sequence[int],
+    datasets: Sequence[str] | None,
+    train_sizes: Sequence[int] | None,
     split: str,
     threshold: float,
     skip_degenerate: bool,
-) -> CoverageRanking:
-    others = [d for d in datasets if d != held_out]
-    contexts = _contexts_of(table, split, others, train_sizes)
-    if not contexts:
-        raise DataError(f"no contexts remain after holding out {held_out!r}")
-    return rank(
-        table, contexts, split=split, threshold=threshold, skip_degenerate=skip_degenerate
-    )
-
-
-def _held_out_contexts(
-    table: ScoreTable, held_out: str, train_sizes: Sequence[int]
-) -> list[Context]:
-    contexts = _contexts_of(table, "test", [held_out], train_sizes)
-    if not contexts:
-        raise DataError(
-            f"held-out dataset {held_out!r} has no test records for the"
-            f" requested train sizes"
+) -> Iterator[tuple[str, CoverageRanking, dict[Context, tuple[Mapping[int, float], float]]]]:
+    """For each selected dataset in name order: the dataset, the coverage
+    ranking over every other dataset's contexts (all requested train sizes
+    together), and its own test contexts, each mapped to its test cell and
+    that cell's maximum.  ``skip_degenerate`` applies to both the ranking's
+    contexts and the held-out test contexts."""
+    ds, sizes = _select_contexts(table, datasets, train_sizes)
+    if len(ds) < 2:
+        raise DataError("leave-one-out requires at least 2 datasets")
+    for held_out in ds:
+        contexts = _contexts_of(table, split, [d for d in ds if d != held_out], sizes)
+        if not contexts:
+            raise DataError(f"no contexts remain after holding out {held_out!r}")
+        ranking = rank(
+            table, contexts, split=split, threshold=threshold, skip_degenerate=skip_degenerate
         )
-    return contexts
+        held_out_contexts = _contexts_of(table, "test", [held_out], sizes)
+        if not held_out_contexts:
+            raise DataError(
+                f"held-out dataset {held_out!r} has no test records for the"
+                f" requested train sizes"
+            )
+        tests = _usable(
+            held_out_contexts, skip_degenerate, lambda ctx: _cell_and_best(table, ctx, "test")
+        )
+        yield held_out, ranking, tests
 
 
 def loo_cbs(
@@ -188,19 +193,14 @@ def loo_cbs(
     configuration's raw and normalized test scores are then reported on
     each held-out (dataset, train size) context.
     """
-    ds, sizes = _select_contexts(table, datasets, train_sizes)
-    if len(ds) < 2:
-        raise DataError("leave-one-out requires at least 2 datasets")
     results = []
-    for held_out in ds:
-        ranking = _held_out_ranking(
-            table, held_out, ds, sizes, split, threshold, skip_degenerate
-        )
+    for held_out, ranking, tests in _held_out(
+        table, datasets, train_sizes, split, threshold, skip_degenerate
+    ):
         recommended = ranking.recommended
         index = table.space.config_index(recommended)
         scores = []
-        for ctx in _held_out_contexts(table, held_out, sizes):
-            cell, best = _cell_and_best(table, ctx, "test")
+        for ctx, (cell, best) in tests.items():
             raw = cell.get(index)
             if raw is None:
                 raise DataError(
@@ -246,24 +246,21 @@ def budget_curve(
         raise ValidationError(
             f"normalize_by must be one of {NORMALIZE_MODES}, got {normalize_by!r}"
         )
-    ds, sizes = _select_contexts(table, datasets, train_sizes)
-    if len(ds) < 2:
-        raise DataError("leave-one-out requires at least 2 datasets")
 
     details: list[BudgetDetail] = []
     per_k: dict[int, list[float]] = {k: [] for k in range(1, max_budget + 1)}
-    for held_out in ds:
-        ranking = _held_out_ranking(
-            table, held_out, ds, sizes, split, threshold, skip_degenerate
-        )
-        candidates = [(table.space.config_index(e.config), e.config) for e in ranking.entries]
-        for ctx in _held_out_contexts(table, held_out, sizes):
+    for _, ranking, tests in _held_out(
+        table, datasets, train_sizes, split, threshold, skip_degenerate
+    ):
+        candidates = [
+            (table.space.config_index(e.config), e.config) for e in ranking.top(max_budget)
+        ]
+        for ctx, (test, test_max) in tests.items():
             val = table.cell(ctx, "validation")
             if not val:
                 raise DataError(f"validation split unavailable for context {ctx}")
-            test = table.cell(ctx, "test")
             if normalize_by == "test_max":
-                denominator = _cell_and_best(table, ctx, "test")[1]
+                denominator = test_max
             else:
                 denominator = upper_bound(table, ctx).test_score
                 if denominator <= 0:
@@ -301,6 +298,8 @@ def budget_curve(
                         clamped=k > len(candidates),
                     )
                 )
+    if not details:
+        raise DataError("all held-out test contexts are degenerate")
     points = tuple(
         BudgetPoint(k=k, mean_normalized_test_score=math.fsum(vals) / len(vals))
         for k, vals in sorted(per_k.items())
@@ -351,6 +350,8 @@ def compare_protocols(
 
     Columns: the fixed default configuration (when given), the
     leave-one-out top recommendation, and the per-dataset upper bound.
+    Every column averages over the contexts with a leave-one-out score, so
+    held-out contexts skipped as degenerate are left out of the row.
     """
     ds, sizes = _select_contexts(table, datasets, train_sizes)
     unknown = sorted(set(ds) - set(task_map))
@@ -375,7 +376,7 @@ def compare_protocols(
     for task in tasks:
         members = [d for d in ds if task_map[d] == task]
         for size in sizes:
-            contexts = _contexts_of(table, "test", members, [size])
+            contexts = [c for c in _contexts_of(table, "test", members, [size]) if c in loo]
             if not contexts:
                 continue
             cbs1_scores = [loo[ctx] for ctx in contexts]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .model import (
     ConfigSpace,
@@ -85,6 +85,22 @@ def _cell_and_best(
     return cell, best
 
 
+def _usable(
+    contexts: Iterable[Context], skip_degenerate: bool, build: Callable[[Context], object]
+) -> dict[Context, object]:
+    """``build(ctx)`` per context; an all-zero context (DegenerateContextError)
+    is an error, or, with ``skip_degenerate``, left out with a warning."""
+    built = {}
+    for ctx in contexts:
+        try:
+            built[ctx] = build(ctx)
+        except DegenerateContextError:
+            if not skip_degenerate:
+                raise
+            warnings.warn(f"skipping degenerate context {ctx}", stacklevel=3)
+    return built
+
+
 def normalize(
     table: ScoreTable, context: Context, split: str
 ) -> dict[Configuration, float]:
@@ -137,14 +153,9 @@ def rank(
     if not selected:
         raise DataError("no contexts to rank over")
 
-    top_sets: dict[Context, TopSet] = {}
-    for ctx in selected:
-        try:
-            top_sets[ctx] = top_set(table, ctx, split, threshold)
-        except DegenerateContextError:
-            if not skip_degenerate:
-                raise
-            warnings.warn(f"skipping degenerate context {ctx}", stacklevel=2)
+    top_sets = _usable(
+        selected, skip_degenerate, lambda ctx: top_set(table, ctx, split, threshold)
+    )
     if not top_sets:
         raise DataError("all requested contexts are degenerate")
 

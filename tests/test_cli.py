@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import takewhile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covsearch
 
@@ -533,3 +536,97 @@ class TestManifest:
         captured = capsys.readouterr()
         assert captured.err == "covsearch: warning: skipping degenerate context D@100\n"
         assert "# skip-degenerate: true\n" in captured.out
+
+
+# Three datasets scored on both splits; the A@100 test cell is all zero.
+DEGENERATE_TEST_ROWS = [
+    f"{d},100,{split},{score},{hp}"
+    for d, split, scores in [
+        ("A", "validation", (90, 80, 10)), ("A", "test", (0, 0, 0)),
+        ("B", "validation", (50, 99, 10)), ("B", "test", (100, 98, 10)),
+        ("C", "validation", (70, 60, 65)), ("C", "test", (40, 100, 99)),
+    ]
+    for hp, score in zip("xyz", scores)
+]
+
+
+class TestDegenerateHeldOut:
+    """--skip-degenerate also skips an all-zero held-out test context."""
+
+    @pytest.mark.parametrize("command", [["loo"], ["budget", "--details"], ["compare"]])
+    def test_skipped_with_one_warning(self, tmp_path, capsys, command):
+        space, scores = write_inputs(tmp_path, DEGENERATE_TEST_ROWS)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "u"}', encoding="utf-8")
+        if command == ["compare"]:
+            command = ["compare", "--task-map", str(task_map)]
+        argv = [*command, "--space", space, "--scores", scores, "--skip-degenerate"]
+        assert main([*argv, "--format", "machine"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "covsearch: warning: skipping degenerate context A@100\n"
+        doc = json.loads(captured.out)
+        if "results" in doc:
+            contexts = [s["context"] for r in doc["results"] for s in r["scores"]]
+        elif "curve" in doc:
+            contexts = [d["context"] for d in doc["curve"]["details"]]
+        else:
+            assert [(r["task"], r["n_datasets"]) for r in doc["rows"]] == [("t", 1), ("u", 1)]
+            contexts = []
+        assert "A@100" not in contexts
+        # Each main() call prints its warnings afresh.
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count("warning") == 1
+
+
+# A score file on which validate, rank, loo and budget all succeed, and the
+# byte strings mutations splice into it.
+FUZZ_BASE = (
+    "dataset,train_size,split,score,hp\n"
+    + "\n".join(
+        f"{d},{m},{split},{score},{hp}"
+        for d in "ABC"
+        for m in (100, 1000)
+        for split in ("validation", "test")
+        for hp, score in zip("xyzw", (90, 98.5, 10, 0.25))
+    )
+    + "\n"
+).encode()
+FUZZ_TOKENS = [b"\x00", b"\xef\xbb\xbf", b"1e400", b"nan", "\u0661".encode(), b",",
+               b"\n", b"\r", b'"', b"-", b"0", b"1_0", b"\xff"]
+
+
+@st.composite
+def mutated_score_files(draw):
+    data = bytearray(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        token = draw(st.sampled_from(FUZZ_TOKENS) | st.binary(min_size=1, max_size=3))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if action == "insert":
+            data[pos:pos] = token
+        elif action == "delete":
+            del data[pos : pos + draw(st.integers(1, 12))]
+        else:
+            data[pos : pos + len(token)] = token
+    return bytes(data)
+
+
+class TestFuzzedScores:
+    @settings(max_examples=150, deadline=None)
+    @given(data=mutated_score_files())
+    def test_never_a_traceback(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            space, scores = Path(tmp, "space.json"), Path(tmp, "scores.csv")
+            space.write_text(SPACE_DOC, encoding="utf-8")
+            scores.write_bytes(data)
+            io = ["--space", str(space), "--scores", str(scores), "--out", str(Path(tmp, "o"))]
+            for command in ("validate", "rank", "loo", "budget"):
+                assert main([command, *io]) in (0, 1, 2)
+
+    def test_base_file_succeeds(self, tmp_path):
+        space, scores = tmp_path / "space.json", tmp_path / "scores.csv"
+        space.write_text(SPACE_DOC, encoding="utf-8")
+        scores.write_bytes(FUZZ_BASE)
+        io = ["--space", str(space), "--scores", str(scores), "--out", str(tmp_path / "o")]
+        for command in ("validate", "rank", "loo", "budget"):
+            assert main([command, *io]) == 0

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from covsearch import importance
 from covsearch import (
     Context,
     DataError,
@@ -227,6 +228,46 @@ class TestImportanceReport:
         # Pool per dataset: {a, b} at 100 plus {a} at 1000.
         assert entry.distributions == ((2 / 3, 1 / 3, 0.0), (2 / 3, 1 / 3, 0.0))
         assert entry.js_score == 1.0
+
+    @pytest.mark.parametrize("instance_seed", range(8))
+    def test_entries_equal_the_single_hyperparameter_test(self, instance_seed):
+        space, table, _ = random_instance(instance_seed, min_datasets=2, max_contexts=6)
+        datasets = table.datasets()
+        scopes = [({"train_size": m}, [m]) for m in table.train_sizes()]
+        scopes.append(({"combine_train_sizes": True}, table.train_sizes()))
+        for scope, sizes in scopes:
+            pools = [
+                [cfg for m in sizes for cfg in top_set_95(table, Context(d, m)).configs]
+                for d in datasets
+            ]
+            report = importance_report(table, permutations=15, seed=4, **scope)
+            for hp, entry in zip(space.hyperparameters, report.entries):
+                assert (entry.js_score, entry.js_pval) == permutation_pval(
+                    table, hp.name, permutations=15, seed=4, **scope
+                )
+                assert entry.distributions == tuple(
+                    value_distribution(pool, hp) for pool in pools
+                )
+
+    def test_top_sets_are_built_once_per_report(self, monkeypatch):
+        space, table, _ = random_instance(5, max_hps=3, min_datasets=3)
+        calls = []
+        original = importance.top_set
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(importance, "top_set", counted)
+        importance_report(table, combine_train_sizes=True, permutations=5)
+        assert len(calls) == len(table.datasets()) * len(table.train_sizes())
+
+    def test_bad_permutations_raise_before_any_work(self, monkeypatch):
+        rows = {"a": 100.0, "b": 99.0, "c": 10.0}
+        _, table = one_hp_table({(d, 100): dict(rows) for d in ("A", "B")})
+        monkeypatch.setattr(importance, "top_set", None)
+        with pytest.raises(ValidationError, match="permutations must be >= 1"):
+            importance_report(table, permutations=0)
 
 
 def test_negative_seed_is_a_validation_error():

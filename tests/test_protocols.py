@@ -323,6 +323,69 @@ class TestCompare:
         assert rows[2].upper_bound_score == 70.0
 
 
+def degenerate_held_out_instance():
+    """Three datasets; the A@100 test cell is all zero, every other cell is
+    positive."""
+    val = {
+        ("A", 100): {"a": 90.0, "b": 80.0, "c": 10.0},
+        ("B", 100): {"a": 50.0, "b": 99.0, "c": 10.0},
+        ("C", 100): {"a": 70.0, "b": 60.0, "c": 65.0},
+    }
+    test = {
+        ("A", 100): {"a": 0.0, "b": 0.0, "c": 0.0},
+        ("B", 100): {"a": 100.0, "b": 98.0, "c": 10.0},
+        ("C", 100): {"a": 40.0, "b": 100.0, "c": 99.0},
+    }
+    return one_hp_instance(val=val, test=test)
+
+
+class TestDegenerateHeldOut:
+    """``skip_degenerate`` also leaves out an all-zero held-out test context."""
+
+    def test_loo(self):
+        _, table = degenerate_held_out_instance()
+        with pytest.warns(UserWarning, match="skipping degenerate context A@100"):
+            results = loo_cbs(table, skip_degenerate=True)
+        assert [r.held_out_dataset for r in results] == ["A", "B", "C"]
+        assert [s.context for r in results for s in r.scores] == [
+            Context("B", 100), Context("C", 100),
+        ]
+
+    def test_budget(self):
+        _, table = degenerate_held_out_instance()
+        with pytest.warns(UserWarning, match="A@100"):
+            curve = budget_curve(table, max_budget=2, skip_degenerate=True)
+            results = loo_cbs(table, skip_degenerate=True)
+        assert {d.context for d in curve.details} == {Context("B", 100), Context("C", 100)}
+        loo = [s.normalized_test_score for r in results for s in r.scores]
+        assert curve.points[0].mean_normalized_test_score == math.fsum(loo) / len(loo)
+
+    def test_compare(self):
+        _, table = degenerate_held_out_instance()
+        with pytest.warns(UserWarning, match="A@100"):
+            rows = compare_protocols(
+                table, task_map={"A": "t1", "B": "t1", "C": "t2"}, skip_degenerate=True
+            )
+        assert [(r.task, r.n_datasets) for r in rows] == [("t1", 1), ("t2", 1)]
+        assert rows[0].cbs1_score == 98.0 and rows[0].upper_bound_score == 98.0
+
+    def test_still_an_error_without_the_flag(self):
+        _, table = degenerate_held_out_instance()
+        for run in (loo_cbs, budget_curve):
+            with pytest.raises(DataError, match="all test scores are zero for A@100"):
+                run(table)
+
+    def test_budget_with_every_held_out_context_skipped(self):
+        # Rank on validation, so only the (all-zero) test cells are degenerate.
+        space = make_space(("hp", "categorical", ["a", "b"]))
+        cells = {(d, 100): {("a",): 1.0, ("b",): 0.5} for d in "AB"}
+        zeros = {(d, 100): {("a",): 0.0, ("b",): 0.0} for d in "AB"}
+        table = build_table(space, {"validation": cells, "test": zeros})
+        with pytest.warns(UserWarning):
+            with pytest.raises(DataError, match="all held-out test contexts are degenerate"):
+                budget_curve(table, split="validation", skip_degenerate=True)
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic properties: transformations of the input that must leave every
 # result unchanged (up to the transformation itself).
@@ -430,6 +493,15 @@ class TestMetamorphic:
             for split, by_context in raw.items()
         }
         assert outcomes(build_table(wider, padded)) == outcomes(build_table(space, raw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances())
+    def test_loo_ranking_is_a_fresh_rank_without_the_held_out_dataset(self, instance):
+        domains, raw = instance
+        table = build_table(cat_space(domains), raw)
+        for result in loo_cbs(table):
+            others = [c for c in table.contexts("test") if c.dataset != result.held_out_dataset]
+            assert result.ranking == rank(table, others)
 
     @settings(max_examples=60, deadline=None)
     @given(instance=instances())
