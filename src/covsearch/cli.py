@@ -111,7 +111,10 @@ def _seed(text: str) -> int:
 
 
 def _comma_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    items = [part.strip() for part in text.split(",") if part.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return items
 
 
 def _comma_ints(text: str) -> list[int]:

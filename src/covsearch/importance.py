@@ -19,12 +19,17 @@ bit for bit):
   members are pooled in grid order, train sizes ascending when combined.
 * Permutation ``i`` (0-based) draws ``order = numpy.random.default_rng(
   (seed, i)).permutation(len(pool))`` from a fresh PCG64 generator seeded
-  with SeedSequence((seed, i)).
+  with SeedSequence((seed, i)).  The order does not depend on the
+  hyperparameter, so a report draws it once and deals it for every one.
 * The permuted pool ``[pool[j] for j in order]`` is dealt back to datasets
   in ascending name order, each receiving as many members as its original
   top set held.
 * ``js_pval`` is the fraction of permutations whose score is strictly
   greater than the observed score; ties do not count.
+
+Permutations are scored a bounded chunk at a time, in one vectorised pass
+over every dataset pair of the chunk that does elementwise what
+``js_distance`` does for one pair, so results equal the recipe's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ import math
 from typing import Iterable, Sequence
 
 from .model import (
+    ConfigSpace,
     Configuration,
     Context,
-    CovsearchError,
     DataError,
     HpImportance,
     Hyperparameter,
@@ -51,6 +56,11 @@ DEFAULT_THRESHOLD = 0.95
 DEFAULT_PERMUTATIONS = 100
 
 _LN2 = math.log(2.0)
+
+# Elements per temporary array of one chunk of permutations (pool slots, or
+# dataset pairs x domain size, per permutation), so memory stays flat in the
+# numbers of permutations and datasets.
+_CHUNK_ELEMENTS = 1 << 12
 
 # numpy and scipy.special take about half a second to import and only the
 # distance and the permutation test use them, so they are bound on first
@@ -88,8 +98,22 @@ def value_distribution(
     counts = [0] * len(hp.domain)
     for cfg in configs:
         counts[hp.index(cfg.get(hp.name))] += 1
-    total = len(configs)
-    return tuple(c / total for c in counts)
+    return tuple(c / len(configs) for c in counts)
+
+
+def _js_distances(a, b):
+    """Base-2 Jensen-Shannon distances between the probability vectors on the
+    last axis of two equal-shape arrays, clamped against rounding noise."""
+    m = 0.5 * (a + b)
+    divergence = 0.5 * (rel_entr(a, m).sum(-1) + rel_entr(b, m).sum(-1)) / _LN2
+    return np.sqrt(np.clip(divergence, 0.0, 1.0))
+
+
+def _js_scores(vectors) -> list[float]:
+    """js_score of each (datasets, values) stack on the last two axes."""
+    i, j = np.triu_indices(vectors.shape[-2], 1)
+    distances = _js_distances(vectors[..., i, :], vectors[..., j, :])
+    return [1.0 - math.fsum(row) / len(i) for row in distances.reshape(-1, len(i)).tolist()]
 
 
 def js_distance(p: Sequence[float], q: Sequence[float]) -> float:
@@ -99,19 +123,11 @@ def js_distance(p: Sequence[float], q: Sequence[float]) -> float:
     identical vectors give exactly 0 and disjoint supports exactly 1.
     The 0 * log 0 = 0 convention applies.
     """
-    if np is None:
-        _load_numeric()
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
+    _load_numeric()
+    a, b = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if a.shape != b.shape:
         raise ValidationError("probability vectors must have equal length")
-    m = 0.5 * (a + b)
-    divergence = 0.5 * (rel_entr(a, m).sum() + rel_entr(b, m).sum()) / _LN2
-    if divergence < 0.0:  # rounding noise near zero
-        divergence = 0.0
-    elif divergence > 1.0:
-        divergence = 1.0
-    return math.sqrt(divergence)
+    return float(_js_distances(a, b))
 
 
 def js_score(vectors: Sequence[Sequence[float]]) -> float:
@@ -123,15 +139,10 @@ def js_score(vectors: Sequence[Sequence[float]]) -> float:
     """
     if len(vectors) < 2:
         raise DataError("need at least two datasets to compare distributions")
-    length = len(vectors[0])
-    if any(len(v) != length for v in vectors):
+    if len({len(v) for v in vectors}) > 1:
         raise ValidationError("probability vectors must have equal length")
-    distances = [
-        js_distance(vectors[i], vectors[j])
-        for i in range(len(vectors))
-        for j in range(i + 1, len(vectors))
-    ]
-    return 1.0 - math.fsum(distances) / len(distances)
+    _load_numeric()
+    return _js_scores(np.asarray(vectors, dtype=float))[0]
 
 
 def _pools(
@@ -143,10 +154,10 @@ def _pools(
     threshold: float,
     permutations: int,
     seed: int,
-) -> tuple[tuple[int, ...], dict[str, list[Configuration]]]:
+) -> tuple[tuple[int, ...], dict[str, list[int]]]:
     """Check the permutation test's arguments; return the train sizes and the
-    per-dataset top-set membership lists, in the documented pool order, that
-    every hyperparameter's test shares."""
+    per-dataset top-set memberships as grid ids, in the documented pool
+    order, that every hyperparameter's test shares."""
     if permutations < 1:
         raise ValidationError(f"permutations must be >= 1, got {permutations}")
     _check_seed(seed)
@@ -168,52 +179,48 @@ def _pools(
     if len(names) < 2:
         raise DataError("need at least two datasets to compare distributions")
     pools = {
-        dataset: [
-            cfg
-            for size in sizes
-            for cfg in top_set(table, Context(dataset, size), split, threshold).configs
-        ]
-        for dataset in names
+        d: [i for m in sizes for i, _ in top_set(table, Context(d, m), split, threshold).id_members]
+        for d in names
     }
     return sizes, pools
 
 
 def _permutation_test(
-    pools: dict[str, list[Configuration]],
-    hp: Hyperparameter,
+    space: ConfigSpace,
+    pools: dict[str, list[int]],
+    hps: Sequence[Hyperparameter],
     permutations: int,
     seed: int,
-) -> tuple[tuple[tuple[float, ...], ...], float, float]:
-    """Per-dataset value distributions of one hyperparameter (datasets in
-    name order), their observed js_score and its permutation p-value."""
+) -> list[tuple[tuple[tuple[float, ...], ...], float, float]]:
+    """Per hyperparameter of ``hps``: its per-dataset value distributions
+    (datasets in name order), their js_score and its p-value.  Each
+    permutation order is drawn once and dealt for every hyperparameter."""
     _load_numeric()
     names = sorted(pools)
-    vectors = tuple(value_distribution(pools[d], hp) for d in names)
-    observed = js_score(vectors)
+    ids = np.array([index for d in names for index in pools[d]], dtype=np.intp)
+    counts = np.array([len(pools[d]) for d in names])
+    owner = np.repeat(np.arange(len(names)), counts)  # dataset of each pool slot
+    values = [space.value_positions(hp.name, ids) for hp in hps]
 
-    # Permute value indexes rather than configurations: dealing is
-    # positional, so the result is identical and cheap to recount.
-    pool_values = np.array(
-        [hp.index(cfg.get(hp.name)) for d in names for cfg in pools[d]],
-        dtype=np.intp,
-    )
-    counts = [len(pools[d]) for d in names]
-    offsets = np.cumsum([0] + counts)
-    domain_size = len(hp.domain)
+    def deal(k, orders):  # distributions of hps[k], one (datasets, V) per order
+        width = len(hps[k].domain)
+        bins = owner * width
+        dealt = [np.bincount(bins + values[k][o], minlength=len(names) * width) for o in orders]
+        return np.reshape(dealt, (len(orders), len(names), width)) / counts[:, None]
 
-    greater = 0
-    for i in range(permutations):
-        order = np.random.default_rng((seed, i)).permutation(len(pool_values))
-        dealt = pool_values[order]
-        dealt_vectors = []
-        for j, n in enumerate(counts):
-            segment = dealt[offsets[j] : offsets[j] + n]
-            dealt_vectors.append(
-                tuple(np.bincount(segment, minlength=domain_size) / n)
-            )
-        if js_score(dealt_vectors) > observed:
-            greater += 1
-    return vectors, observed, greater / permutations
+    observed = [deal(k, [slice(None)]) for k in range(len(hps))]  # the pool as pooled
+    scores = [_js_scores(vectors)[0] for vectors in observed]
+    pairs = len(names) * (len(names) - 1) // 2
+    widest = max(len(hp.domain) for hp in hps)
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(ids), pairs * widest))
+    greater = [0] * len(hps)
+    for start in range(0, permutations, chunk):
+        stop = min(start + chunk, permutations)
+        orders = [np.random.default_rng((seed, i)).permutation(len(ids)) for i in range(start, stop)]
+        for k, score in enumerate(scores):
+            greater[k] += sum(s > score for s in _js_scores(deal(k, orders)))
+    return [(tuple(map(tuple, vectors[0].tolist())), score, g / permutations)
+            for vectors, score, g in zip(observed, scores, greater)]
 
 
 def permutation_pval(
@@ -239,7 +246,7 @@ def permutation_pval(
         table, datasets, train_size, combine_train_sizes, split, threshold,
         permutations, seed,
     )
-    return _permutation_test(pools, hp, permutations, seed)[1:]
+    return _permutation_test(table.space, pools, [hp], permutations, seed)[0][1:]
 
 
 def importance_report(
@@ -255,27 +262,18 @@ def importance_report(
 ) -> ImportanceReport:
     """Consistency entry for every hyperparameter of the table's space.
 
-    Entries keep the space's declaration order; the per-dataset pools are
-    built once and shared by every hyperparameter's test.  Invalid
-    arguments raise; per-hyperparameter failures are recorded on the entry
-    rather than aborting the report.
+    Entries keep the space's declaration order.  The per-dataset pools
+    and the permutation orders are built once and shared by every
+    hyperparameter's test.  Invalid arguments raise before any work.
     """
     sizes, pools = _pools(
         table, datasets, train_size, combine_train_sizes, split, threshold,
         permutations, seed,
     )
-    names = tuple(sorted(pools))
-
-    entries = []
-    for hp in table.space.hyperparameters:
-        try:
-            vectors, observed, pval = _permutation_test(pools, hp, permutations, seed)
-            result = dict(distributions=vectors, js_score=observed, js_pval=pval)
-        except CovsearchError as exc:
-            result = dict(distributions=(), js_score=None, js_pval=None, error=str(exc))
-        entries.append(HpImportance(name=hp.name, datasets=names, **result))
+    hps, names = table.space.hyperparameters, tuple(sorted(pools))
+    tests = _permutation_test(table.space, pools, hps, permutations, seed)
     return ImportanceReport(
-        entries=tuple(entries),
+        entries=tuple(HpImportance(hp.name, names, *test) for hp, test in zip(hps, tests)),
         threshold=threshold,
         permutations=permutations,
         seed=seed,

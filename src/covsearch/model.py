@@ -308,6 +308,16 @@ class ConfigSpace:
             config = decoded[index] = Configuration(tuple(reversed(items)))
         return config
 
+    def value_positions(self, name: str, ids):
+        """Domain position of hyperparameter ``name``'s value in each grid id.
+        ``ids`` is one int or an integer array, decoded elementwise."""
+        stride = 1
+        for hp in reversed(self.hyperparameters):
+            if hp.name == name:
+                return ids // stride % len(hp.domain)
+            stride *= len(hp.domain)
+        raise ValidationError(f"no hyperparameter named {name!r} in space")
+
 
 @dataclass(frozen=True, order=True)
 class Context:

@@ -442,6 +442,29 @@ class TestContextSelector:
         ]) == 2
         assert "dataset(s) not in table: ['nosuch']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["rank", "loo", "budget", "compare", "importance", "synth"]
+    )
+    @pytest.mark.parametrize("flag", ["--datasets", "--train-sizes"])
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_list_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "u"}', encoding="utf-8")
+        io = {
+            "compare": ["--space", space, "--scores", scores, "--task-map", str(task_map)],
+            "synth": ["--out-scores", str(tmp_path / "out.csv")],
+        }.get(command, ["--space", space, "--scores", scores])
+        assert main([command, *io, flag, value]) == 1
+        assert not (tmp_path / "out.csv").exists()
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"covsearch {command}: error: argument {flag}: expected a"
+            f" comma-separated list, got {value!r}"
+        ]
+        assert "Traceback" not in err
+
 
 class TestStartup:
     def test_light_commands_never_load_numpy_or_scipy(self, tmp_path):

@@ -2,8 +2,13 @@
 
 import itertools
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import rel_entr
 
 from covsearch import importance
 from covsearch import (
@@ -279,3 +284,112 @@ def test_negative_seed_is_a_validation_error():
         importance_report(table, seed=-1)
     with pytest.raises(ValidationError, match="seed"):
         synthetic_table(datasets=2, seed=-1)
+
+
+def scalar_js_distance(p, q):
+    """The distance one pair at a time, as before the batched kernel."""
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(q, dtype=float)
+    m = 0.5 * (a + b)
+    divergence = 0.5 * (rel_entr(a, m).sum() + rel_entr(b, m).sum()) / math.log(2.0)
+    if divergence < 0.0:
+        divergence = 0.0
+    elif divergence > 1.0:
+        divergence = 1.0
+    return math.sqrt(divergence)
+
+
+def scalar_js_score(vectors):
+    distances = [
+        scalar_js_distance(vectors[i], vectors[j])
+        for i in range(len(vectors))
+        for j in range(i + 1, len(vectors))
+    ]
+    return 1.0 - math.fsum(distances) / len(distances)
+
+
+def scalar_permutation_test(space, pools, hp, permutations, seed):
+    """The per-permutation loop the batched test replaces: a fresh generator
+    per (seed, i), then per dataset np.bincount(segment) / n."""
+    names = sorted(pools)
+    vectors = tuple(
+        value_distribution([space.config_at(i) for i in pools[d]], hp) for d in names
+    )
+    observed = scalar_js_score(vectors)
+    pool_values = np.array(
+        [hp.index(space.config_at(i).get(hp.name)) for d in names for i in pools[d]],
+        dtype=np.intp,
+    )
+    counts = [len(pools[d]) for d in names]
+    offsets = np.cumsum([0] + counts)
+    greater = 0
+    for i in range(permutations):
+        order = np.random.default_rng((seed, i)).permutation(len(pool_values))
+        dealt = pool_values[order]
+        dealt_vectors = [
+            tuple(np.bincount(dealt[offsets[j] : offsets[j] + n], minlength=len(hp.domain)) / n)
+            for j, n in enumerate(counts)
+        ]
+        if scalar_js_score(dealt_vectors) > observed:
+            greater += 1
+    return vectors, observed, greater / permutations
+
+
+@st.composite
+def pooled_spaces(draw):
+    """A space of 1-3 hyperparameters with 1-8 values each, and per-dataset
+    pools of 2-12 datasets, uneven sizes, repeats allowed."""
+    space = cat_space(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    n_datasets = draw(st.integers(2, 12))
+    ids = st.integers(0, space.size - 1)
+    pools = {
+        f"d{k:02d}": draw(st.lists(ids, min_size=1, max_size=draw(st.integers(1, 25))))
+        for k in range(n_datasets)
+    }
+    return space, pools
+
+
+class TestBatchedPermutationTest:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=pooled_spaces(),
+        permutations=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        chunk_elements=st.integers(1, 64),
+    )
+    def test_equals_the_scalar_loop_bit_for_bit(self, case, permutations, seed, chunk_elements):
+        space, pools = case
+        with mock.patch.object(importance, "_CHUNK_ELEMENTS", chunk_elements):
+            actual = importance._permutation_test(
+                space, pools, space.hyperparameters, permutations, seed
+            )
+        expected = [
+            scalar_permutation_test(space, pools, hp, permutations, seed)
+            for hp in space.hyperparameters
+        ]
+        # repr tells every bit of a float apart, the sign of zero included,
+        # and also fails on a numpy scalar where a Python float belongs.
+        assert repr(actual) == repr(expected)
+
+    def test_orders_are_drawn_once_per_report(self, monkeypatch):
+        space, table, _ = random_instance(7, min_datasets=3)
+        assert len(space.hyperparameters) > 1
+        calls = []
+        original = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        importance_report(table, combine_train_sizes=True, permutations=9, seed=3)
+        assert calls == [((3, i),) for i in range(9)]
+
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
+        _, table, _ = random_instance(7, min_datasets=3)
+        reports = []
+        for elements in (1, 1 << 30):
+            monkeypatch.setattr(importance, "_CHUNK_ELEMENTS", elements)
+            reports.append(importance_report(table, combine_train_sizes=True,
+                                             permutations=23, seed=5))
+        assert repr(reports[0]) == repr(reports[1])
