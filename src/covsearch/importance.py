@@ -27,9 +27,9 @@ bit for bit):
 * ``js_pval`` is the fraction of permutations whose score is strictly
   greater than the observed score; ties do not count.
 
-Permutations are scored a bounded chunk at a time, in one vectorised pass
-over every dataset pair of the chunk that does elementwise what
-``js_distance`` does for one pair, so results equal the recipe's bit for bit.
+Permutations are scored a bounded chunk at a time: one ``js_distance`` call
+takes every dataset pair of the chunk, and each distance equals the one the
+function gives for that pair alone, so results equal the recipe's bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ _LN2 = math.log(2.0)
 
 # Elements per temporary array of one chunk of permutations (pool slots, or
 # dataset pairs x domain size, per permutation), so memory stays flat in the
-# numbers of permutations and datasets.
+# number of permutations.  A chunk holds at least one permutation, so past
+# this budget the temporaries grow with one permutation's pool and pairs.
 _CHUNK_ELEMENTS = 1 << 12
 
 # numpy and scipy.special take about half a second to import and only the
@@ -101,33 +102,31 @@ def value_distribution(
     return tuple(c / len(configs) for c in counts)
 
 
-def _js_distances(a, b):
-    """Base-2 Jensen-Shannon distances between the probability vectors on the
-    last axis of two equal-shape arrays, clamped against rounding noise."""
-    m = 0.5 * (a + b)
-    divergence = 0.5 * (rel_entr(a, m).sum(-1) + rel_entr(b, m).sum(-1)) / _LN2
-    return np.sqrt(np.clip(divergence, 0.0, 1.0))
-
-
 def _js_scores(vectors) -> list[float]:
     """js_score of each (datasets, values) stack on the last two axes."""
     i, j = np.triu_indices(vectors.shape[-2], 1)
-    distances = _js_distances(vectors[..., i, :], vectors[..., j, :])
+    distances = js_distance(vectors[..., i, :], vectors[..., j, :])
     return [1.0 - math.fsum(row) / len(i) for row in distances.reshape(-1, len(i)).tolist()]
 
 
-def js_distance(p: Sequence[float], q: Sequence[float]) -> float:
+def js_distance(p, q):
     """Base-2 Jensen-Shannon distance between two probability vectors.
 
     The square root of the base-2 divergence, so values lie in [0, 1];
     identical vectors give exactly 0 and disjoint supports exactly 1.
-    The 0 * log 0 = 0 convention applies.
+    The 0 * log 0 = 0 convention applies.  Two vectors give a float; two
+    equal-shape stacks give an array of the distances between the vectors
+    on their last axis, each equal to the two-vector result.
     """
     _load_numeric()
-    a, b = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    # C order sums each vector's entries in the order a lone vector's are.
+    a, b = np.ascontiguousarray(p, dtype=float), np.ascontiguousarray(q, dtype=float)
     if a.shape != b.shape:
         raise ValidationError("probability vectors must have equal length")
-    return float(_js_distances(a, b))
+    m = 0.5 * (a + b)
+    divergence = 0.5 * (rel_entr(a, m).sum(-1) + rel_entr(b, m).sum(-1)) / _LN2
+    distances = np.sqrt(np.clip(divergence, 0.0, 1.0))  # clamp rounding noise
+    return float(distances) if distances.ndim == 0 else distances
 
 
 def js_score(vectors: Sequence[Sequence[float]]) -> float:

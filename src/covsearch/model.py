@@ -639,7 +639,8 @@ class HpImportance:
 
     ``distributions[i]`` is the value-frequency vector of this
     hyperparameter inside dataset ``datasets[i]``'s top set, indexed by
-    domain order.
+    domain order.  ``error`` stays in the JSON schema, but nothing in the
+    library sets it: importance_report raises instead.
     """
 
     name: str

@@ -101,6 +101,21 @@ class TestJsDistance:
         with pytest.raises(ValidationError):
             js_distance((1.0,), (0.5, 0.5))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 40)),
+        seed=st.integers(0, 2**32),
+        fortran=st.booleans(),
+    )
+    def test_stacks_equal_one_pair_at_a_time(self, shape, seed, fortran):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.random(shape) * (rng.random(shape) < 0.6) + 1e-9 for _ in "ab")
+        a, b = a / a.sum(1, keepdims=True), b / b.sum(1, keepdims=True)
+        if fortran:  # strided vectors must sum in the same order
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        pairwise = [js_distance(list(p), list(q)) for p, q in zip(a, b)]
+        assert repr(js_distance(a, b).tolist()) == repr(pairwise)
+
 
 class TestJsScore:
     def test_identical_vectors_score_one(self):
