@@ -230,10 +230,8 @@ def cmd_importance(args: argparse.Namespace) -> int:
         scopes = [args.train_size]
     elif args.combine_sizes:
         scopes = [None]
-    else:
-        scopes = _select_contexts(table, args.datasets, args.train_sizes)[1]
-        if not scopes:
-            raise CovsearchError("no train sizes match the --train-sizes filter")
+    else:  # an empty table has no sizes; its one scope's report says so
+        scopes = _select_contexts(table, args.datasets, args.train_sizes)[1] or [None]
     reports = [
         importance_report(
             table,

@@ -161,6 +161,8 @@ def _pools(
         raise ValidationError(f"permutations must be >= 1, got {permutations}")
     _check_seed(seed)
     available = table.train_sizes()
+    if not available:
+        raise DataError("score table has no records")
     if combine_train_sizes:
         if train_size is not None:
             raise ValidationError("train_size and combine_train_sizes are exclusive")

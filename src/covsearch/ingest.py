@@ -27,8 +27,10 @@ quoted; embedded newlines are not supported.
 
 Missing grid cells are tolerated with a warning rather than an error: real
 result dumps are often partial, and all downstream math operates over the
-records present.  Duplicate rows with identical scores collapse silently;
-conflicting duplicates are a hard error.
+records present.  Each row is read once, straight to its grid id, and keyed
+by (context, split, grid id): identical duplicates collapse silently to the
+first, conflicting ones are a hard error.  ``ScoreTable(space, records)`` is
+the public constructor, not the parser's path.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from . import model
 from .model import (
     ConfigSpace,
     Configuration,
@@ -51,9 +54,10 @@ from .model import (
     INTEGER,
     NUMBER,
     RESERVED_COLUMNS,
-    ScoreRecord,
     ScoreTable,
     ValidationError,
+    _check_score,
+    _check_split,
 )
 
 CATALOG_METHODS = ("full_ft", "lora")
@@ -186,12 +190,12 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
     """
     header: list[str] | None = None
     # Per hyperparameter, in space order: its field position and a memo of
-    # stripped raw text -> canonical domain value.  Only values that proved
-    # domain members enter it, so a bad value fails on every line it is on.
-    columns: list[tuple[Hyperparameter, int, dict[str, str]]] = []
-    # (dataset, train size, split, values) -> (first line, record).
-    seen: dict[tuple, tuple[int, ScoreRecord]] = {}
-    names = space.names
+    # stripped raw text -> domain position.  Only values that proved domain
+    # members enter it, so a bad value fails on every line it is on.
+    columns: list[tuple[Hyperparameter, int, dict[str, int]]] = []
+    contexts: dict[tuple[str, int], Context] = {}
+    # (dataset, train size, split) -> {grid id: (first line, score)}.
+    cells: dict[tuple[str, int, str], dict[int, tuple[int, float]]] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -237,35 +241,40 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
         if not NUMBER.fullmatch(score_text):
             raise ParseError(f"invalid score {score_text!r}", line=lineno)
         try:
-            values = []
-            for hp, position, memo in columns:
-                text = fields[position].strip()
-                value = memo.get(text)
-                if value is None:
-                    value = memo[text] = hp.domain[hp.index(text)]
-                values.append(value)
-            key = (fields[0].strip(), int(size_text), fields[2].strip(), tuple(values))
-            record = ScoreRecord(
-                context=Context(dataset=key[0], train_size=key[1]),
-                split=key[2],
-                config=Configuration(tuple(zip(names, values))),
-                score=float(score_text),
-            )
+            positions = []
+            for hp, field, memo in columns:
+                raw = fields[field].strip()
+                position = memo.get(raw)
+                if position is None:
+                    position = memo[raw] = hp.index(raw)
+                positions.append(position)
+            key = (fields[0].strip(), int(size_text), fields[2].strip())
+            cell = cells.get(key)
+            if cell is None:  # a new (context, split): check both once
+                if key[:2] not in contexts:
+                    contexts[key[:2]] = Context(*key[:2])
+                _check_split(key[2])
+                cell = cells[key] = {}
+            score = _check_score(float(score_text))
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        first = seen.setdefault(key, (lineno, record))
-        if first[1].score != record.score:
+        index = space._grid_id(positions)
+        first = cell.setdefault(index, (lineno, score))
+        if first[1] != score:
             raise ParseError(
-                f"conflicting duplicate of line {first[0]}: {record.context}"
-                f" {record.split} ({record.config}) has score {first[1].score!r}"
-                f" vs {record.score!r}",
+                f"conflicting duplicate of line {first[0]}: {contexts[key[:2]]}"
+                f" {key[2]} ({space.config_at(index)}) has score {first[1]!r}"
+                f" vs {score!r}",
                 line=lineno,
             )
 
     if header is None:
         raise ParseError("missing header row", line=1)
 
-    table = ScoreTable(space, (record for _, record in seen.values()))
+    table = model.ScoreTable._from_cells(space, {  # perfbench's tracer rebinds ingest.ScoreTable
+        (contexts[key[:2]], key[2]): {index: score for index, (_, score) in cell.items()}
+        for key, cell in cells.items()
+    })
     if warn_incomplete:
         report = completeness_report(table)
         n_missing = sum(len(m) for _, _, m in report.missing)

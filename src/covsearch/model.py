@@ -13,6 +13,8 @@ identity is its grid id: its mixed-radix position in that order, with the
 last hyperparameter varying fastest (``ConfigSpace.config_index`` encodes,
 ``ConfigSpace.config_at`` decodes).  The analyses work on grid ids;
 ``Configuration`` objects are built only where results leave the package.
+``ScoreTable(space, records)`` is the public constructor; the parser and
+the generator hand their checked grid-id cells to ``ScoreTable._from_cells``.
 
 All types are immutable after construction and safe to share across
 concurrent readers.
@@ -72,6 +74,15 @@ class DegenerateContextError(DataError):
 def _check_split(split: str) -> None:
     if split not in SPLITS:
         raise ValidationError(f"split must be one of {SPLITS}, got {split!r}")
+
+
+def _check_score(score: float) -> float:
+    value = float(score)
+    if not math.isfinite(value):
+        raise ValidationError(f"score must be finite, got {score!r}")
+    if value < 0:
+        raise ValidationError(f"negative score {value!r}; scores must be non-negative")
+    return value
 
 
 def _check_threshold(threshold: float) -> None:
@@ -288,9 +299,13 @@ class ConfigSpace:
                 f"configuration fields {config.names} do not match space"
                 f" fields {self.names}"
             )
+        return self._grid_id(map(Hyperparameter.index, self.hyperparameters, config.values))
+
+    def _grid_id(self, positions: Iterable[int]) -> int:
+        """Grid id of one domain position per hyperparameter, in space order."""
         idx = 0
-        for hp, value in zip(self.hyperparameters, config.values):
-            idx = idx * len(hp.domain) + hp.index(value)
+        for hp, position in zip(self.hyperparameters, positions):
+            idx = idx * len(hp.domain) + position
         return idx
 
     def config_at(self, index: int) -> Configuration:
@@ -351,12 +366,7 @@ class ScoreRecord:
 
     def __post_init__(self) -> None:
         _check_split(self.split)
-        score = float(self.score)
-        if not math.isfinite(score):
-            raise ValidationError(f"score must be finite, got {self.score!r}")
-        if score < 0:
-            raise ValidationError(f"negative score {score!r}; scores must be non-negative")
-        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "score", _check_score(self.score))
 
 
 class ScoreTable:
@@ -369,7 +379,6 @@ class ScoreTable:
     """
 
     def __init__(self, space: ConfigSpace, records: Iterable[ScoreRecord]):
-        self.space = space
         cells: dict[tuple[Context, str], dict[int, float]] = {}
         for rec in records:
             cell = cells.setdefault((rec.context, rec.split), {})
@@ -380,10 +389,18 @@ class ScoreTable:
                     f" config ({rec.config})"
                 )
             cell[index] = rec.score
-        self._cells = {
+        vars(self).update(vars(self._from_cells(space, cells)))
+
+    @classmethod
+    def _from_cells(cls, space: ConfigSpace, cells: Mapping) -> ScoreTable:
+        """Every table ends here: checked ``{(context, split): {grid id: score}}`` cells."""
+        table = cls.__new__(cls)
+        table.space = space
+        table._cells = {
             key: MappingProxyType(dict(sorted(cells[key].items())))
             for key in sorted(cells)
         }
+        return table
 
     @property
     def records(self) -> tuple[ScoreRecord, ...]:

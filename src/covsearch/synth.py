@@ -19,10 +19,10 @@ from .model import (
     ConfigSpace,
     Context,
     Hyperparameter,
-    ScoreRecord,
     ScoreTable,
     ValidationError,
     SPLITS,
+    _check_score,
     _check_seed,
 )
 
@@ -79,11 +79,10 @@ def synthetic_table(
     import numpy as np  # only here, so importing the package stays cheap
 
     rng = np.random.default_rng(seed)
-    grid = space.grid()
-    n = len(grid)
+    n = space.size
     quality = rng.uniform(0.05, 1.0, size=n)
 
-    records = []
+    cells = {}
     for dataset in names:
         for size in sizes:
             context = Context(dataset=dataset, train_size=size)
@@ -93,13 +92,8 @@ def synthetic_table(
             for split in SPLITS:
                 jitter = rng.uniform(0.05, 1.0, size=n)
                 blended = (1.0 - noise) * base + noise * jitter
-                for cfg, value in zip(grid, blended):
-                    records.append(
-                        ScoreRecord(
-                            context=context,
-                            split=split,
-                            config=cfg,
-                            score=float(context_scale * value),
-                        )
-                    )
-    return ScoreTable(space, records)
+                cells[context, split] = {
+                    index: _check_score(score)
+                    for index, score in enumerate((context_scale * blended).tolist())
+                }
+    return ScoreTable._from_cells(space, cells)

@@ -401,6 +401,18 @@ class TestErrorContract:
         assert main(io) == 2
         self.assert_one_line_error(capsys, "line 3", "1e9999999")
 
+    def test_synth_scale_overflow(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["synth", "--out-scores", str(out), "--scale", "1.7e308"]) == 2
+        self.assert_one_line_error(capsys, "score must be finite, got inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scope", [[], ["--combine-sizes"], ["--train-size", "100"]])
+    def test_importance_on_a_header_only_file(self, tmp_path, capsys, scope):
+        space, scores = write_inputs(tmp_path, [])
+        assert main(["importance", "--space", space, "--scores", scores, *scope]) == 2
+        self.assert_one_line_error(capsys, "covsearch: error: score table has no records\n")
+
     def test_non_utf8_space(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
         Path(space).write_bytes(b'{"label": "\xe9"}')

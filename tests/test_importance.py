@@ -301,6 +301,19 @@ def test_negative_seed_is_a_validation_error():
         synthetic_table(datasets=2, seed=-1)
 
 
+def test_empty_table_is_one_data_error():
+    table = build_table(cat_space([2]), {})
+    calls = [
+        lambda: importance_report(table),
+        lambda: importance_report(table, combine_train_sizes=True),
+        lambda: importance_report(table, train_size=100),
+        lambda: permutation_pval(table, "h0"),
+    ]
+    for call in calls:
+        with pytest.raises(DataError, match=r"^score table has no records$"):
+            call()
+
+
 def scalar_js_distance(p, q):
     """The distance one pair at a time, as before the batched kernel."""
     a = np.asarray(p, dtype=float)

@@ -1,11 +1,22 @@
 """Parsing, serialization, completeness, and the bundled catalog."""
 
+import itertools
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsearch import (
+    ConfigSpace,
+    Configuration,
+    Context,
+    Hyperparameter,
     ParseError,
+    ScoreRecord,
+    ScoreTable,
+    ValidationError,
     builtin_catalog,
     builtin_space,
     builtin_task_map,
@@ -14,7 +25,10 @@ from covsearch import (
     parse_space,
     serialize_scores,
     serialize_space,
+    synthetic_table,
 )
+from covsearch.ingest import _parse_csv_line
+from covsearch.model import INTEGER, NUMBER, RESERVED_COLUMNS
 from helpers import build_table, cat_space, make_space
 
 SPACE_DOC = json.dumps(
@@ -321,3 +335,272 @@ class TestCatalog:
         groups = builtin_task_map()
         assert len(groups) == 15
         assert set(groups.values()) == {"classification", "summarization", "cqa"}
+
+
+# ---------------------------------------------------------------------------
+# The record-building parser, kept as the reference the one-pass parser must
+# agree with: each row becomes a Configuration and a ScoreRecord, duplicates
+# are keyed on value tuples, and ScoreTable(space, records) encodes the rows
+# again.  Unchanged from the version before the one-pass parser.
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True) -> ScoreTable:
+    """Parse a score file against a space.
+
+    Emits a UserWarning summarizing missing grid cells and single-split
+    contexts when ``warn_incomplete`` is set.  Raises ParseError with the
+    offending physical line number on any malformed content.
+    """
+    header: list[str] | None = None
+    # Per hyperparameter, in space order: its field position and a memo of
+    # stripped raw text -> canonical domain value.  Only values that proved
+    # domain members enter it, so a bad value fails on every line it is on.
+    columns: list[tuple[Hyperparameter, int, dict[str, str]]] = []
+    # (dataset, train size, split, values) -> (first line, record).
+    seen: dict[tuple, tuple[int, ScoreRecord]] = {}
+    names = space.names
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = _parse_csv_line(line, lineno)
+        if header is None:
+            header = [f.strip() for f in fields]
+            if tuple(header[:4]) != RESERVED_COLUMNS:
+                raise ParseError(
+                    f"header must start with {','.join(RESERVED_COLUMNS)},"
+                    f" got {','.join(header[:4])}",
+                    line=lineno,
+                )
+            hp_names = header[4:]
+            unknown = [n for n in hp_names if n not in space.names]
+            if unknown:
+                raise ParseError(
+                    f"unknown hyperparameter column(s) {unknown}", line=lineno
+                )
+            missing = [n for n in space.names if n not in hp_names]
+            if missing:
+                raise ParseError(
+                    f"missing hyperparameter column(s) {missing}", line=lineno
+                )
+            if len(set(hp_names)) != len(hp_names):
+                raise ParseError("duplicate hyperparameter column", line=lineno)
+            columns = [
+                (hp, 4 + hp_names.index(hp.name), {}) for hp in space.hyperparameters
+            ]
+            continue
+
+        if len(fields) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(fields)}",
+                line=lineno,
+            )
+        size_text, score_text = fields[1].strip(), fields[3].strip()
+        if not INTEGER.fullmatch(size_text):
+            raise ParseError(
+                f"train_size must be an integer, got {fields[1]!r}", line=lineno
+            )
+        if not NUMBER.fullmatch(score_text):
+            raise ParseError(f"invalid score {score_text!r}", line=lineno)
+        try:
+            values = []
+            for hp, position, memo in columns:
+                text = fields[position].strip()
+                value = memo.get(text)
+                if value is None:
+                    value = memo[text] = hp.domain[hp.index(text)]
+                values.append(value)
+            key = (fields[0].strip(), int(size_text), fields[2].strip(), tuple(values))
+            record = ScoreRecord(
+                context=Context(dataset=key[0], train_size=key[1]),
+                split=key[2],
+                config=Configuration(tuple(zip(names, values))),
+                score=float(score_text),
+            )
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        first = seen.setdefault(key, (lineno, record))
+        if first[1].score != record.score:
+            raise ParseError(
+                f"conflicting duplicate of line {first[0]}: {record.context}"
+                f" {record.split} ({record.config}) has score {first[1].score!r}"
+                f" vs {record.score!r}",
+                line=lineno,
+            )
+
+    if header is None:
+        raise ParseError("missing header row", line=1)
+
+    table = ScoreTable(space, (record for _, record in seen.values()))
+    if warn_incomplete:
+        report = completeness_report(table)
+        n_missing = sum(len(m) for _, _, m in report.missing)
+        if n_missing:
+            cells = sum(1 for _, _, m in report.missing if m)
+            warnings.warn(
+                f"score table is missing {n_missing} grid configuration(s)"
+                f" across {cells} context/split cell(s)",
+                stacklevel=2,
+            )
+        for ctx, split in report.single_split:
+            warnings.warn(
+                f"context {ctx} has records only for the {split} split",
+                stacklevel=2,
+            )
+    return table
+
+
+# Domain values by kind, each with spellings that canonicalize to it.
+SPELLINGS = {
+    "real": {
+        "1e-4": ["1e-4", "0.0001", "1.0E-4", "+10e-5"],
+        "5e-05": ["5e-05", "0.00005", "5.0E-5", ".5e-4"],
+        "0.5": ["0.5", ".5", "5e-1", "+0.50"],
+        "0": ["0", "0.0", "-0", "-0.0e3"],
+        "32.5": ["32.5", "3.25e1", "325E-1"],
+    },
+    "integer": {
+        "5": ["5", "5.0", "+5", "05", "0.5e1"],
+        "10": ["10", "1e1", "10.00", "+010"],
+        "0": ["0", "-0", "0.0", "+0"],
+        "128": ["128", "1.28e2", "128.0"],
+    },
+    "categorical": {
+        "cosine": ["cosine", " cosine ", '"cosine"'],
+        "linear": ["linear", "linear  "],
+        "a,b": ['"a,b"'],
+    },
+}
+DATASET_SPELLINGS = {"A": ["A", " A", "A "], "b2": ["b2"], "c d": ["c d", " c d "]}
+SIZE_SPELLINGS = {1: ["1", "+1", "01"], 100: ["100", "+0100", " 100 "], 1000: ["1000", "001000"]}
+SPLIT_SPELLINGS = {"validation": ["validation", " validation"], "test": ["test", "test "]}
+SCORES = [0.0, 1.0, 0.5, 99.25, 1e-300, 123.456, 7.0]
+
+
+def score_spellings(score):
+    spellings = [repr(score), repr(score).upper(), "+" + repr(score)]
+    return spellings + ["-0", "0", "-0.0", ".0e5"] if score == 0 else spellings
+
+
+# Faults that replace one field of a data row, as (name, field, text); the
+# field is a position among the reserved columns, or None for a value.
+FIELD_FAULTS = [
+    ("empty dataset identifier", 0, ""),
+    ("non-integer train size", 1, "many"),
+    ("zero train size", 1, "0"),
+    ("invalid split", 2, "dev"),
+    ("non-numeric score", 3, "best"),
+    ("non-finite score", 3, "nan"),
+    ("negative score", 3, "-0.2"),
+    ("overflowing score", 3, "1e400"),
+    ("value outside the domain", None, "3e-03"),
+    ("value outside the domain", None, "7"),
+    ("value outside the domain", None, "zzz"),
+    ("value outside the grammar", None, "1_0"),
+]
+HEADER_FAULTS = ["missing required column", "unknown column", "missing column"]
+
+
+@st.composite
+def faulty_score_files(draw):
+    """(space, text): a random space and a score file against it with
+    partial grids, respelled values, identical duplicates, shuffled rows,
+    comments, blank lines and zero to two injected faults."""
+    hps = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(SPELLINGS)))
+        domain = draw(st.lists(st.sampled_from(sorted(SPELLINGS[kind])), min_size=1,
+                               max_size=3, unique=True))
+        hps.append((f"h{i}", kind, domain))
+    space = make_space(*hps)
+    order = draw(st.permutations(range(len(hps))))
+    header = [*RESERVED_COLUMNS, *(hps[k][0] for k in order)]
+    grid = list(itertools.product(*(domain for _, _, domain in hps)))
+    cells = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(DATASET_SPELLINGS)),
+                  st.sampled_from(sorted(SIZE_SPELLINGS)),
+                  st.sampled_from(sorted(SPLIT_SPELLINGS)),
+                  st.integers(0, len(grid) - 1),
+                  st.sampled_from(SCORES)),
+        max_size=25, unique_by=lambda cell: cell[:4],
+    ))
+
+    def spelled(cell):
+        dataset, size, split, index, score = cell
+        values = [draw(st.sampled_from(SPELLINGS[hps[k][1]][grid[index][k]])) for k in order]
+        return [draw(st.sampled_from(DATASET_SPELLINGS[dataset])),
+                draw(st.sampled_from(SIZE_SPELLINGS[size])),
+                draw(st.sampled_from(SPLIT_SPELLINGS[split])),
+                draw(st.sampled_from(score_spellings(score))), *values]
+
+    rows = [spelled(cell) for cell in cells for _ in range(draw(st.integers(1, 2)))]
+    rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["field", "two fields", "field count", "conflict", "header"]))
+        if kind == "header":
+            fault = draw(st.sampled_from(HEADER_FAULTS))
+            if fault == "missing required column":
+                header = ["dataset", "size", *header[2:]]
+            elif fault == "unknown column":
+                header = [*header, "extra"]
+            else:
+                header = header[:-1]
+            continue
+        if not rows:
+            continue
+        at = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[at])
+        if kind == "field count":
+            rows[at] = row + ["oops"]
+        elif kind == "conflict":
+            row[3] = "777.0"
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        else:
+            faults = draw(st.lists(st.sampled_from(FIELD_FAULTS), min_size=1,
+                                   max_size=1 if kind == "field" else 2, unique=True))
+            for _, field, text in faults:
+                if field is None:
+                    field = draw(st.integers(4, len(row) - 1))
+                row[field] = text
+            rows[at] = row
+
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["# comment", "", "   ", "  # indented"])))
+    return space, "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text, space):
+    try:
+        table = parse(text, space, warn_incomplete=False)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    return "table", table, serialize_scores(table)
+
+
+class TestOnePassParse:
+    @settings(max_examples=300, deadline=None)
+    @given(case=faulty_score_files())
+    def test_agrees_with_the_record_parser(self, case):
+        space, text = case
+        assert parse_outcome(parse_scores, text, space) == parse_outcome(
+            reference_parse_scores, text, space
+        )
+
+    def test_builds_no_records_or_configurations(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one-pass construction must not get here")
+
+        space = parse_space(SPACE_DOC)
+        rows = FULL_ROWS + [r.replace("test", "validation") for r in FULL_ROWS]
+        text = scores_text(rows + [FULL_ROWS[0], "d1,100,test,0.5,0.00005,5.0"])
+        monkeypatch.setattr(ConfigSpace, "config_index", forbidden)
+        monkeypatch.setattr(ScoreRecord, "__post_init__", forbidden)
+        monkeypatch.setattr(Configuration, "__init__", forbidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(parse_scores(text, space)) == 8
+        assert len(synthetic_table(datasets=2)) == 2 * 2 * 2 * 24

@@ -16,6 +16,7 @@ from covsearch import (
     ScoreTable,
     ValidationError,
     canonical_value,
+    synthetic_table,
 )
 from helpers import cat_space, make_space
 
@@ -306,3 +307,11 @@ class TestScoreTable:
                 space,
                 [ScoreRecord(Context("d", 1), "test", other.grid()[0], 1.0)],
             )
+
+
+class TestSyntheticTable:
+    def test_overflowing_scale_rejected(self):
+        # Some contexts' scale factors overflow to inf; the first one's
+        # scores must fail the score check, not enter the table.
+        with pytest.raises(ValidationError, match=r"^score must be finite, got inf$"):
+            synthetic_table(scale=1.7e308)
