@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import warnings
+from argparse import ArgumentError
 from functools import partial
 from pathlib import Path
 
@@ -32,13 +33,13 @@ from .ingest import (
     serialize_scores,
     serialize_space,
 )
-from .importance import importance_report
-from .model import INTEGER, NUMBER, CovsearchError, ScoreTable
+from .importance import DEFAULT_PERMUTATIONS, importance_report
+from .model import INTEGER, NUMBER, SPLITS, CovsearchError, ScoreTable
 from .protocols import _contexts_of, _select_contexts, budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
 from . import ranking as ranking_mod
-from . import report
+from . import ingest, protocols, report
 from .synth import synthetic_table
 
 
@@ -222,9 +223,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 def cmd_importance(args: argparse.Namespace) -> int:
     if args.train_sizes is not None and (args.train_size or args.combine_sizes):
-        sys.stderr.write("covsearch importance: error: --train-sizes excludes"
-                         " --train-size and --combine-sizes\n")
-        return 1
+        raise ArgumentError(None, "--train-sizes excludes --train-size and --combine-sizes")
     table = _load_inputs(args)
     if args.train_size is not None:
         scopes = [args.train_size]
@@ -249,6 +248,10 @@ def cmd_importance(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if (args.model is None) != (args.method is None):
+        raise ArgumentError(None, "--model and --method must be given together")
+    if args.default_config is not None and args.model is not None:
+        raise ArgumentError(None, "--default-config excludes --model and --method")
     table = _load_inputs(args)
     task_map = load_task_map(args.task_map)
     default_config = None
@@ -260,9 +263,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f" object of hyperparameter values or an array of them"
             )
         default_config = table.space.configuration(values)
-    elif args.model is not None or args.method is not None:
-        if args.model is None or args.method is None:
-            raise CovsearchError("--model and --method must be given together")
+    elif args.model is not None:
         matches = [
             e
             for e in builtin_catalog()
@@ -349,7 +350,7 @@ def _add_common_arguments(
 ) -> None:
     parser.add_argument(
         "--split",
-        choices=["validation", "test"],
+        choices=SPLITS,
         default="test",
         help="score split feeding the analysis (default: test)",
     )
@@ -414,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget", help="budget-vs-performance curve")
     _add_io_arguments(p)
     _add_common_arguments(p)
-    p.add_argument("--max-budget", type=_positive_int, default=10)
+    p.add_argument("--max-budget", type=_positive_int, default=protocols.DEFAULT_MAX_BUDGET)
     p.add_argument(
         "--normalize-by",
-        choices=["test_max", "upper_bound"],
+        choices=protocols.NORMALIZE_MODES,
         default="test_max",
         help="denominator for normalized test scores",
     )
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="pool top sets over all train sizes instead of one scope per size",
     )
-    p.add_argument("--permutations", type=_positive_int, default=100)
+    p.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
     p.add_argument("--seed", type=_seed, default=0)
     _add_output_arguments(p)
     p.set_defaults(func=cmd_importance)
@@ -462,10 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="print the bundled configuration catalog")
     p.add_argument("--model", default=None)
-    p.add_argument("--method", default=None, choices=["full_ft", "lora"])
+    p.add_argument("--method", default=None, choices=ingest.CATALOG_METHODS)
     p.add_argument(
         "--source",
-        choices=["cbs_recommendation", "default_baseline", "all"],
+        choices=(*ingest.CATALOG_SOURCES, "all"),
         default="cbs_recommendation",
     )
     p.add_argument("--top", type=_positive_int, default=None, help="max rank to show")
@@ -503,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.func(args)
+        except ArgumentError as exc:  # a flag combination argparse does not check
+            sys.stderr.write(f"covsearch {args.command}: error: {exc}\n")
+            return 1
         except (CovsearchError, OSError) as exc:
             sys.stderr.write(f"covsearch: error: {exc}\n")
             return 2

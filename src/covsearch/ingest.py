@@ -29,8 +29,8 @@ Missing grid cells are tolerated with a warning rather than an error: real
 result dumps are often partial, and all downstream math operates over the
 records present.  Each row is read once, straight to its grid id, and keyed
 by (context, split, grid id): identical duplicates collapse silently to the
-first, conflicting ones are a hard error.  ``ScoreTable(space, records)`` is
-the public constructor, not the parser's path.
+first, conflicting ones are a hard error.  The gap warning counts cell
+sizes, and ``serialize_scores`` writes its rows straight from the cells.
 """
 
 from __future__ import annotations
@@ -276,33 +276,34 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
         for key, cell in cells.items()
     })
     if warn_incomplete:
-        report = completeness_report(table)
-        n_missing = sum(len(m) for _, _, m in report.missing)
-        if n_missing:
-            cells = sum(1 for _, _, m in report.missing if m)
+        gaps = [space.size - len(cell) for cell in cells.values()]
+        if sum(gaps):
             warnings.warn(
-                f"score table is missing {n_missing} grid configuration(s)"
-                f" across {cells} context/split cell(s)",
+                f"score table is missing {sum(gaps)} grid configuration(s)"
+                f" across {len(gaps) - gaps.count(0)} context/split cell(s)",
                 stacklevel=2,
             )
-        for ctx, split in report.single_split:
-            warnings.warn(
-                f"context {ctx} has records only for the {split} split",
-                stacklevel=2,
-            )
+        for ctx in table.contexts():
+            splits = table.splits_for(ctx)
+            if len(splits) == 1:
+                warnings.warn(
+                    f"context {ctx} has records only for the {splits[0]} split",
+                    stacklevel=2,
+                )
     return table
 
 
 def serialize_scores(table: ScoreTable) -> str:
-    """Canonical score-file serialization (sorted rows, shortest floats)."""
+    """Canonical score-file serialization from the cells (sorted rows, shortest floats)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(RESERVED_COLUMNS) + list(table.space.names))
-    for rec in table.records:
-        writer.writerow(
-            [rec.context.dataset, rec.context.train_size, rec.split, repr(rec.score)]
-            + list(rec.config.values)
-        )
+    writer.writerows(
+        [ctx.dataset, ctx.train_size, split, repr(score), *table.space.config_at(index).values]
+        for ctx in table.contexts()
+        for split in table.splits_for(ctx)
+        for index, score in table.cell(ctx, split).items()
+    )
     return out.getvalue()
 
 

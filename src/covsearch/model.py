@@ -15,6 +15,7 @@ last hyperparameter varying fastest (``ConfigSpace.config_index`` encodes,
 ``Configuration`` objects are built only where results leave the package.
 ``ScoreTable(space, records)`` is the public constructor; the parser and
 the generator hand their checked grid-id cells to ``ScoreTable._from_cells``.
+A table stores them by context, sorted once; every view reads that index.
 
 All types are immutable after construction and safe to share across
 concurrent readers.
@@ -389,18 +390,21 @@ class ScoreTable:
                     f" config ({rec.config})"
                 )
             cell[index] = rec.score
-        vars(self).update(vars(self._from_cells(space, cells)))
+        self._store(space, cells)
 
     @classmethod
     def _from_cells(cls, space: ConfigSpace, cells: Mapping) -> ScoreTable:
-        """Every table ends here: checked ``{(context, split): {grid id: score}}`` cells."""
+        """A table of checked ``{(context, split): {grid id: score}}`` cells."""
         table = cls.__new__(cls)
-        table.space = space
-        table._cells = {
-            key: MappingProxyType(dict(sorted(cells[key].items())))
-            for key in sorted(cells)
-        }
+        table._store(space, cells)
         return table
+
+    def _store(self, space: ConfigSpace, cells: Mapping) -> None:
+        """Every table ends here: one index ``{context: {split: {id: score}}}``, sorted."""
+        self.space, self._index = space, {}
+        for ctx, split in sorted(cells):
+            cell = MappingProxyType(dict(sorted(cells[ctx, split].items())))
+            self._index.setdefault(ctx, {})[split] = cell
 
     @property
     def records(self) -> tuple[ScoreRecord, ...]:
@@ -408,36 +412,35 @@ class ScoreTable:
         config_at = self.space.config_at
         return tuple(
             ScoreRecord(ctx, split, config_at(index), score)
-            for (ctx, split), cell in self._cells.items()
+            for ctx, splits in self._index.items()
+            for split, cell in splits.items()
             for index, score in cell.items()
         )
 
     def __len__(self) -> int:
-        return sum(len(cell) for cell in self._cells.values())
+        return sum(len(cell) for splits in self._index.values() for cell in splits.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return self.space == other.space and self._cells == other._cells
+        return self.space == other.space and self._index == other._index
 
     def contexts(self, split: str | None = None) -> list[Context]:
         """Sorted contexts, optionally restricted to one split."""
-        if split is None:
-            return sorted({ctx for ctx, _ in self._cells})
-        return sorted({ctx for ctx, sp in self._cells if sp == split})
+        return [ctx for ctx, splits in self._index.items() if split is None or split in splits]
 
     def datasets(self) -> list[str]:
-        return sorted({ctx.dataset for ctx, _ in self._cells})
+        return list(dict.fromkeys(ctx.dataset for ctx in self._index))
 
     def train_sizes(self) -> list[int]:
-        return sorted({ctx.train_size for ctx, _ in self._cells})
+        return sorted({ctx.train_size for ctx in self._index})
 
     def splits_for(self, context: Context) -> list[str]:
-        return sorted(sp for ctx, sp in self._cells if ctx == context)
+        return list(self._index.get(context, ()))
 
     def cell(self, context: Context, split: str) -> Mapping[int, float]:
         """Read-only grid id -> score map of one (context, split); empty if absent."""
-        return self._cells.get((context, split), {})
+        return self._index.get(context, {}).get(split, {})
 
     def scores(self, context: Context, split: str) -> dict[Configuration, float]:
         """Scores for one (context, split), in grid order; empty if absent."""

@@ -61,7 +61,7 @@ def fixed_config_eval(
     unweighted mean over the contexts of each task.
     """
     index = table.space.config_index(config)
-    selected = sorted(set(contexts)) if contexts is not None else table.contexts("test")
+    selected = sorted(dict.fromkeys(contexts)) if contexts is not None else table.contexts("test")
     if not selected:
         raise DataError("no contexts to evaluate")
     missing = [ctx for ctx in selected if index not in table.cell(ctx, "test")]
@@ -153,28 +153,29 @@ def _held_out(
     """For each selected dataset in name order: the dataset, the coverage
     ranking over every other dataset's contexts (all requested train sizes
     together), and its own test contexts, each mapped to its test cell and
-    that cell's maximum.  ``skip_degenerate`` applies to both the ranking's
-    contexts and the held-out test contexts."""
+    that cell's maximum.  Both sets of contexts are selected once, then split
+    by dataset; ``skip_degenerate`` applies to both."""
     ds, sizes = _select_contexts(table, datasets, train_sizes)
     if len(ds) < 2:
         raise DataError("leave-one-out requires at least 2 datasets")
+    pool = _contexts_of(table, split, ds, sizes)
+    tests = _contexts_of(table, "test", ds, sizes)
     for held_out in ds:
-        contexts = _contexts_of(table, split, [d for d in ds if d != held_out], sizes)
+        contexts = [ctx for ctx in pool if ctx.dataset != held_out]
         if not contexts:
             raise DataError(f"no contexts remain after holding out {held_out!r}")
         ranking = rank(
             table, contexts, split=split, threshold=threshold, skip_degenerate=skip_degenerate
         )
-        held_out_contexts = _contexts_of(table, "test", [held_out], sizes)
+        held_out_contexts = [ctx for ctx in tests if ctx.dataset == held_out]
         if not held_out_contexts:
             raise DataError(
                 f"held-out dataset {held_out!r} has no test records for the"
                 f" requested train sizes"
             )
-        tests = _usable(
+        yield held_out, ranking, _usable(
             held_out_contexts, skip_degenerate, lambda ctx: _cell_and_best(table, ctx, "test")
         )
-        yield held_out, ranking, tests
 
 
 def loo_cbs(
@@ -371,28 +372,25 @@ def compare_protocols(
         for s in res.scores
     }
 
+    groups: dict[tuple[str, int], list[Context]] = {}
+    for ctx in loo:
+        groups.setdefault((task_map[ctx.dataset], ctx.train_size), []).append(ctx)
     rows = []
-    tasks = sorted({task_map[d] for d in ds})
-    for task in tasks:
-        members = [d for d in ds if task_map[d] == task]
-        for size in sizes:
-            contexts = [c for c in _contexts_of(table, "test", members, [size]) if c in loo]
-            if not contexts:
-                continue
-            cbs1_scores = [loo[ctx] for ctx in contexts]
-            ub_scores = [upper_bound(table, ctx).test_score for ctx in contexts]
-            default_score = None
-            if default_config is not None:
-                fixed = fixed_config_eval(table, default_config, contexts)
-                default_score = fixed.macro_map["all"]
-            rows.append(
-                CompareRow(
-                    task=task,
-                    train_size=size,
-                    n_datasets=len(contexts),
-                    default_score=default_score,
-                    cbs1_score=math.fsum(cbs1_scores) / len(cbs1_scores),
-                    upper_bound_score=math.fsum(ub_scores) / len(ub_scores),
-                )
+    for (task, size), contexts in sorted(groups.items()):
+        cbs1_scores = [loo[ctx] for ctx in contexts]
+        ub_scores = [upper_bound(table, ctx).test_score for ctx in contexts]
+        default_score = None
+        if default_config is not None:
+            fixed = fixed_config_eval(table, default_config, contexts)
+            default_score = fixed.macro_map["all"]
+        rows.append(
+            CompareRow(
+                task=task,
+                train_size=size,
+                n_datasets=len(contexts),
+                default_score=default_score,
+                cbs1_score=math.fsum(cbs1_scores) / len(cbs1_scores),
+                upper_bound_score=math.fsum(ub_scores) / len(ub_scores),
             )
+        )
     return tuple(rows)

@@ -148,8 +148,8 @@ def rank(
     _check_threshold(threshold)
     if contexts is None:
         selected = table.contexts(split)
-    else:
-        selected = sorted(set(contexts))
+    else:  # ascending and unique; one linear pass when already in order
+        selected = sorted(dict.fromkeys(contexts))
     if not selected:
         raise DataError("no contexts to rank over")
 
@@ -159,13 +159,11 @@ def rank(
     if not top_sets:
         raise DataError("all requested contexts are degenerate")
 
-    used = sorted(top_sets)
-
     # Score sum per grid id over the contexts where it is a top-set member.
     # fsum makes the result independent of accumulation order.
     member_scores: dict[int, list[float]] = {}
-    for ctx in used:
-        for i, sn in top_sets[ctx].id_members:
+    for top in top_sets.values():
+        for i, sn in top.id_members:
             member_scores.setdefault(i, []).append(sn)
     score_sum = {i: math.fsum(vals) for i, vals in member_scores.items()}
 
@@ -173,9 +171,9 @@ def rank(
     # maximal score sum there; no strictly higher-ranked member can then be
     # present, which is the set-difference definition in closed form.
     coverage: dict[int, set[Context]] = {i: set() for i in score_sum}
-    for ctx in used:
-        best = max(score_sum[i] for i, _ in top_sets[ctx].id_members)
-        for i, _ in top_sets[ctx].id_members:
+    for ctx, top in top_sets.items():
+        best = max(score_sum[i] for i, _ in top.id_members)
+        for i, _ in top.id_members:
             if score_sum[i] == best:
                 coverage[i].add(ctx)
 
@@ -190,5 +188,5 @@ def rank(
         for i in ordered
     )
     return CoverageRanking(
-        entries=entries, contexts=tuple(used), split=split, threshold=threshold
+        entries=entries, contexts=tuple(top_sets), split=split, threshold=threshold
     )

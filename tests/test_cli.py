@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 import covsearch
 
 from covsearch import builtin_catalog, load_scores, load_space
-from covsearch.cli import main
+from covsearch.cli import build_parser, main
+from covsearch.importance import DEFAULT_PERMUTATIONS
+from covsearch.ingest import CATALOG_METHODS, CATALOG_SOURCES
+from covsearch.model import SPLITS
+from covsearch.protocols import DEFAULT_MAX_BUDGET, NORMALIZE_MODES
 from covsearch.report import catalog_csv
 
 SPACE_DOC = json.dumps(
@@ -291,6 +295,66 @@ class TestUsageErrors:
             "importance", "--space", space, "--scores", scores, "--skip-degenerate",
         ]) == 1
         assert "unrecognized arguments: --skip-degenerate" in capsys.readouterr().err
+
+
+class TestFlagCombinations:
+    """Combinations argparse does not check are usage errors too: exit 1 with
+    one error line, before any input is read."""
+
+    @staticmethod
+    def assert_one_usage_error(capsys, command, message):
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"covsearch {command}: error: {message}"
+        ]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "Llama-3-8B"], "--model and --method must be given together"),
+        (["--method", "lora"], "--model and --method must be given together"),
+        (["--default-config", "DEFAULT", "--method", "lora"],
+         "--model and --method must be given together"),
+        (["--default-config", "DEFAULT", "--model", "Llama-3-8B", "--method", "lora"],
+         "--default-config excludes --model and --method"),
+    ])
+    def test_compare(self, tmp_path, capsys, flags, message):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        task_map, default = tmp_path / "tasks.json", tmp_path / "default.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "u"}', encoding="utf-8")
+        default.write_text('{"hp": "x"}', encoding="utf-8")
+        flags = [str(default) if flag == "DEFAULT" else flag for flag in flags]
+        assert main([
+            "compare", "--space", space, "--scores", scores, "--task-map", str(task_map),
+            *flags,
+        ]) == 1
+        self.assert_one_usage_error(capsys, "compare", message)
+
+    @pytest.mark.parametrize("scope", [["--train-size", "100"], ["--combine-sizes"]])
+    def test_importance(self, tmp_path, capsys, scope):
+        missing = str(tmp_path / "missing")
+        assert main([
+            "importance", "--space", missing, "--scores", missing, "--train-sizes", "100",
+            *scope,
+        ]) == 1
+        self.assert_one_usage_error(
+            capsys, "importance", "--train-sizes excludes --train-size and --combine-sizes"
+        )
+
+
+class TestParserConstants:
+    def test_choices_and_defaults_are_the_library_constants(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def option(command, flag):
+            return commands[command]._option_string_actions[flag]
+
+        for command in ("rank", "loo", "budget", "importance", "compare"):
+            assert tuple(option(command, "--split").choices) == SPLITS
+        assert tuple(option("budget", "--normalize-by").choices) == NORMALIZE_MODES
+        assert option("budget", "--max-budget").default == DEFAULT_MAX_BUDGET
+        assert option("importance", "--permutations").default == DEFAULT_PERMUTATIONS
+        assert tuple(option("recommend", "--method").choices) == CATALOG_METHODS
+        assert tuple(option("recommend", "--source").choices) == (*CATALOG_SOURCES, "all")
 
 
 # Each numeric flag with a spelling outside the number grammar, or a

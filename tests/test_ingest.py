@@ -1,5 +1,7 @@
 """Parsing, serialization, completeness, and the bundled catalog."""
 
+import csv
+import io
 import itertools
 import json
 import warnings
@@ -452,6 +454,44 @@ def reference_parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bo
     return table
 
 
+# ---------------------------------------------------------------------------
+# The record-based writer and the completeness-based incompleteness warnings,
+# kept as the references that writing from the cells and counting gaps from
+# cell sizes must agree with.  Unchanged from the versions before them.
+# ---------------------------------------------------------------------------
+
+
+def reference_serialize_scores(table: ScoreTable) -> str:
+    """Canonical score-file serialization (sorted rows, shortest floats)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(RESERVED_COLUMNS) + list(table.space.names))
+    for rec in table.records:
+        writer.writerow(
+            [rec.context.dataset, rec.context.train_size, rec.split, repr(rec.score)]
+            + list(rec.config.values)
+        )
+    return out.getvalue()
+
+
+def reference_warn_incomplete(table: ScoreTable, warn_incomplete: bool = True) -> None:
+    if warn_incomplete:
+        report = completeness_report(table)
+        n_missing = sum(len(m) for _, _, m in report.missing)
+        if n_missing:
+            cells = sum(1 for _, _, m in report.missing if m)
+            warnings.warn(
+                f"score table is missing {n_missing} grid configuration(s)"
+                f" across {cells} context/split cell(s)",
+                stacklevel=2,
+            )
+        for ctx, split in report.single_split:
+            warnings.warn(
+                f"context {ctx} has records only for the {split} split",
+                stacklevel=2,
+            )
+
+
 # Domain values by kind, each with spellings that canonicalize to it.
 SPELLINGS = {
     "real": {
@@ -604,3 +644,59 @@ class TestOnePassParse:
             warnings.simplefilter("error")
             assert len(parse_scores(text, space)) == 8
         assert len(synthetic_table(datasets=2)) == 2 * 2 * 2 * 24
+
+
+def with_warnings(call):
+    """call()'s result and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught]
+
+
+class TestFromCells:
+    @settings(max_examples=300, deadline=None)
+    @given(case=faulty_score_files(), data=st.data())
+    def test_agrees_with_the_record_writer_and_the_report_warnings(self, case, data):
+        space, text = case
+        try:
+            parsed = parse_scores(text, space, warn_incomplete=False)
+        except ParseError:
+            return
+        # Fill some cells to the full grid, so that full, partial and
+        # single-split cells mix in one table.
+        cells = {
+            (ctx, split): dict(parsed.cell(ctx, split))
+            for ctx in parsed.contexts()
+            for split in parsed.splits_for(ctx)
+        }
+        if cells:
+            for key in data.draw(st.lists(st.sampled_from(list(cells)), unique=True)):
+                cells[key] = {i: cells[key].get(i, 1.0) for i in range(space.size)}
+        table = ScoreTable._from_cells(space, cells)
+        text = reference_serialize_scores(table)
+        assert serialize_scores(table) == text
+        warned, messages = with_warnings(lambda: parse_scores(text, space))
+        assert warned == table
+        assert messages == with_warnings(lambda: reference_warn_incomplete(table))[1]
+
+    def test_builds_no_records(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("writing and warning read the cells")
+
+        space = parse_space(SPACE_DOC)
+        text = scores_text(FULL_ROWS[:3] + ["d2,100,validation,0.1,5e-05,5"])
+        monkeypatch.setattr(ScoreRecord, "__post_init__", forbidden)
+        table, messages = with_warnings(lambda: parse_scores(text, space, warn_incomplete=True))
+        assert messages == [
+            "score table is missing 4 grid configuration(s) across 2 context/split cell(s)",
+            "context d1@100 has records only for the test split",
+            "context d2@100 has records only for the validation split",
+        ]
+        assert serialize_scores(table) == "\n".join([
+            "dataset,train_size,split,score,lr,epochs",
+            "d1,100,test,0.5,5.0e-5,5",
+            "d1,100,test,0.7,5.0e-5,10",
+            "d1,100,test,0.4,1.0e-4,5",
+            "d2,100,validation,0.1,5.0e-5,5",
+        ]) + "\n"

@@ -16,6 +16,8 @@ from covsearch import (
     ScoreTable,
     ValidationError,
     canonical_value,
+    completeness_report,
+    serialize_scores,
     synthetic_table,
 )
 from helpers import cat_space, make_space
@@ -307,6 +309,47 @@ class TestScoreTable:
                 space,
                 [ScoreRecord(Context("d", 1), "test", other.grid()[0], 1.0)],
             )
+
+
+class TestStoredIndex:
+    """A table sorts its contexts once, when built; its views read that order."""
+
+    def test_views_compare_no_contexts(self, monkeypatch):
+        def forbidden(self, other):
+            raise AssertionError("contexts are sorted once, when the table is built")
+
+        table = synthetic_table(datasets=12)
+        contexts = sorted({Context(f"ds{i:02d}", m) for i in range(12) for m in (100, 1000)})
+        report = completeness_report(table)
+        text = serialize_scores(table)
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Context, name, forbidden)
+        assert table.contexts() == contexts
+        assert table.contexts("test") == table.contexts("validation") == contexts
+        assert table.datasets() == [f"ds{i:02d}" for i in range(12)]
+        assert table.train_sizes() == [100, 1000]
+        assert all(table.splits_for(ctx) == ["test", "validation"] for ctx in contexts)
+        assert completeness_report(table) == report
+        assert serialize_scores(table) == text
+        assert len(table) == 12 * 2 * 2 * 24
+
+    def test_single_split_and_absent_lookups(self):
+        space = cat_space([2])
+        table = ScoreTable(
+            space,
+            [
+                ScoreRecord(Context("e", 1000), "test", space.configuration(["v1"]), 2.0),
+                ScoreRecord(Context("d", 100), "validation", space.configuration(["v0"]), 1.0),
+            ],
+        )
+        assert table.contexts() == [Context("d", 100), Context("e", 1000)]
+        assert table.contexts("test") == [Context("e", 1000)]
+        assert table.contexts("validation") == [Context("d", 100)]
+        assert table.splits_for(Context("d", 100)) == ["validation"]
+        assert table.splits_for(Context("x", 1)) == []
+        assert table.cell(Context("d", 100), "test") == {}
+        assert table.cell(Context("x", 1), "test") == {}
+        assert len(table) == 2
 
 
 class TestSyntheticTable:

@@ -15,6 +15,7 @@ from covsearch import (
     fixed_config_eval,
     loo_cbs,
     rank,
+    synthetic_table,
     upper_bound,
 )
 from helpers import build_table, cat_space, make_space, random_instance
@@ -321,6 +322,30 @@ class TestCompare:
         ]
         assert rows[0].upper_bound_score == 15.0
         assert rows[2].upper_bound_score == 70.0
+
+
+class TestContextSelection:
+    """Each command selects its contexts once; rank's linear sort of an
+    ordered list is the only place they are compared."""
+
+    @pytest.mark.parametrize("protocol", [
+        loo_cbs,
+        budget_curve,
+        lambda table: compare_protocols(table, {d: "t" for d in table.datasets()}),
+    ])
+    def test_at_most_one_comparison_per_held_out_dataset_and_context(
+        self, monkeypatch, protocol
+    ):
+        table = synthetic_table(datasets=12)
+        calls = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            def counted(self, other, compare=getattr(Context, name)):
+                calls.append(1)
+                return compare(self, other)
+
+            monkeypatch.setattr(Context, name, counted)
+        protocol(table)
+        assert 0 < len(calls) <= len(table.datasets()) * len(table.contexts())
 
 
 def degenerate_held_out_instance():
