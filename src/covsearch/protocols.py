@@ -40,9 +40,20 @@ from .model import (
     UpperBoundResult,
     ValidationError,
 )
-# normalize is not called here (held-out scores divide by the cell maximum);
-# it stays a module attribute, which perfbench/tracing.py wraps.
-from .ranking import DEFAULT_THRESHOLD, _cell_and_best, _usable, normalize, rank  # noqa: F401
+# normalize and rank are not called here (held-out scores divide by the cell
+# maximum, and _held_out composes rank's steps); they stay module attributes,
+# which perfbench/tracing.py wraps.
+from .ranking import (  # noqa: F401
+    _SUM_UNIT,
+    DEFAULT_THRESHOLD,
+    _cell_and_best,
+    _coverage,
+    _exact_sums,
+    _top_sets,
+    _usable,
+    normalize,
+    rank,
+)
 
 DEFAULT_MAX_BUDGET = 10
 NORMALIZE_MODES = ("test_max", "upper_bound")
@@ -154,19 +165,37 @@ def _held_out(
     ranking over every other dataset's contexts (all requested train sizes
     together), and its own test contexts, each mapped to its test cell and
     that cell's maximum.  Both sets of contexts are selected once, then split
-    by dataset; ``skip_degenerate`` applies to both."""
+    by dataset; ``skip_degenerate`` applies to both.
+
+    Each ranking equals ``rank`` over the other datasets' contexts, but is
+    built from work done once per call: every top set of the pool, and each
+    grid id's exact score sum over all of them.  A held-out ranking takes the
+    other datasets' top sets and subtracts the held-out dataset's exact
+    partial sums, so a degenerate pool context raises (or warns) once, before
+    the first dataset is yielded."""
     ds, sizes = _select_contexts(table, datasets, train_sizes)
     if len(ds) < 2:
         raise DataError("leave-one-out requires at least 2 datasets")
     pool = _contexts_of(table, split, ds, sizes)
     tests = _contexts_of(table, "test", ds, sizes)
+    top_sets = _top_sets(table, pool, split, threshold, skip_degenerate)
+    totals = _exact_sums(top_sets.values())
+    sums = {i: total / _SUM_UNIT for i, total in totals.items()}
     for held_out in ds:
-        contexts = [ctx for ctx in pool if ctx.dataset != held_out]
-        if not contexts:
+        if all(ctx.dataset == held_out for ctx in pool):
             raise DataError(f"no contexts remain after holding out {held_out!r}")
-        ranking = rank(
-            table, contexts, split=split, threshold=threshold, skip_degenerate=skip_degenerate
-        )
+        others = {ctx: top for ctx, top in top_sets.items() if ctx.dataset != held_out}
+        if not others:
+            raise DataError("all requested contexts are degenerate")
+        score_sum = dict(sums)
+        partial = _exact_sums(top for ctx, top in top_sets.items() if ctx.dataset == held_out)
+        for i, part in partial.items():
+            rest = totals[i] - part
+            if rest:
+                score_sum[i] = rest / _SUM_UNIT
+            else:  # each membership adds a positive amount: i is in no other top set
+                del score_sum[i]
+        ranking = _coverage(table.space, others, score_sum, split, threshold)
         held_out_contexts = [ctx for ctx in tests if ctx.dataset == held_out]
         if not held_out_contexts:
             raise DataError(

@@ -8,15 +8,30 @@ a context when it is in that context's top set and no configuration with a
 strictly larger score sum is.  The final ranking orders configurations by
 how many contexts they cover.
 
+``rank`` composes three steps, which the leave-one-dataset-out protocols
+compose too:
+
+* the top-set step (``_top_sets``) builds each context's top set once;
+* the score-sum step (``_exact_sums``) adds each grid id's normalized scores
+  as exact integers, multiples of 2**-1074, the smallest subnormal float;
+* the coverage step (``_coverage``) ranks over given top sets and sums.
+
+Because the integer sums are exact, a sum over every dataset minus one
+dataset's partial sum is exactly the sum over the others, and a single
+correctly rounded division turns it into the same float that fsum over the
+others gives.  So ``protocols._held_out`` builds every top set and sum once
+per call and ranks each held-out dataset in time linear in the other top
+sets: O(D*G + D^2*T) for D datasets, G grid points and top sets of mean size
+T, instead of O(D^2*G) for one ``rank`` per held-out dataset.
+
 Determinism: contexts are processed in sorted order, configurations in grid
-order, and score sums use exact (fsum) accumulation, so equal inputs yield
-bit-identical rankings regardless of record order.  Configurations are
+order, and score sums are exact before their one rounding, so equal inputs
+yield bit-identical rankings regardless of record order.  Configurations are
 handled as grid ids throughout and decoded only into the results.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -86,10 +101,15 @@ def _cell_and_best(
 
 
 def _usable(
-    contexts: Iterable[Context], skip_degenerate: bool, build: Callable[[Context], object]
+    contexts: Iterable[Context],
+    skip_degenerate: bool,
+    build: Callable[[Context], object],
+    stacklevel: int = 3,
 ) -> dict[Context, object]:
     """``build(ctx)`` per context; an all-zero context (DegenerateContextError)
-    is an error, or, with ``skip_degenerate``, left out with a warning."""
+    is an error, or, with ``skip_degenerate``, left out with a warning.  The
+    warning names the frame ``stacklevel`` calls up: by default the caller of
+    the function that calls ``_usable``."""
     built = {}
     for ctx in contexts:
         try:
@@ -97,7 +117,7 @@ def _usable(
         except DegenerateContextError:
             if not skip_degenerate:
                 raise
-            warnings.warn(f"skipping degenerate context {ctx}", stacklevel=3)
+            warnings.warn(f"skipping degenerate context {ctx}", stacklevel=stacklevel)
     return built
 
 
@@ -129,6 +149,78 @@ def top_set(
     return TopSet(context, split, threshold, table.space, members)
 
 
+def _top_sets(
+    table: ScoreTable,
+    contexts: Iterable[Context],
+    split: str,
+    threshold: float,
+    skip_degenerate: bool,
+) -> dict[Context, TopSet]:
+    """The top-set step: each context's top set, in ascending context order.
+    Duplicates are dropped; degenerate contexts follow ``_usable``."""
+    selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
+    return _usable(
+        selected,
+        skip_degenerate,
+        lambda ctx: top_set(table, ctx, split, threshold),
+        stacklevel=4,  # _usable <- _top_sets <- rank: name the caller of rank
+    )
+
+
+# Every float is an integer multiple of 2**-1074, the smallest subnormal.
+_SUM_UNIT = 1 << 1074
+
+
+def _exact_sums(top_sets: Iterable[TopSet]) -> dict[int, int]:
+    """The score-sum step: each member id's normalized scores summed over
+    ``top_sets`` exactly, as an integer multiple of 1 / ``_SUM_UNIT``.
+
+    No addition, nor the subtraction of a partial sum, rounds.  Dividing by
+    ``_SUM_UNIT`` (int true division) rounds once, correctly, as fsum does,
+    so the float sum does not depend on accumulation order.
+    """
+    sums: dict[int, int] = {}
+    for top in top_sets:
+        for i, sn in top.id_members:
+            n, d = sn.as_integer_ratio()  # d is a power of two up to 2**1074
+            sums[i] = sums.get(i, 0) + (n << (1075 - d.bit_length()))
+    return sums
+
+
+def _coverage(
+    space: ConfigSpace,
+    top_sets: Mapping[Context, TopSet],
+    score_sum: Mapping[int, float],
+    split: str,
+    threshold: float,
+) -> CoverageRanking:
+    """The coverage step: the ranking over ``top_sets``, given the score sum
+    of exactly the ids that are members of them."""
+    # A configuration covers a context iff it is in the top set and ties the
+    # maximal score sum there; no strictly higher-ranked member can then be
+    # present, which is the set-difference definition in closed form.
+    coverage: dict[int, set[Context]] = {i: set() for i in score_sum}
+    for ctx, top in top_sets.items():
+        best = max(score_sum[i] for i, _ in top.id_members)
+        for i, _ in top.id_members:
+            if score_sum[i] == best:
+                coverage[i].add(ctx)
+
+    ordered = sorted(score_sum, key=lambda i: (-len(coverage[i]), -score_sum[i], i))
+    config_at = space.config_at
+    entries = tuple(
+        RankingEntry(
+            config=config_at(i),
+            score_sum=score_sum[i],
+            coverage=frozenset(coverage[i]),
+        )
+        for i in ordered
+    )
+    return CoverageRanking(
+        entries=entries, contexts=tuple(top_sets), split=split, threshold=threshold
+    )
+
+
 def rank(
     table: ScoreTable,
     contexts: Iterable[Context] | None = None,
@@ -146,47 +238,11 @@ def rank(
     """
     _check_split(split)
     _check_threshold(threshold)
-    if contexts is None:
-        selected = table.contexts(split)
-    else:  # ascending and unique; one linear pass when already in order
-        selected = sorted(dict.fromkeys(contexts))
+    selected = table.contexts(split) if contexts is None else list(contexts)
     if not selected:
         raise DataError("no contexts to rank over")
-
-    top_sets = _usable(
-        selected, skip_degenerate, lambda ctx: top_set(table, ctx, split, threshold)
-    )
+    top_sets = _top_sets(table, selected, split, threshold, skip_degenerate)
     if not top_sets:
         raise DataError("all requested contexts are degenerate")
-
-    # Score sum per grid id over the contexts where it is a top-set member.
-    # fsum makes the result independent of accumulation order.
-    member_scores: dict[int, list[float]] = {}
-    for top in top_sets.values():
-        for i, sn in top.id_members:
-            member_scores.setdefault(i, []).append(sn)
-    score_sum = {i: math.fsum(vals) for i, vals in member_scores.items()}
-
-    # A configuration covers a context iff it is in the top set and ties the
-    # maximal score sum there; no strictly higher-ranked member can then be
-    # present, which is the set-difference definition in closed form.
-    coverage: dict[int, set[Context]] = {i: set() for i in score_sum}
-    for ctx, top in top_sets.items():
-        best = max(score_sum[i] for i, _ in top.id_members)
-        for i, _ in top.id_members:
-            if score_sum[i] == best:
-                coverage[i].add(ctx)
-
-    ordered = sorted(score_sum, key=lambda i: (-len(coverage[i]), -score_sum[i], i))
-    config_at = table.space.config_at
-    entries = tuple(
-        RankingEntry(
-            config=config_at(i),
-            score_sum=score_sum[i],
-            coverage=frozenset(coverage[i]),
-        )
-        for i in ordered
-    )
-    return CoverageRanking(
-        entries=entries, contexts=tuple(top_sets), split=split, threshold=threshold
-    )
+    score_sum = {i: s / _SUM_UNIT for i, s in _exact_sums(top_sets.values()).items()}
+    return _coverage(table.space, top_sets, score_sum, split, threshold)

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 from .ingest import CatalogEntry, CompletenessReport
 from .model import (
     BudgetCurve,
-    Configuration,
     CoverageRanking,
     ImportanceReport,
     LooResult,
@@ -146,14 +145,17 @@ def render_completeness(report: CompletenessReport) -> str:
     if report.is_complete:
         lines.append("grid complete")
     # The same configurations go missing in many cells; format each once.
-    rows: dict[Configuration, str] = {}
+    # Keyed by id(), not by hashing the dataclass: config_at shares one object
+    # per grid id, and the report keeps every object alive while this runs, so
+    # no id is reused.  Equal but distinct objects are merely formatted twice.
+    rows: dict[int, str] = {}
     for ctx, split, missing in report.missing:
         if missing:
             lines.append(f"{ctx} [{split}]: {len(missing)} missing configuration(s)")
             for cfg in missing:
-                row = rows.get(cfg)
+                row = rows.get(id(cfg))
                 if row is None:
-                    row = rows[cfg] = f"  {cfg}"
+                    row = rows[id(cfg)] = f"  {cfg}"
                 lines.append(row)
     for ctx, split in report.single_split:
         lines.append(f"warning: {ctx} has records only for the {split} split")

@@ -29,8 +29,9 @@ from covsearch import (
     serialize_space,
     synthetic_table,
 )
-from covsearch.ingest import _parse_csv_line
+from covsearch.ingest import CompletenessReport, _parse_csv_line
 from covsearch.model import INTEGER, NUMBER, RESERVED_COLUMNS
+from covsearch.report import render_completeness
 from helpers import build_table, cat_space, make_space
 
 SPACE_DOC = json.dumps(
@@ -262,6 +263,32 @@ class TestCompleteness:
         )
         ((_, _, missing),) = completeness_report(table).missing
         assert {c.values for c in missing} == {("v0", "v1"), ("v1", "v0")}
+
+    def test_render_does_not_rely_on_shared_configurations(self):
+        # The renderer formats each missing Configuration object once; a
+        # report of equal but distinct objects must render the same text.
+        space = cat_space([2, 3])
+        table = build_table(
+            space,
+            {
+                "test": {("d", 100): {("v0", "v0"): 1.0}, ("e", 100): {("v1", "v2"): 2.0}},
+                "validation": {("d", 100): {("v0", "v1"): 0.5}},
+            },
+        )
+        report = completeness_report(table)
+        copied = CompletenessReport(
+            missing=tuple(
+                (ctx, split, tuple(Configuration(c.items) for c in missing))
+                for ctx, split, missing in report.missing
+            ),
+            single_split=report.single_split,
+        )
+        shared = [c for _, _, missing in report.missing for c in missing]
+        assert len({id(c) for c in shared}) < len(shared)
+        assert copied == report
+        text = render_completeness(report)
+        assert render_completeness(copied) == text
+        assert text.count("  h0=v1 h1=v0\n") == 3
 
 
 class TestCatalog:

@@ -1,6 +1,7 @@
 """Evaluation protocols: fixed config, upper bound, leave-one-out, budget."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,33 @@ class TestLooCbs:
         for res in loo_cbs(table):
             assert res.recommended_config.values == ("b",)
             assert res.scores[0].normalized_test_score == 1.0
+
+    def test_member_only_in_the_held_out_dataset_drops_out(self):
+        # c makes a top set only on A; b only on B.
+        test = {
+            ("A", 100): {"a": 10.0, "b": 10.0, "c": 100.0},
+            ("B", 100): {"a": 100.0, "b": 99.0, "c": 0.0},
+            ("C", 100): {"a": 100.0, "b": 50.0, "c": 50.0},
+        }
+        space, table = one_hp_instance(val={}, test=test)
+        configs = {
+            r.held_out_dataset: {e.config.values[0] for e in r.ranking.entries}
+            for r in loo_cbs(table)
+        }
+        assert configs == {"A": {"a", "b"}, "B": {"a", "c"}, "C": {"a", "b", "c"}}
+
+    def test_held_out_score_sums_are_exact(self):
+        # Config a's normalized scores on A, B and C; removing A's from the
+        # float total rounds differently from summing B's and C's.
+        scores = {"A": 97.5, "B": 99.5, "C": 99.2}
+        normalized = [score / 100.0 for score in scores.values()]
+        assert math.fsum(normalized) - normalized[0] != math.fsum(normalized[1:])
+        test = {(d, 100): {"a": score, "b": 100.0} for d, score in scores.items()}
+        space, table = one_hp_instance(val={}, test=test, domain=("a", "b"))
+        held_out_a = loo_cbs(table)[0]
+        assert held_out_a.held_out_dataset == "A"
+        sums = {e.config.values[0]: e.score_sum for e in held_out_a.ranking.entries}
+        assert sums == {"a": math.fsum(normalized[1:]), "b": 2.0}
 
 
 class TestBudgetCurve:
@@ -411,6 +439,52 @@ class TestDegenerateHeldOut:
                 budget_curve(table, split="validation", skip_degenerate=True)
 
 
+class TestHeldOutErrors:
+    """Every top set is built once per call, before any dataset is held out;
+    the checks made per held-out dataset still name it."""
+
+    POSITIVE = {"a": 90.0, "b": 80.0, "c": 10.0}
+    ZERO = {"a": 0.0, "b": 0.0, "c": 0.0}
+
+    def instance(self, val):
+        test = {(d, 100): dict(self.POSITIVE) for d in "ABC"}
+        return one_hp_instance(val=val, test=test)[1]
+
+    def test_degenerate_pool_context_warns_once_per_call(self):
+        table = self.instance(
+            {("A", 100): self.ZERO, ("B", 100): self.POSITIVE, ("C", 100): self.POSITIVE}
+        )
+        with pytest.warns(UserWarning) as caught:
+            results = loo_cbs(table, split="validation", skip_degenerate=True)
+        assert [str(w.message) for w in caught] == ["skipping degenerate context A@100"]
+        assert [r.ranking.contexts for r in results] == [
+            (Context("B", 100), Context("C", 100)), (Context("C", 100),), (Context("B", 100),),
+        ]
+
+    def test_degenerate_pool_context_raises_before_any_held_out_check(self):
+        # Only A has validation records: holding A out would leave none.
+        table = self.instance({("A", 100): self.ZERO})
+        with pytest.raises(DataError, match="all validation scores are zero for A@100"):
+            loo_cbs(table, split="validation")
+
+    def test_no_contexts_remain_after_holding_out(self):
+        table = self.instance({("A", 100): self.POSITIVE})
+        for run in (loo_cbs, budget_curve):
+            with pytest.raises(DataError, match="no contexts remain after holding out 'A'"):
+                run(table, split="validation")
+
+    def test_every_other_context_degenerate(self):
+        table = self.instance(
+            {("A", 100): self.POSITIVE, ("B", 100): self.ZERO, ("C", 100): self.ZERO}
+        )
+        with pytest.warns(UserWarning) as caught:
+            with pytest.raises(DataError, match="all requested contexts are degenerate"):
+                loo_cbs(table, split="validation", skip_degenerate=True)
+        assert [str(w.message) for w in caught] == [
+            "skipping degenerate context B@100", "skipping degenerate context C@100",
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Metamorphic properties: transformations of the input that must leave every
 # result unchanged (up to the transformation itself).
@@ -422,8 +496,12 @@ SPLITS = ("validation", "test")
 SCORES = st.sampled_from([0.25, 0.5, 0.97, 1.0]) | st.floats(0.01, 1.0)
 
 
+# Scores whose normalized values can be subnormal, for thresholds near 0.
+TINY_SCORES = st.sampled_from([1e-320, 3e-310, 1e-300]) | SCORES
+
+
 @st.composite
-def instances(draw):
+def instances(draw, scores=SCORES):
     """(domain sizes, {split: {(dataset, size): {values: score}}}) on a full
     grid of a categorical space, with two to four datasets."""
     domains = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
@@ -432,7 +510,7 @@ def instances(draw):
     sizes = draw(st.sampled_from([(100,), (100, 1000)]))
     raw = {
         split: {
-            (dataset, size): {values: draw(SCORES) for values in grid}
+            (dataset, size): {values: draw(scores) for values in grid}
             for dataset in datasets
             for size in sizes
         }
@@ -519,14 +597,40 @@ class TestMetamorphic:
         }
         assert outcomes(build_table(wider, padded)) == outcomes(build_table(space, raw))
 
-    @settings(max_examples=60, deadline=None)
-    @given(instance=instances())
-    def test_loo_ranking_is_a_fresh_rank_without_the_held_out_dataset(self, instance):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instance=instances(scores=TINY_SCORES),
+        split=st.sampled_from(SPLITS),
+        threshold=st.sampled_from([5e-324, 1e-310, 0.97])
+        | st.floats(0, 1, exclude_min=True, exclude_max=True),
+        skip_degenerate=st.booleans(),
+        data=st.data(),
+    )
+    def test_loo_ranking_is_a_fresh_rank_without_the_held_out_dataset(
+        self, instance, split, threshold, skip_degenerate, data
+    ):
         domains, raw = instance
+        cells = raw[split]
+        for key in data.draw(st.sets(st.sampled_from(sorted(cells)), max_size=2)):
+            cells[key] = dict.fromkeys(cells[key], 0.0)
         table = build_table(cat_space(domains), raw)
-        for result in loo_cbs(table):
-            others = [c for c in table.contexts("test") if c.dataset != result.held_out_dataset]
-            assert result.ranking == rank(table, others)
+        options = {"split": split, "threshold": threshold, "skip_degenerate": skip_degenerate}
+
+        def fresh(held_out):
+            others = [c for c in table.contexts(split) if c.dataset != held_out]
+            return rank(table, others, **options)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                expected = [fresh(d) for d in table.datasets()]
+            except DataError as exc:
+                with pytest.raises(type(exc)):
+                    loo_cbs(table, **options)
+                return
+            results = loo_cbs(table, **options)
+        assert [r.held_out_dataset for r in results] == table.datasets()
+        assert [r.ranking for r in results] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(instance=instances())

@@ -152,6 +152,14 @@ class TestRankExamples:
             ranking = rank(table, skip_degenerate=True)
         assert ranking.contexts == (Context("A", 100),)
 
+    def test_skip_warning_names_the_caller_of_rank(self):
+        space, table = one_hp_table(
+            {("A", 100): {"x": 1.0}, ("B", 100): {"x": 0.0}}
+        )
+        with pytest.warns(UserWarning, match="B@100") as caught:
+            rank(table, skip_degenerate=True)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_all_degenerate_fails(self):
         space, table = one_hp_table({("A", 100): {"x": 0.0}})
         with pytest.warns(UserWarning):
