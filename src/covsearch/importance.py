@@ -26,6 +26,12 @@ bit for bit):
   top set held.
 * ``js_pval`` is the fraction of permutations whose score is strictly
   greater than the observed score; ties do not count.
+* Each distance's relative entropies come from ``scipy.special.rel_entr``,
+  whose bits follow the platform libm: for x, y > 0 it is
+  ``x * log1p((x - y) / y)`` when 0.5 < x / y < 2 and ``x * log(x / y)``
+  otherwise, and 0 for x == 0 (scipy 1.17.1; ``tests/test_importance.py``
+  pins it).  A scipy with another formula, or another libm, can move
+  ``js_score`` in its last bits.
 
 Permutations are scored a bounded chunk at a time: one ``js_distance`` call
 takes every dataset pair of the chunk, and each distance equals the one the

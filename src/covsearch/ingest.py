@@ -322,8 +322,9 @@ class CompletenessReport:
 
     ``missing`` has one entry per (context, split) present in the table with
     the grid configurations that have no record there; an empty tuple means
-    that cell holds the full grid.  ``single_split`` lists contexts present
-    in only one split, with the split they do have.
+    that cell holds the full grid.  Cells with equal gaps may share one
+    tuple.  ``single_split`` lists contexts present in only one split, with
+    the split they do have.
     """
 
     missing: tuple[tuple[Context, str, tuple[Configuration, ...]], ...]
@@ -334,16 +335,48 @@ class CompletenessReport:
         return all(not m for _, _, m in self.missing)
 
 
+def _complement(ids: tuple[int, ...], size: int) -> list[int]:
+    """The grid ids below ``size`` that ascending ``ids`` lacks, in order.
+
+    Halves the id range at a present id and drops every part whose ids are
+    all present, so the work follows the gaps and not the grid size.
+    """
+    missing: list[int] = []
+
+    def walk(low: int, high: int, first: int, stop: int) -> None:
+        # ids[first:stop] are exactly the present ids in range(low, high).
+        if high - low == stop - first:
+            return
+        if first == stop:
+            missing.extend(range(low, high))
+            return
+        middle = (first + stop) // 2
+        walk(low, ids[middle], first, middle)
+        walk(ids[middle] + 1, high, middle + 1, stop)
+
+    walk(0, size, 0, len(ids))
+    return missing
+
+
 def completeness_report(table: ScoreTable) -> CompletenessReport:
-    grid = range(table.space.size)
-    decode = table.space.config_at
+    space = table.space
+    # Cell ids are stored ascending, so a cell's id tuple keys its id set:
+    # cells holding the same ids share one computed gap tuple.
+    gaps: dict[tuple[int, ...], tuple[Configuration, ...]] = {}
     missing = []
     single = []
     for ctx in table.contexts():
         splits = table.splits_for(ctx)
         for split in splits:
-            present = table.cell(ctx, split)
-            missing.append((ctx, split, tuple(decode(i) for i in grid if i not in present)))
+            cell = table.cell(ctx, split)
+            if len(cell) == space.size:
+                missing.append((ctx, split, ()))
+                continue
+            ids = tuple(cell)
+            gap = gaps.get(ids)
+            if gap is None:
+                gap = gaps[ids] = tuple(space._decode(_complement(ids, space.size)))
+            missing.append((ctx, split, gap))
         if len(splits) == 1:
             single.append((ctx, splits[0]))
     return CompletenessReport(missing=tuple(missing), single_split=tuple(single))

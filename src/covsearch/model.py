@@ -11,7 +11,8 @@ inside each domain, define the grid enumeration order and every
 deterministic tie-break downstream.  Inside a score table a configuration's
 identity is its grid id: its mixed-radix position in that order, with the
 last hyperparameter varying fastest (``ConfigSpace.config_index`` encodes,
-``ConfigSpace.config_at`` decodes).  The analyses work on grid ids;
+``ConfigSpace.config_at`` decodes, ``ConfigSpace._decode`` many ids in one
+pass over the grid order).  The analyses work on grid ids;
 ``Configuration`` objects are built only where results leave the package.
 ``ScoreTable(space, records)`` is the public constructor; the parser and
 the generator hand their checked grid-id cells to ``ScoreTable._from_cells``.
@@ -23,6 +24,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -262,7 +264,7 @@ class ConfigSpace:
 
     def grid(self) -> list[Configuration]:
         """Full Cartesian product, last hyperparameter varying fastest."""
-        return [self.config_at(index) for index in range(self.size)]
+        return self._decode(range(self.size))
 
     def configuration(
         self, values: Mapping[str, object] | Sequence[object]
@@ -323,6 +325,22 @@ class ConfigSpace:
                 items.append((hp.name, hp.domain[position]))
             config = decoded[index] = Configuration(tuple(reversed(items)))
         return config
+
+    def _decode(self, ids: Sequence[int]) -> list[Configuration]:
+        """The configurations of ascending, in-range grid ids.  Ids not yet
+        decoded are decoded in one pass over the grid order, into the memo
+        config_at reads, so every path shares one object per id."""
+        decoded = self._decoded  # type: ignore[attr-defined]
+        new = [index for index in ids if index not in decoded]
+        if new:
+            wanted = bytearray(self.size)
+            for index in new:
+                wanted[index] = 1
+            pairs = [[(hp.name, value) for value in hp.domain] for hp in self.hyperparameters]
+            grid = itertools.compress(itertools.product(*pairs), wanted)
+            for index, items in zip(new, grid):
+                decoded[index] = Configuration(items)
+        return [decoded[index] for index in ids]
 
     def value_positions(self, name: str, ids):
         """Domain position of hyperparameter ``name``'s value in each grid id.

@@ -144,19 +144,29 @@ def render_completeness(report: CompletenessReport) -> str:
     lines = []
     if report.is_complete:
         lines.append("grid complete")
-    # The same configurations go missing in many cells; format each once.
-    # Keyed by id(), not by hashing the dataclass: config_at shares one object
-    # per grid id, and the report keeps every object alive while this runs, so
-    # no id is reused.  Equal but distinct objects are merely formatted twice.
+    # The same configurations go missing in many cells, and cells with equal
+    # gaps share one tuple: format each configuration once, and copy a
+    # shared tuple's rows from where they first went.  Both are keyed by
+    # id(), not by hashing: completeness_report shares one tuple between
+    # cells and config_at one object per grid id, and the report keeps every
+    # tuple and configuration alive while this runs, so no id is reused.
+    # Equal but distinct objects are merely formatted twice.
     rows: dict[int, str] = {}
+    spans: dict[int, slice] = {}
     for ctx, split, missing in report.missing:
         if missing:
             lines.append(f"{ctx} [{split}]: {len(missing)} missing configuration(s)")
+            span = spans.get(id(missing))
+            if span is not None:
+                lines.extend(lines[span])
+                continue
+            start = len(lines)
             for cfg in missing:
                 row = rows.get(id(cfg))
                 if row is None:
                     row = rows[id(cfg)] = f"  {cfg}"
                 lines.append(row)
+            spans[id(missing)] = slice(start, len(lines))
     for ctx, split in report.single_split:
         lines.append(f"warning: {ctx} has records only for the {split} split")
     return "\n".join(lines) + "\n"

@@ -117,6 +117,48 @@ class TestJsDistance:
         assert repr(js_distance(a, b).tolist()) == repr(pairwise)
 
 
+def libm_rel_entr(x: float, y: float) -> float:
+    """The formula behind scipy.special.rel_entr for finite x >= 0, y > 0,
+    written with the platform libm's log and log1p."""
+    if x == 0:
+        return 0.0
+    ratio = x / y
+    if 0.5 < ratio < 2:
+        return x * math.log1p((x - y) / y)
+    return x * math.log(ratio)
+
+
+class TestRelEntrFormula:
+    """js_distance's bits follow scipy.special.rel_entr; a scipy whose formula
+    differs from libm_rel_entr fails here instead of silently moving js_score."""
+
+    def test_seeded_pairs(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.random(20_000), rng.random(20_000)
+        got = rel_entr(x, y).tolist()
+        assert got == [libm_rel_entr(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        # The plain x * log(x / y) is not that formula.
+        assert got != [a * math.log(a / b) for a, b in zip(x.tolist(), y.tolist())]
+
+    def test_ratios_at_and_next_to_one_half_and_two(self):
+        rng = np.random.default_rng(1)
+        pairs = []
+        for y in rng.random(40).tolist() + [1.0, 0.3, 1e-300]:
+            for edge in (0.5 * y, 2.0 * y):
+                for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                    pairs.append((float(x), y))
+        x, y = map(np.array, zip(*pairs))
+        assert rel_entr(x, y).tolist() == [libm_rel_entr(a, b) for a, b in pairs]
+
+    def test_zero_entries_as_js_distance_meets_them(self):
+        # An entry that is 0 in q puts its p entry at exactly twice the mixture.
+        a = np.random.default_rng(2).random(1_000)
+        m = 0.5 * (a + 0.0)
+        expected = [libm_rel_entr(x, y) for x, y in zip(a.tolist(), m.tolist())]
+        assert rel_entr(a, m).tolist() == expected
+        assert rel_entr(np.zeros(3), np.array([0.0, 0.25, 1.0])).tolist() == [0.0, 0.0, 0.0]
+
+
 class TestJsScore:
     def test_identical_vectors_score_one(self):
         assert js_score([(1.0, 0.0), (1.0, 0.0)]) == 1.0

@@ -727,3 +727,146 @@ class TestFromCells:
             "d1,100,test,0.4,1.0e-4,5",
             "d2,100,validation,0.1,5.0e-5,5",
         ]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The per-cell gap report and its renderer, kept as the references that the
+# report on grid-id complements and the block renderer must agree with.
+# Unchanged from the versions before them.
+# ---------------------------------------------------------------------------
+
+
+def reference_completeness_report(table: ScoreTable) -> CompletenessReport:
+    grid = range(table.space.size)
+    decode = table.space.config_at
+    missing = []
+    single = []
+    for ctx in table.contexts():
+        splits = table.splits_for(ctx)
+        for split in splits:
+            present = table.cell(ctx, split)
+            missing.append((ctx, split, tuple(decode(i) for i in grid if i not in present)))
+        if len(splits) == 1:
+            single.append((ctx, splits[0]))
+    return CompletenessReport(missing=tuple(missing), single_split=tuple(single))
+
+
+def reference_render_completeness(report: CompletenessReport) -> str:
+    lines = []
+    if report.is_complete:
+        lines.append("grid complete")
+    # The same configurations go missing in many cells; format each once.
+    # Keyed by id(), not by hashing the dataclass: config_at shares one object
+    # per grid id, and the report keeps every object alive while this runs, so
+    # no id is reused.  Equal but distinct objects are merely formatted twice.
+    rows: dict[int, str] = {}
+    for ctx, split, missing in report.missing:
+        if missing:
+            lines.append(f"{ctx} [{split}]: {len(missing)} missing configuration(s)")
+            for cfg in missing:
+                row = rows.get(id(cfg))
+                if row is None:
+                    row = rows[id(cfg)] = f"  {cfg}"
+                lines.append(row)
+    for ctx, split in report.single_split:
+        lines.append(f"warning: {ctx} has records only for the {split} split")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def gap_tables(draw):
+    """A table on a fresh space of 1-4 hyperparameters whose cells draw their
+    id sets from a few shared sets, one-id variants of them (the full grid
+    less one id among them) and sets of their own; some contexts have one
+    split."""
+    space = cat_space(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    grid = range(space.size)
+    own = st.sets(st.sampled_from(grid), min_size=1)
+    shared = draw(st.lists(own | st.just(set(grid)), min_size=1, max_size=3))
+
+    @st.composite
+    def variant(draw):
+        ids = set(draw(st.sampled_from(shared)))
+        ids.symmetric_difference_update({draw(st.sampled_from(grid))})
+        return ids or set(grid)
+
+    id_sets = st.sampled_from(shared) | variant() | own
+    cells = {}
+    for k in range(draw(st.integers(1, 6))):
+        ctx = Context(f"d{k % 3}", 100 * (1 + k // 3))
+        for split in draw(st.sampled_from([("test",), ("validation",), ("validation", "test")])):
+            cells[ctx, split] = dict.fromkeys(draw(id_sets), 1.0)
+    for index in draw(st.lists(st.sampled_from(grid))):  # some ids decoded before
+        space.config_at(index)
+    return ScoreTable._from_cells(space, cells)
+
+
+def on_fresh_space(table: ScoreTable) -> ScoreTable:
+    """An equal table on an equal space with a decode memo of its own."""
+    space = ConfigSpace(table.space.hyperparameters, table.space.label)
+    return ScoreTable._from_cells(space, {
+        (ctx, split): table.cell(ctx, split)
+        for ctx in table.contexts()
+        for split in table.splits_for(ctx)
+    })
+
+
+def counted(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record each call in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestGapReport:
+    @settings(max_examples=300, deadline=None)
+    @given(table=gap_tables())
+    def test_agrees_with_the_per_cell_report_and_renderer(self, table):
+        report = completeness_report(table)
+        expected = reference_completeness_report(on_fresh_space(table))
+        assert report == expected
+        assert render_completeness(report) == reference_render_completeness(expected)
+
+    def test_shared_gaps_are_built_and_formatted_once(self, monkeypatch):
+        space = cat_space([3, 4, 2])
+        present = {0, 5, 17}
+        cells = {
+            (Context(d, size), split): dict.fromkeys(present, 1.0)
+            for d in "abc" for size in (100, 1000) for split in ("validation", "test")
+        }
+        table = ScoreTable._from_cells(space, cells)
+        built = counted(monkeypatch, Configuration, "__init__")
+        formatted = counted(monkeypatch, Configuration, "__str__")
+        report = completeness_report(table)
+        assert len({id(missing) for _, _, missing in report.missing}) == 1
+        assert len(built) == space.size - len(present)
+        completeness_report(table)
+        assert len(built) == space.size - len(present)
+        render_completeness(report)
+        assert len(formatted) == space.size - len(present)
+
+    def test_distinct_gaps_format_each_configuration_once(self, monkeypatch):
+        space = cat_space([3, 4])
+        table = ScoreTable._from_cells(space, {
+            (Context("a", 100), "test"): {0: 1.0},
+            (Context("b", 100), "test"): {1: 1.0},
+            (Context("c", 100), "test"): {0: 1.0, 1: 1.0},
+        })
+        report = completeness_report(table)
+        formatted = counted(monkeypatch, Configuration, "__str__")
+        render_completeness(report)
+        assert len(formatted) == space.size
+
+    def test_grid_returns_the_config_at_objects(self):
+        space = cat_space([2, 3, 2])
+        early = {i: space.config_at(i) for i in (1, 7, 11)}
+        grid = space.grid()
+        assert all(grid[i] is config for i, config in early.items())
+        assert all(config is space.config_at(i) for i, config in enumerate(grid))
+        assert all(a is b for a, b in zip(space.grid(), grid))
