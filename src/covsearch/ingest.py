@@ -18,23 +18,31 @@ Score file (delimited text, UTF-8)::
 
     dataset,train_size,split,score,<hp1>,<hp2>,...
 
-One record per line; lines starting with '#' and blank lines are ignored.
-The first four columns are fixed; the remaining columns must be exactly the
-hyperparameters of the space (any order).  ``split`` is "validation" or
-"test"; scores are non-negative ASCII decimals (``model.NUMBER``), train
-sizes positive ASCII integers.  Fields containing the delimiter must be
-quoted; embedded newlines are not supported.
+One record per line; only "\n", "\r\n" and "\r" end a line.  Lines
+starting with '#' and blank lines are ignored.  The first four columns are
+fixed; the remaining columns must be exactly the hyperparameters of the
+space (any order).  ``split`` is "validation" or "test"; scores are
+non-negative ASCII decimals (``model.NUMBER``), train sizes positive ASCII
+integers.  Fields containing the delimiter must be quoted; embedded newlines
+are not supported.  Files may start with a UTF-8 byte-order mark.
 
 Missing grid cells are tolerated with a warning rather than an error: real
 result dumps are often partial, and all downstream math operates over the
 records present.  Each row is read once, straight to its grid id, and keyed
 by (context, split, grid id): identical duplicates collapse silently to the
-first, conflicting ones are a hard error.  The gap warning counts cell
+first, conflicting ones are a hard error.  A file repeats each
+configuration's text in every context and each cell's prefix on its every
+row, so two memos of raw text that the row parser has accepted resolve a
+row: the text after the fourth comma to a grid id, the dataset, train size
+and split texts to a cell.  Such a row is split once, its score checked and
+the duplicate rule applied; any other line, and any line that fails, goes to
+the row parser, which raises every ParseError.  The gap warning counts cell
 sizes, and ``serialize_scores`` writes its rows straight from the cells.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -78,15 +86,17 @@ class ParseError(CovsearchError):
 
 
 def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, with newlines translated as ``Path.read_text``
-    does; a byte sequence that is not UTF-8 is a ParseError at its line."""
-    data = Path(path).read_bytes()
+    """A UTF-8 file's text, without a leading byte-order mark and with
+    "\r\n" and "\r" translated to "\n"; a byte sequence that is not UTF-8
+    is a ParseError at its line."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        breaks = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
         raise ParseError(
             f"invalid UTF-8 in {path}: byte {data[exc.start]:#04x}",
-            line=data.count(b"\n", 0, exc.start) + 1,
+            line=breaks - data.count(b"\r\n", 0, exc.start) + 1,
         ) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -181,35 +191,43 @@ def _parse_csv_line(line: str, lineno: int) -> list[str]:
         raise ParseError("malformed delimited line", line=lineno) from None
 
 
-def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True) -> ScoreTable:
-    """Parse a score file against a space.
+class _ScoreRows:
+    """The row parser of one score file and the cells it fills.
 
-    Emits a UserWarning summarizing missing grid cells and single-split
-    contexts when ``warn_incomplete`` is set.  Raises ParseError with the
-    offending physical line number on any malformed content.
+    ``parse`` checks one line in full; every ParseError of the file comes
+    from it.  Once a quote-free data row has fully succeeded, it enters the
+    row's raw text in the memos of ``parse_scores``'s fast path: ``ids``
+    maps the text after the fourth comma to the grid id, ``prefixes`` the
+    (dataset, train size, split) texts to the cell.
     """
-    header: list[str] | None = None
-    # Per hyperparameter, in space order: its field position and a memo of
-    # stripped raw text -> domain position.  Only values that proved domain
-    # members enter it, so a bad value fails on every line it is on.
-    columns: list[tuple[Hyperparameter, int, dict[str, int]]] = []
-    contexts: dict[tuple[str, int], Context] = {}
-    # (dataset, train size, split) -> {grid id: (first line, score)}.
-    cells: dict[tuple[str, int, str], dict[int, tuple[int, float]]] = {}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    def __init__(self, space: ConfigSpace):
+        self.space = space
+        self.header: list[str] | None = None
+        # Per hyperparameter, in space order: its field position and a memo
+        # of stripped raw text -> domain position.  Only values that proved
+        # domain members enter it, so a bad value fails on every line it is on.
+        self.columns: list[tuple[Hyperparameter, int, dict[str, int]]] = []
+        self.contexts: dict[tuple[str, int], Context] = {}
+        # (dataset, train size, split) -> {grid id: (first line, score)}.
+        self.cells: dict[tuple[str, int, str], dict[int, tuple[int, float]]] = {}
+        self.ids: dict[str, int] = {}
+        self.prefixes: dict[tuple[str, str, str], dict[int, tuple[int, float]]] = {}
+
+    def parse(self, line: str, lineno: int) -> None:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
-            continue
+            return
         fields = _parse_csv_line(line, lineno)
-        if header is None:
-            header = [f.strip() for f in fields]
+        if self.header is None:
+            self.header = header = [f.strip() for f in fields]
             if tuple(header[:4]) != RESERVED_COLUMNS:
                 raise ParseError(
                     f"header must start with {','.join(RESERVED_COLUMNS)},"
                     f" got {','.join(header[:4])}",
                     line=lineno,
                 )
+            space = self.space
             hp_names = header[4:]
             unknown = [n for n in hp_names if n not in space.names]
             if unknown:
@@ -223,14 +241,14 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
                 )
             if len(set(hp_names)) != len(hp_names):
                 raise ParseError("duplicate hyperparameter column", line=lineno)
-            columns = [
+            self.columns = [
                 (hp, 4 + hp_names.index(hp.name), {}) for hp in space.hyperparameters
             ]
-            continue
+            return
 
-        if len(fields) != len(header):
+        if len(fields) != len(self.header):
             raise ParseError(
-                f"expected {len(header)} fields, got {len(fields)}",
+                f"expected {len(self.header)} fields, got {len(fields)}",
                 line=lineno,
             )
         size_text, score_text = fields[1].strip(), fields[3].strip()
@@ -242,35 +260,74 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
             raise ParseError(f"invalid score {score_text!r}", line=lineno)
         try:
             positions = []
-            for hp, field, memo in columns:
+            for hp, field, memo in self.columns:
                 raw = fields[field].strip()
                 position = memo.get(raw)
                 if position is None:
                     position = memo[raw] = hp.index(raw)
                 positions.append(position)
             key = (fields[0].strip(), int(size_text), fields[2].strip())
-            cell = cells.get(key)
+            cell = self.cells.get(key)
             if cell is None:  # a new (context, split): check both once
-                if key[:2] not in contexts:
-                    contexts[key[:2]] = Context(*key[:2])
+                if key[:2] not in self.contexts:
+                    self.contexts[key[:2]] = Context(*key[:2])
                 _check_split(key[2])
-                cell = cells[key] = {}
+                cell = self.cells[key] = {}
             score = _check_score(float(score_text))
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        index = space._grid_id(positions)
+        index = self.space._grid_id(positions)
         first = cell.setdefault(index, (lineno, score))
         if first[1] != score:
             raise ParseError(
-                f"conflicting duplicate of line {first[0]}: {contexts[key[:2]]}"
-                f" {key[2]} ({space.config_at(index)}) has score {first[1]!r}"
+                f"conflicting duplicate of line {first[0]}: {self.contexts[key[:2]]}"
+                f" {key[2]} ({self.space.config_at(index)}) has score {first[1]!r}"
                 f" vs {score!r}",
                 line=lineno,
             )
+        if '"' not in line:  # without a quote, csv's fields are the split's
+            dataset, size, split, _, suffix = line.split(",", 4)
+            self.ids[suffix] = index
+            self.prefixes[dataset, size, split] = cell
 
-    if header is None:
+
+def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True) -> ScoreTable:
+    """Parse a score file against a space.
+
+    Emits a UserWarning summarizing missing grid cells and single-split
+    contexts when ``warn_incomplete`` is set.  Raises ParseError with the
+    offending physical line number on any malformed content.
+    """
+    rows = _ScoreRows(space)
+    ids, prefixes = rows.ids, rows.prefixes
+    # csv rejects a field longer than its limit; a line within it has none.
+    limit = csv.field_size_limit()
+    fullmatch = NUMBER.fullmatch
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        # The fast path: a row whose prefix and suffix both resolve from the
+        # memos needs only its score checked and the duplicate rule applied.
+        # A line with a quote never does, as no memo key and no valid score
+        # holds one.  Everything else goes to the row parser.
+        parts = line.split(",", 4)
+        if len(parts) == 5 and len(line) <= limit:
+            cell = prefixes.get((parts[0], parts[1], parts[2]))
+            index = ids.get(parts[4])
+            score_text = parts[3].strip()
+            if cell is not None and index is not None and fullmatch(score_text):
+                try:
+                    score = _check_score(float(score_text))
+                except ValidationError:
+                    pass
+                else:
+                    if cell.setdefault(index, (lineno, score))[1] == score:
+                        continue
+        rows.parse(line, lineno)
+
+    if rows.header is None:
         raise ParseError("missing header row", line=1)
 
+    contexts, cells = rows.contexts, rows.cells
     table = model.ScoreTable._from_cells(space, {  # perfbench's tracer rebinds ingest.ScoreTable
         (contexts[key[:2]], key[2]): {index: score for index, (_, score) in cell.items()}
         for key, cell in cells.items()

@@ -23,12 +23,16 @@ from covsearch import (
     builtin_space,
     builtin_task_map,
     completeness_report,
+    load_scores,
+    load_space,
+    load_task_map,
     parse_scores,
     parse_space,
     serialize_scores,
     serialize_space,
     synthetic_table,
 )
+from covsearch import ingest
 from covsearch.ingest import CompletenessReport, _parse_csv_line
 from covsearch.model import INTEGER, NUMBER, RESERVED_COLUMNS
 from covsearch.report import render_completeness
@@ -247,6 +251,74 @@ class TestStrictNumbers:
         space = parse_space(SPACE_DOC)
         a = parse_scores(scores_text(spelled), space, warn_incomplete=False)
         assert a == parse_scores(scores_text(plain), space, warn_incomplete=False)
+
+
+# Characters that str.splitlines() treats as line breaks but a score file
+# does not: only "\n", "\r\n" and "\r" end a line.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    def setup_method(self):
+        self.space = parse_space(SPACE_DOC)
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=repr)
+    def test_a_comment_keeps_its_line(self, char):
+        text = f"# note{char}more\n" + scores_text(FULL_ROWS + ["d1,100,test,-0.2,1e-04,5"])
+        with pytest.raises(ParseError, match="negative score") as exc:
+            parse_scores(text, self.space)
+        assert exc.value.line == 7
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=repr)
+    def test_a_dataset_keeps_its_row(self, char):
+        rows = [row.replace("d1", f"A{char}B") for row in FULL_ROWS]
+        table = parse_scores(scores_text(rows), self.space, warn_incomplete=False)
+        assert table.datasets() == [f"A{char}B"]
+        assert len(table) == 4
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=repr)
+    def test_carriage_returns_end_lines(self, newline):
+        rows = FULL_ROWS[:2] + ["# comment", "", "d1,100,test,0.6,5e-05,5"]
+        with pytest.raises(ParseError, match="conflicting duplicate of line 2") as exc:
+            parse_scores(scores_text(rows).replace("\n", newline), self.space)
+        assert exc.value.line == 6
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=repr)
+    def test_invalid_utf8_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(newline.join([b"dataset,train_size,split,score,lr,epochs",
+                                       b"# comment", b"", b"d1,100,test,\xff,5e-05,5"]))
+        with pytest.raises(ParseError, match="invalid UTF-8") as exc:
+            load_scores(path, self.space)
+        assert exc.value.line == 4
+
+
+class TestByteOrderMark:
+    BOM = "\ufeff"
+
+    def test_score_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(self.BOM + scores_text(FULL_ROWS), encoding="utf-8")
+        space = parse_space(SPACE_DOC)
+        expected = parse_scores(scores_text(FULL_ROWS), space, warn_incomplete=False)
+        assert load_scores(path, space, warn_incomplete=False) == expected
+
+    def test_space_file(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(self.BOM + SPACE_DOC, encoding="utf-8")
+        assert load_space(path) == parse_space(SPACE_DOC)
+
+    def test_task_map(self, tmp_path):
+        path = tmp_path / "tasks.json"
+        path.write_text(self.BOM + '{"d1": "nli"}', encoding="utf-8")
+        assert load_task_map(path) == {"d1": "nli"}
+
+    def test_invalid_utf8_after_a_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(self.BOM.encode() + b"dataset,train_size,split,score,lr,epochs\n\xff\n")
+        with pytest.raises(ParseError, match="byte 0xff") as exc:
+            load_scores(path, parse_space(SPACE_DOC))
+        assert exc.value.line == 2
 
 
 class TestCompleteness:
@@ -551,6 +623,10 @@ def score_spellings(score):
     return spellings + ["-0", "0", "-0.0", ".0e5"] if score == 0 else spellings
 
 
+# Quoted and padded respellings of a quote-free field.
+RESPELLINGS = ['"{}"', " {}", "{}  ", '" {} "']
+
+
 # Faults that replace one field of a data row, as (name, field, text); the
 # field is a position among the reserved columns, or None for a value.
 FIELD_FAULTS = [
@@ -573,8 +649,9 @@ HEADER_FAULTS = ["missing required column", "unknown column", "missing column"]
 @st.composite
 def faulty_score_files(draw):
     """(space, text): a random space and a score file against it with
-    partial grids, respelled values, identical duplicates, shuffled rows,
-    comments, blank lines and zero to two injected faults."""
+    partial grids, respelled values (quoted and padded too), identical
+    duplicates, shuffled rows, comments, blank lines and zero to two
+    injected faults, some just after clean copies of their row."""
     hps = []
     for i in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(sorted(SPELLINGS)))
@@ -594,18 +671,45 @@ def faulty_score_files(draw):
         max_size=25, unique_by=lambda cell: cell[:4],
     ))
 
+    def respelled(texts):
+        """texts with at most one quote-free field quoted or padded."""
+        texts = list(texts)
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(texts) - 1))
+            if '"' not in texts[at]:
+                texts[at] = draw(st.sampled_from(RESPELLINGS)).format(texts[at])
+        return texts
+
+    # Raw texts already written, per cell prefix and per grid id.  A row
+    # reuses one two times in three, so that the parser meets one value both
+    # in raw texts it has seen and in new ones.
+    used = {}
+
+    def reused(key, texts):
+        earlier = used.setdefault(key, [])
+        if earlier and draw(st.integers(0, 2)):
+            return draw(st.sampled_from(earlier))
+        earlier.append(texts)
+        return texts
+
     def spelled(cell):
         dataset, size, split, index, score = cell
-        values = [draw(st.sampled_from(SPELLINGS[hps[k][1]][grid[index][k]])) for k in order]
-        return [draw(st.sampled_from(DATASET_SPELLINGS[dataset])),
-                draw(st.sampled_from(SIZE_SPELLINGS[size])),
-                draw(st.sampled_from(SPLIT_SPELLINGS[split])),
-                draw(st.sampled_from(score_spellings(score))), *values]
+        prefix = respelled([draw(st.sampled_from(DATASET_SPELLINGS[dataset])),
+                            draw(st.sampled_from(SIZE_SPELLINGS[size])),
+                            draw(st.sampled_from(SPLIT_SPELLINGS[split]))])
+        values = respelled(
+            [draw(st.sampled_from(SPELLINGS[hps[k][1]][grid[index][k]])) for k in order]
+        )
+        return [*reused(cell[:3], prefix),
+                *respelled([draw(st.sampled_from(score_spellings(score)))]),
+                *reused(index, values)]
 
     rows = [spelled(cell) for cell in cells for _ in range(draw(st.integers(1, 2)))]
     rows = list(draw(st.permutations(rows)))
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["field", "two fields", "field count", "conflict", "header"]))
+        kind = draw(st.sampled_from(
+            ["field", "two fields", "field count", "conflict", "warm", "header"]
+        ))
         if kind == "header":
             fault = draw(st.sampled_from(HEADER_FAULTS))
             if fault == "missing required column":
@@ -621,6 +725,20 @@ def faulty_score_files(draw):
         row = list(rows[at])
         if kind == "field count":
             rows[at] = row + ["oops"]
+        elif kind == "warm":
+            # Clean rows with the faulted row's prefix and suffix go just
+            # before it: the same row, or one row carrying its dataset, train
+            # size and split and another carrying its values.  Quote-free
+            # rows, where there are any, take the memos' fast path.
+            plain = [r for r in rows if '"' not in "".join(r)] or rows
+            row, other = list(draw(st.sampled_from(plain))), draw(st.sampled_from(plain))
+            if draw(st.booleans()):
+                clean = [list(row)]
+            else:
+                clean = [row[:3] + other[3:], other[:4] + row[4:]]
+            _, field, text = draw(st.sampled_from(FIELD_FAULTS + [("conflict", 3, "777.0")]))
+            row[field if field is not None else draw(st.integers(4, len(row) - 1))] = text
+            rows[at:at] = [*clean, row]
         elif kind == "conflict":
             row[3] = "777.0"
             rows.insert(draw(st.integers(0, len(rows))), row)
@@ -727,6 +845,60 @@ class TestFromCells:
             "d1,100,test,0.4,1.0e-4,5",
             "d2,100,validation,0.1,5.0e-5,5",
         ]) + "\n"
+
+
+class TestFastPath:
+    """Rows whose raw prefix and suffix the row parser has already accepted
+    skip it; every other line, and every error, goes through it."""
+
+    def test_row_parser_runs_once_per_new_prefix_or_suffix(self, monkeypatch):
+        table = synthetic_table(datasets=3, seed=1)
+        text = "# generated\n" + serialize_scores(table)
+        lines = text.split("\n")
+        data = [line.split(",", 4) for line in lines[2:] if line]
+        suffixes = {parts[4] for parts in data}
+        cells = {tuple(parts[:3]) for parts in data}
+        calls = counted(monkeypatch, ingest._ScoreRows, "parse")
+        assert parse_scores(text, table.space, warn_incomplete=False) == table
+        # The header, the comment and the empty text after the last newline.
+        assert len(calls) <= len(suffixes) + len(cells) + 3
+        assert len(calls) < len(data) / 4
+
+    @pytest.mark.parametrize("fault,clean", [
+        *((fault, "copy") for fault in FIELD_FAULTS + [("conflicting duplicate", 3, "0.6")]),
+        *((fault, "prefix and suffix") for fault in FIELD_FAULTS),
+    ], ids=lambda case: case if isinstance(case, str) else case[0])
+    def test_faults_after_clean_rows(self, fault, clean):
+        # FULL_ROWS[0] faulted, after a clean copy of it or after rows that
+        # carry its prefix and its suffix.
+        _, field, text = fault
+        row = FULL_ROWS[0].split(",")
+        row[field if field is not None else 4] = text
+        rows = {"copy": FULL_ROWS,
+                "prefix and suffix": FULL_ROWS[1:] + ["d1,100,validation,0.5,5e-05,5"]}[clean]
+        rows = rows + [",".join(row)]
+        space = parse_space(SPACE_DOC)
+        outcome = parse_outcome(parse_scores, scores_text(rows), space)
+        assert outcome == parse_outcome(reference_parse_scores, scores_text(rows), space)
+        assert outcome[:2] == ("error", len(rows) + 1)
+
+    def test_a_quoted_comma_fills_no_memo(self):
+        # Split at its commas, the first row would map "0.5,5e-05,5" to a
+        # grid id, and the last row would then pass with a field too many.
+        rows = ['"x,y",100,test,0.5,5e-05,5', FULL_ROWS[1], "d1,100,test,0.1,0.5,5e-05,5"]
+        with pytest.raises(ParseError, match="expected 6 fields, got 7") as exc:
+            parse_scores(scores_text(rows), parse_space(SPACE_DOC))
+        assert exc.value.line == 4
+
+    def test_a_field_over_the_csv_limit_on_a_warm_line(self):
+        rows = FULL_ROWS + ["d1,100,test,0.50000000000000000000,5e-05,5"]
+        space = parse_space(SPACE_DOC)
+        limit = csv.field_size_limit(16)
+        try:
+            outcome = parse_outcome(parse_scores, scores_text(rows), space)
+        finally:
+            csv.field_size_limit(limit)
+        assert outcome == ("error", 6, "line 6: malformed delimited line")
 
 
 # ---------------------------------------------------------------------------
