@@ -46,7 +46,6 @@ import codecs
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -66,6 +65,7 @@ from .model import (
     ValidationError,
     _check_score,
     _check_split,
+    _warn,
 )
 
 CATALOG_METHODS = ("full_ft", "lora")
@@ -86,9 +86,8 @@ class ParseError(CovsearchError):
 
 
 def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, without a leading byte-order mark and with
-    "\r\n" and "\r" translated to "\n"; a byte sequence that is not UTF-8
-    is a ParseError at its line."""
+    """A UTF-8 file's text, without a leading byte-order mark; a byte
+    sequence that is not UTF-8 is a ParseError at its line."""
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
@@ -98,14 +97,18 @@ def _read_text(path: str | Path) -> str:
             f"invalid UTF-8 in {path}: byte {data[exc.start]:#04x}",
             line=breaks - data.count(b"\r\n", 0, exc.start) + 1,
         ) from None
+    return text
+
+
+def _newlines(text: str) -> str:
+    """``text`` with "\r\n" and "\r" translated to "\n", the one line end."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_json(path: str | Path) -> object:
     """Parse a UTF-8 JSON file; malformed content is a ParseError at its line."""
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(_newlines(_read_text(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from None
 
@@ -118,7 +121,7 @@ def load_json(path: str | Path) -> object:
 def parse_space(text: str) -> ConfigSpace:
     """Parse a space document; round-trips exactly through serialize_space."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(_newlines(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     if not isinstance(doc, dict):
@@ -303,7 +306,7 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
     # csv rejects a field longer than its limit; a line within it has none.
     limit = csv.field_size_limit()
     fullmatch = NUMBER.fullmatch
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = _newlines(text).split("\n")
     for lineno, line in enumerate(lines, start=1):
         # The fast path: a row whose prefix and suffix both resolve from the
         # memos needs only its score checked and the duplicate rule applied.
@@ -335,18 +338,14 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
     if warn_incomplete:
         gaps = [space.size - len(cell) for cell in cells.values()]
         if sum(gaps):
-            warnings.warn(
+            _warn(
                 f"score table is missing {sum(gaps)} grid configuration(s)"
-                f" across {len(gaps) - gaps.count(0)} context/split cell(s)",
-                stacklevel=2,
+                f" across {len(gaps) - gaps.count(0)} context/split cell(s)"
             )
         for ctx in table.contexts():
             splits = table.splits_for(ctx)
             if len(splits) == 1:
-                warnings.warn(
-                    f"context {ctx} has records only for the {splits[0]} split",
-                    stacklevel=2,
-                )
+                _warn(f"context {ctx} has records only for the {splits[0]} split")
     return table
 
 

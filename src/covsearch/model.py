@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
+import sys
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property
@@ -72,6 +75,17 @@ class EmptyContextError(DataError):
 
 class DegenerateContextError(DataError):
     """All scores in a (context, split) are zero; normalization is undefined."""
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """A UserWarning at the first frame outside this package: the caller's line."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, level)
 
 
 def _check_split(split: str) -> None:

@@ -41,15 +41,12 @@ from .model import (
     ValidationError,
 )
 # normalize and rank are not called here (held-out scores divide by the cell
-# maximum, and _held_out composes rank's steps); they stay module attributes,
-# which perfbench/tracing.py wraps.
+# maximum, and _held_out ranks through ranking._ranker); they stay module
+# attributes, which perfbench/tracing.py wraps.
 from .ranking import (  # noqa: F401
-    _SUM_UNIT,
     DEFAULT_THRESHOLD,
     _cell_and_best,
-    _coverage,
-    _exact_sums,
-    _top_sets,
+    _ranker,
     _usable,
     normalize,
     rank,
@@ -167,35 +164,20 @@ def _held_out(
     that cell's maximum.  Both sets of contexts are selected once, then split
     by dataset; ``skip_degenerate`` applies to both.
 
-    Each ranking equals ``rank`` over the other datasets' contexts, but is
-    built from work done once per call: every top set of the pool, and each
-    grid id's exact score sum over all of them.  A held-out ranking takes the
-    other datasets' top sets and subtracts the held-out dataset's exact
-    partial sums, so a degenerate pool context raises (or warns) once, before
-    the first dataset is yielded."""
+    Each ranking is ``ranking._ranker`` over the pool without the held-out
+    dataset, the ranking ``rank`` gives over the other datasets' contexts.
+    The ranker builds every top set of the pool before the first dataset is
+    yielded, so a degenerate pool context raises (or warns) once."""
     ds, sizes = _select_contexts(table, datasets, train_sizes)
     if len(ds) < 2:
         raise DataError("leave-one-out requires at least 2 datasets")
     pool = _contexts_of(table, split, ds, sizes)
     tests = _contexts_of(table, "test", ds, sizes)
-    top_sets = _top_sets(table, pool, split, threshold, skip_degenerate)
-    totals = _exact_sums(top_sets.values())
-    sums = {i: total / _SUM_UNIT for i, total in totals.items()}
+    without = _ranker(table, pool, split, threshold, skip_degenerate)
     for held_out in ds:
         if all(ctx.dataset == held_out for ctx in pool):
             raise DataError(f"no contexts remain after holding out {held_out!r}")
-        others = {ctx: top for ctx, top in top_sets.items() if ctx.dataset != held_out}
-        if not others:
-            raise DataError("all requested contexts are degenerate")
-        score_sum = dict(sums)
-        partial = _exact_sums(top for ctx, top in top_sets.items() if ctx.dataset == held_out)
-        for i, part in partial.items():
-            rest = totals[i] - part
-            if rest:
-                score_sum[i] = rest / _SUM_UNIT
-            else:  # each membership adds a positive amount: i is in no other top set
-                del score_sum[i]
-        ranking = _coverage(table.space, others, score_sum, split, threshold)
+        ranking = without(held_out)
         held_out_contexts = [ctx for ctx in tests if ctx.dataset == held_out]
         if not held_out_contexts:
             raise DataError(

@@ -8,21 +8,17 @@ a context when it is in that context's top set and no configuration with a
 strictly larger score sum is.  The final ranking orders configurations by
 how many contexts they cover.
 
-``rank`` composes three steps, which the leave-one-dataset-out protocols
-compose too:
-
-* the top-set step (``_top_sets``) builds each context's top set once;
-* the score-sum step (``_exact_sums``) adds each grid id's normalized scores
-  as exact integers, multiples of 2**-1074, the smallest subnormal float;
-* the coverage step (``_coverage``) ranks over given top sets and sums.
-
-Because the integer sums are exact, a sum over every dataset minus one
-dataset's partial sum is exactly the sum over the others, and a single
-correctly rounded division turns it into the same float that fsum over the
-others gives.  So ``protocols._held_out`` builds every top set and sum once
-per call and ranks each held-out dataset in time linear in the other top
-sets: O(D*G + D^2*T) for D datasets, G grid points and top sets of mean size
-T, instead of O(D^2*G) for one ``rank`` per held-out dataset.
+``_ranker`` builds every ranking.  Over the given contexts it builds each
+top set once and adds each grid id's normalized scores once, as exact
+integers: multiples of 2**-1074, the smallest subnormal float.  It returns a
+function that ranks without one dataset.  That function subtracts the
+dataset's exact partial sums, which leaves exactly the sum over the others,
+and divides once, correctly rounded, so each score sum is the float that
+fsum over the others gives.  The coverage step (``_coverage``) then runs
+over the other datasets' top sets.  ``rank`` is that function with nothing
+held out, and ``protocols._held_out`` calls it once per dataset: O(D*G +
+D^2*T) for D datasets, G grid points and top sets of mean size T, instead
+of O(D^2*G) for one ``rank`` per held-out dataset.
 
 Determinism: contexts are processed in sorted order, configurations in grid
 order, and score sums are exact before their one rounding, so equal inputs
@@ -32,7 +28,6 @@ handled as grid ids throughout and decoded only into the results.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -48,6 +43,7 @@ from .model import (
     ScoreTable,
     _check_split,
     _check_threshold,
+    _warn,
 )
 
 DEFAULT_THRESHOLD = 0.97
@@ -104,12 +100,9 @@ def _usable(
     contexts: Iterable[Context],
     skip_degenerate: bool,
     build: Callable[[Context], object],
-    stacklevel: int = 3,
 ) -> dict[Context, object]:
     """``build(ctx)`` per context; an all-zero context (DegenerateContextError)
-    is an error, or, with ``skip_degenerate``, left out with a warning.  The
-    warning names the frame ``stacklevel`` calls up: by default the caller of
-    the function that calls ``_usable``."""
+    is an error, or, with ``skip_degenerate``, left out with a warning."""
     built = {}
     for ctx in contexts:
         try:
@@ -117,7 +110,7 @@ def _usable(
         except DegenerateContextError:
             if not skip_degenerate:
                 raise
-            warnings.warn(f"skipping degenerate context {ctx}", stacklevel=stacklevel)
+            _warn(f"skipping degenerate context {ctx}")
     return built
 
 
@@ -147,24 +140,6 @@ def top_set(
     scaled = ((i, score / best) for i, score in cell.items())
     members = tuple(pair for pair in scaled if pair[1] > threshold)
     return TopSet(context, split, threshold, table.space, members)
-
-
-def _top_sets(
-    table: ScoreTable,
-    contexts: Iterable[Context],
-    split: str,
-    threshold: float,
-    skip_degenerate: bool,
-) -> dict[Context, TopSet]:
-    """The top-set step: each context's top set, in ascending context order.
-    Duplicates are dropped; degenerate contexts follow ``_usable``."""
-    selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
-    return _usable(
-        selected,
-        skip_degenerate,
-        lambda ctx: top_set(table, ctx, split, threshold),
-        stacklevel=4,  # _usable <- _top_sets <- rank: name the caller of rank
-    )
 
 
 # Every float is an integer multiple of 2**-1074, the smallest subnormal.
@@ -221,6 +196,39 @@ def _coverage(
     )
 
 
+def _ranker(
+    table: ScoreTable,
+    contexts: Iterable[Context],
+    split: str,
+    threshold: float,
+    skip_degenerate: bool,
+) -> Callable[[str | None], CoverageRanking]:
+    """The ranking over ``contexts`` without one dataset (``None``: none), as a
+    function of that dataset.  Top sets and exact sums are built once, here:
+    contexts in ascending order, duplicates dropped, degenerate ones as in
+    ``_usable``."""
+    selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
+    top_sets = _usable(selected, skip_degenerate, lambda c: top_set(table, c, split, threshold))
+    totals = _exact_sums(top_sets.values())
+    sums = {i: total / _SUM_UNIT for i, total in totals.items()}
+
+    def without(held_out: str | None) -> CoverageRanking:
+        others = {ctx: top for ctx, top in top_sets.items() if ctx.dataset != held_out}
+        if not others:
+            raise DataError("all requested contexts are degenerate")
+        score_sum = dict(sums)
+        partial = _exact_sums(top for ctx, top in top_sets.items() if ctx.dataset == held_out)
+        for i, part in partial.items():
+            rest = totals[i] - part
+            if rest:
+                score_sum[i] = rest / _SUM_UNIT
+            else:  # each membership adds a positive amount: i is in no other top set
+                del score_sum[i]
+        return _coverage(table.space, others, score_sum, split, threshold)
+
+    return without
+
+
 def rank(
     table: ScoreTable,
     contexts: Iterable[Context] | None = None,
@@ -241,8 +249,4 @@ def rank(
     selected = table.contexts(split) if contexts is None else list(contexts)
     if not selected:
         raise DataError("no contexts to rank over")
-    top_sets = _top_sets(table, selected, split, threshold, skip_degenerate)
-    if not top_sets:
-        raise DataError("all requested contexts are degenerate")
-    score_sum = {i: s / _SUM_UNIT for i, s in _exact_sums(top_sets.values()).items()}
-    return _coverage(table.space, top_sets, score_sum, split, threshold)
+    return _ranker(table, selected, split, threshold, skip_degenerate)(None)

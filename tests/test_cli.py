@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import covsearch
 
-from covsearch import builtin_catalog, load_scores, load_space
+from covsearch import builtin_catalog, builtin_space, load_scores, load_space, serialize_space
 from covsearch.cli import build_parser, main
 from covsearch.importance import DEFAULT_PERMUTATIONS
 from covsearch.ingest import CATALOG_METHODS, CATALOG_SOURCES
@@ -271,6 +271,60 @@ class TestCompareCommand:
             assert r["default"] is None
 
 
+# Both splits of THREE_CONTEXT_ROWS, so that compare has its upper bound.
+BOTH_SPLIT_ROWS = THREE_CONTEXT_ROWS + [
+    row.replace(",test,", ",validation,") for row in THREE_CONTEXT_ROWS
+]
+
+# A space whose domains hold the bundled Llama-3-8B LoRA default (batch=4,
+# outside the bundled grid's {8, 32}), and scores for its two configurations.
+LLAMA_LORA_DEFAULT_DOC = json.dumps({
+    "hyperparameters": [
+        {"name": "batch", "kind": "integer", "domain": [4, 8]},
+        {"name": "lr", "kind": "real", "domain": ["1.0e-4"]},
+        {"name": "epochs", "kind": "integer", "domain": [10]},
+        {"name": "lr_scheduler", "kind": "categorical", "domain": ["linear"]},
+        {"name": "lora_r", "kind": "integer", "domain": [32]},
+        {"name": "lora_alpha", "kind": "integer", "domain": [8]},
+    ],
+})
+LLAMA_LORA_HEADER = "dataset,train_size,split,score,batch,lr,epochs,lr_scheduler,lora_r,lora_alpha"
+
+
+class TestCompareDefaultColumn:
+    def test_default_config_file(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, BOTH_SPLIT_ROWS)
+        task_map, default = tmp_path / "tasks.json", tmp_path / "default.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "u"}', encoding="utf-8")
+        default.write_text('{"hp": "x"}', encoding="utf-8")
+        assert main([
+            "compare", "--space", space, "--scores", scores, "--task-map", str(task_map),
+            "--default-config", str(default), "--format", "machine",
+        ]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["task"], r["default"]) for r in rows] == [("t", 100.0), ("u", 50.0)]
+
+    def test_bundled_default_on_a_space_that_holds_it(self, tmp_path, capsys):
+        space, scores = tmp_path / "space.json", tmp_path / "scores.csv"
+        space.write_text(LLAMA_LORA_DEFAULT_DOC, encoding="utf-8")
+        rows = [
+            f"{d},100,{split},{s},{batch},1e-4,10,linear,32,8"
+            for d, by_batch in {"A": (90, 100), "B": (100, 50), "C": (80, 100)}.items()
+            for batch, s in zip((4, 8), by_batch)
+            for split in ("validation", "test")
+        ]
+        scores.write_text("\n".join([LLAMA_LORA_HEADER, *rows]) + "\n", encoding="utf-8")
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "t"}', encoding="utf-8")
+        assert main([
+            "compare", "--space", str(space), "--scores", str(scores),
+            "--task-map", str(task_map), "--model", "Llama-3-8B", "--method", "lora",
+            "--format", "machine",
+        ]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["default"] == 90.0  # batch=4 scores 90, 100 and 80
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -357,12 +411,13 @@ class TestParserConstants:
         assert tuple(option("recommend", "--source").choices) == (*CATALOG_SOURCES, "all")
 
 
-# Each numeric flag with a spelling outside the number grammar, or a
-# negative seed.
+# Each numeric flag with a spelling outside the number grammar, a negative
+# seed, or a zero --top.
 BAD_NUMERIC_FLAGS = [
     ("rank", "--train-sizes", "1_00"),
     ("rank", "--threshold", "0.9_7"),
     ("rank", "--top", "1_0"),
+    ("rank", "--top", "0"),
     ("budget", "--max-budget", "1_0"),
     ("importance", "--train-size", "1_00"),
     ("importance", "--permutations", "1_0"),
@@ -438,6 +493,37 @@ class TestErrorContract:
             "--task-map", "builtin", "--default-config", str(default),
         ]) == 2
         self.assert_one_line_error(capsys, "default configuration")
+
+    def test_default_config_json_string(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        default = tmp_path / "default.json"
+        default.write_text('"x"', encoding="utf-8")
+        assert main([
+            "compare", "--space", space, "--scores", scores,
+            "--task-map", "builtin", "--default-config", str(default),
+        ]) == 2
+        self.assert_one_line_error(capsys, "default configuration", "must be an object")
+
+    def test_bundled_default_outside_the_bundled_grid(self, tmp_path, capsys):
+        space, scores = tmp_path / "space.json", tmp_path / "scores.csv"
+        space.write_text(serialize_space(builtin_space("Llama-3-8B", "lora")), encoding="utf-8")
+        scores.write_text(
+            LLAMA_LORA_HEADER + "\nA,100,test,1,8,1e-4,10,cosine,32,8\n", encoding="utf-8"
+        )
+        assert main([
+            "compare", "--space", str(space), "--scores", str(scores),
+            "--task-map", "builtin", "--model", "Llama-3-8B", "--method", "lora",
+        ]) == 2
+        self.assert_one_line_error(capsys, "value '4' not in domain of hyperparameter 'batch'")
+
+    def test_task_map_not_an_object(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('["A", "B", "C"]', encoding="utf-8")
+        assert main([
+            "compare", "--space", space, "--scores", scores, "--task-map", str(task_map),
+        ]) == 2
+        self.assert_one_line_error(capsys, "$: task map must be an object of dataset -> task")
 
     def test_non_utf8_scores(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)

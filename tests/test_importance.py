@@ -332,6 +332,15 @@ class TestImportanceReport:
             importance_report(table, permutations=0)
 
 
+def test_scope_errors():
+    rows = {"a": 100.0, "b": 99.0, "c": 10.0}
+    _, table = one_hp_table({(d, m): dict(rows) for d in ("A", "B") for m in (100, 1000)})
+    with pytest.raises(ValidationError, match="train_size and combine_train_sizes are exclusive"):
+        importance_report(table, train_size=100, combine_train_sizes=True)
+    with pytest.raises(DataError, match=r"several train sizes \[100, 1000\]"):
+        importance_report(table)
+
+
 def test_negative_seed_is_a_validation_error():
     rows = {"a": 100.0, "b": 99.0, "c": 10.0}
     _, table = one_hp_table({(d, 100): dict(rows) for d in ("A", "B")})

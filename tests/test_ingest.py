@@ -166,6 +166,17 @@ class TestScoreFiles:
         with pytest.warns(UserWarning, match="only for the test split"):
             parse_scores(scores_text(FULL_ROWS), self.space)
 
+    def test_incompleteness_warnings_name_the_caller(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(scores_text(FULL_ROWS[:-1]), encoding="utf-8")
+        with pytest.warns(UserWarning) as caught:
+            load_scores(path, self.space)
+        assert [str(w.message) for w in caught] == [
+            "score table is missing 1 grid configuration(s) across 1 context/split cell(s)",
+            "context d1@100 has records only for the test split",
+        ]
+        assert [w.filename for w in caught] == [__file__, __file__]
+
     def test_roundtrip(self):
         table = parse_scores(scores_text(FULL_ROWS), self.space, warn_incomplete=False)
         text = serialize_scores(table)
@@ -282,6 +293,17 @@ class TestLineBreaks:
         with pytest.raises(ParseError, match="conflicting duplicate of line 2") as exc:
             parse_scores(scores_text(rows).replace("\n", newline), self.space)
         assert exc.value.line == 6
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=repr)
+    def test_space_json_errors_count_carriage_returns(self, tmp_path, newline):
+        text = '{\n  "label": "toy",\n\n  "hyperparameters": [\n    oops\n  ]\n}\n'
+        text = text.replace("\n", newline)
+        path = tmp_path / "space.json"
+        path.write_text(text, encoding="utf-8", newline="")
+        for parse in (lambda: parse_space(text), lambda: load_space(path)):
+            with pytest.raises(ParseError, match="invalid JSON") as exc:
+                parse()
+            assert exc.value.line == 5
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=repr)
     def test_invalid_utf8_names_its_line(self, tmp_path, newline):

@@ -11,6 +11,7 @@ from covsearch import (
     Context,
     DataError,
     ScoreTable,
+    ValidationError,
     budget_curve,
     compare_protocols,
     fixed_config_eval,
@@ -483,6 +484,85 @@ class TestHeldOutErrors:
         assert [str(w.message) for w in caught] == [
             "skipping degenerate context B@100", "skipping degenerate context C@100",
         ]
+
+
+class TestWarningsNameTheCaller:
+    """A skipped context's warning points at the line that called into the
+    package, for the pool and the held-out contexts alike."""
+
+    @pytest.mark.parametrize("run,kwargs", [
+        (loo_cbs, {}),
+        (budget_curve, {"max_budget": 2}),
+        (compare_protocols, {"task_map": {"A": "t1", "B": "t1", "C": "t2"}}),
+    ], ids=["loo_cbs", "budget_curve", "compare_protocols"])
+    def test_skip_warning(self, run, kwargs):
+        _, table = degenerate_held_out_instance()
+        with pytest.warns(UserWarning, match="A@100") as caught:
+            run(table, skip_degenerate=True, **kwargs)
+        assert len(caught) == 2  # A@100 left out of the pool, then as held out
+        assert [w.filename for w in caught] == [__file__, __file__]
+
+
+class TestErrorBranches:
+    """Each precondition of the protocols fails with its own message."""
+
+    # B and C rank "a" first, so every held-out A sees the candidate "a".
+    OTHERS = {(d, 100): {"a": 100.0, "b": 50.0, "c": 10.0} for d in "BC"}
+
+    def held_out_a(self, val, test):
+        return one_hp_instance(val={("A", 100): val}, test={("A", 100): test, **self.OTHERS})
+
+    def test_budget_needs_a_positive_max_budget(self):
+        _, table = self.held_out_a({"a": 1.0}, {"a": 1.0})
+        with pytest.raises(ValidationError, match="max_budget must be >= 1, got 0"):
+            budget_curve(table, max_budget=0)
+
+    def test_budget_rejects_an_unknown_normalization(self):
+        _, table = self.held_out_a({"a": 1.0}, {"a": 1.0})
+        with pytest.raises(ValidationError, match="normalize_by must be one of"):
+            budget_curve(table, normalize_by="mean")
+
+    def test_budget_rejects_a_zero_upper_bound(self):
+        # Validation selects "a", whose A@100 test score is zero.
+        _, table = self.held_out_a({"a": 90.0, "b": 10.0}, {"a": 0.0, "b": 50.0})
+        with pytest.raises(DataError, match="upper-bound test score is zero for context A@100"):
+            budget_curve(table, max_budget=1, normalize_by="upper_bound")
+
+    def test_budget_needs_a_candidate_with_a_validation_record(self):
+        _, table = self.held_out_a({"c": 1.0}, {"a": 100.0, "b": 50.0, "c": 10.0})
+        with pytest.raises(DataError, match="no top-1 candidate has a validation record on A@100"):
+            budget_curve(table, max_budget=1)
+
+    def test_budget_needs_the_selected_test_record(self):
+        _, table = self.held_out_a({"a": 1.0}, {"b": 100.0})
+        with pytest.raises(
+            DataError, match=r"selected configuration \(hp=a\) has no test record on A@100"
+        ):
+            budget_curve(table, max_budget=1)
+
+    def test_upper_bound_needs_a_test_split(self):
+        _, table = one_hp_instance(val={("A", 100): {"a": 1.0}}, test={})
+        with pytest.raises(DataError, match="test split unavailable for context A@100"):
+            upper_bound(table, Context("A", 100))
+
+    def test_upper_bound_needs_the_selected_test_record(self):
+        _, table = one_hp_instance(
+            val={("A", 100): {"a": 1.0, "b": 0.5}}, test={("A", 100): {"b": 10.0}}
+        )
+        with pytest.raises(
+            DataError, match=r"validation-selected configuration \(hp=a\) has no test record"
+        ):
+            upper_bound(table, Context("A", 100))
+
+    def test_fixed_config_needs_a_context(self):
+        space, table = one_hp_instance(val={}, test={("A", 100): {"a": 1.0}})
+        with pytest.raises(DataError, match="no contexts to evaluate"):
+            fixed_config_eval(table, space.configuration(["a"]), contexts=[])
+
+    def test_compare_needs_every_dataset_in_the_task_map(self):
+        _, table = degenerate_held_out_instance()
+        with pytest.raises(DataError, match=r"dataset\(s\) missing from task map: \['C'\]"):
+            compare_protocols(table, task_map={"A": "t1", "B": "t1"})
 
 
 # ---------------------------------------------------------------------------
