@@ -34,7 +34,8 @@ from .ingest import (
     serialize_space,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
-from .model import INTEGER, NUMBER, SPLITS, CovsearchError, ScoreTable
+from .model import INTEGER, NUMBER, SPLITS, CovsearchError, ScoreTable, ValidationError
+from .model import _check_count, _check_seed, _check_threshold
 from .protocols import _contexts_of, _select_contexts, budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
@@ -88,27 +89,22 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _threshold(text: str) -> float:
-    value = _real(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(
-            f"threshold must be strictly between 0 and 1, got {text}"
-        )
-    return value
+def _checked(parse, check, *names):
+    """A flag type: ``parse`` the text, then run the library's range check
+    ``check(*names, value)``; its ValidationError is the usage error."""
+
+    def convert(text: str):
+        value = parse(text)
+        try:
+            check(*names, value)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_count = partial(_checked, _integer, _check_count)  # _count("top"): an integer >= 1
 
 
 def _comma_list(text: str) -> list[str]:
@@ -356,7 +352,7 @@ def _add_common_arguments(
     )
     parser.add_argument(
         "--threshold",
-        type=_threshold,
+        type=_checked(_real, _check_threshold),
         default=default_threshold,
         help=f"top-set band, strictly between 0 and 1 (default: {default_threshold})",
     )
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="build the coverage ranking")
     _add_io_arguments(p)
     _add_common_arguments(p)
-    p.add_argument("--top", type=_positive_int, default=None, help="limit output rows")
+    p.add_argument("--top", type=_count("top"), default=None, help="limit output rows")
     _add_output_arguments(p)
     p.set_defaults(func=cmd_rank)
 
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("budget", help="budget-vs-performance curve")
     _add_io_arguments(p)
     _add_common_arguments(p)
-    p.add_argument("--max-budget", type=_positive_int, default=protocols.DEFAULT_MAX_BUDGET)
+    p.add_argument("--max-budget", type=_count("max_budget"), default=protocols.DEFAULT_MAX_BUDGET)
     p.add_argument(
         "--normalize-by",
         choices=protocols.NORMALIZE_MODES,
@@ -432,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
         p, default_threshold=importance_mod.DEFAULT_THRESHOLD, skip_degenerate=False
     )
     scope = p.add_mutually_exclusive_group()
-    scope.add_argument("--train-size", type=_positive_int, default=None)
+    scope.add_argument("--train-size", type=_count("train_size"), default=None)
     scope.add_argument(
         "--combine-sizes",
         action="store_true",
         help="pool top sets over all train sizes instead of one scope per size",
     )
-    p.add_argument("--permutations", type=_positive_int, default=DEFAULT_PERMUTATIONS)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--permutations", type=_count("permutations"), default=DEFAULT_PERMUTATIONS)
+    p.add_argument("--seed", type=_checked(_integer, _check_seed), default=0)
     _add_output_arguments(p)
     p.set_defaults(func=cmd_importance)
 
@@ -469,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(*ingest.CATALOG_SOURCES, "all"),
         default="cbs_recommendation",
     )
-    p.add_argument("--top", type=_positive_int, default=None, help="max rank to show")
+    p.add_argument("--top", type=_count("top"), default=None, help="max rank to show")
     _add_output_arguments(p)
     p.set_defaults(func=cmd_recommend)
 
@@ -486,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-sizes", type=_comma_ints, default=None)
     p.add_argument("--correlation", type=_real, default=0.7)
     p.add_argument("--noise", type=_real, default=0.1)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_checked(_integer, _check_seed), default=0)
     p.add_argument("--scale", type=_real, default=100.0)
     p.set_defaults(func=cmd_synth)
 

@@ -53,6 +53,7 @@ from .model import (
     ImportanceReport,
     ScoreTable,
     ValidationError,
+    _check_count,
     _check_seed,
 )
 from .protocols import _select_contexts
@@ -163,8 +164,7 @@ def _pools(
     """Check the permutation test's arguments; return the train sizes and the
     per-dataset top-set memberships as grid ids, in the documented pool
     order, that every hyperparameter's test shares."""
-    if permutations < 1:
-        raise ValidationError(f"permutations must be >= 1, got {permutations}")
+    _check_count("permutations", permutations)
     _check_seed(seed)
     available = table.train_sizes()
     if not available:

@@ -63,6 +63,7 @@ from .model import (
     RESERVED_COLUMNS,
     ScoreTable,
     ValidationError,
+    _check_count,
     _check_score,
     _check_split,
     _warn,
@@ -198,7 +199,9 @@ class _ScoreRows:
     """The row parser of one score file and the cells it fills.
 
     ``parse`` checks one line in full; every ParseError of the file comes
-    from it.  Once a quote-free data row has fully succeeded, it enters the
+    from it.  Each value's stripped text resolves through
+    ``Hyperparameter.index``, which remembers the spellings that proved
+    members.  Once a quote-free data row has fully succeeded, it enters the
     row's raw text in the memos of ``parse_scores``'s fast path: ``ids``
     maps the text after the fourth comma to the grid id, ``prefixes`` the
     (dataset, train size, split) texts to the cell.
@@ -207,10 +210,8 @@ class _ScoreRows:
     def __init__(self, space: ConfigSpace):
         self.space = space
         self.header: list[str] | None = None
-        # Per hyperparameter, in space order: its field position and a memo
-        # of stripped raw text -> domain position.  Only values that proved
-        # domain members enter it, so a bad value fails on every line it is on.
-        self.columns: list[tuple[Hyperparameter, int, dict[str, int]]] = []
+        # (hyperparameter, its field position) in space order.
+        self.columns: list[tuple[Hyperparameter, int]] = []
         self.contexts: dict[tuple[str, int], Context] = {}
         # (dataset, train size, split) -> {grid id: (first line, score)}.
         self.cells: dict[tuple[str, int, str], dict[int, tuple[int, float]]] = {}
@@ -244,9 +245,7 @@ class _ScoreRows:
                 )
             if len(set(hp_names)) != len(hp_names):
                 raise ParseError("duplicate hyperparameter column", line=lineno)
-            self.columns = [
-                (hp, 4 + hp_names.index(hp.name), {}) for hp in space.hyperparameters
-            ]
+            self.columns = [(hp, 4 + hp_names.index(hp.name)) for hp in space.hyperparameters]
             return
 
         if len(fields) != len(self.header):
@@ -262,13 +261,7 @@ class _ScoreRows:
         if not NUMBER.fullmatch(score_text):
             raise ParseError(f"invalid score {score_text!r}", line=lineno)
         try:
-            positions = []
-            for hp, field, memo in self.columns:
-                raw = fields[field].strip()
-                position = memo.get(raw)
-                if position is None:
-                    position = memo[raw] = hp.index(raw)
-                positions.append(position)
+            index = self.space._grid_id(hp.index(fields[f].strip()) for hp, f in self.columns)
             key = (fields[0].strip(), int(size_text), fields[2].strip())
             cell = self.cells.get(key)
             if cell is None:  # a new (context, split): check both once
@@ -279,7 +272,6 @@ class _ScoreRows:
             score = _check_score(float(score_text))
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        index = self.space._grid_id(positions)
         first = cell.setdefault(index, (lineno, score))
         if first[1] != score:
             raise ParseError(
@@ -458,8 +450,7 @@ class CatalogEntry:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.source not in CATALOG_SOURCES:
             raise ValidationError(f"unknown source {self.source!r}")
-        if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
+        _check_count("rank", self.rank)
 
 
 def _catalog_doc() -> dict:
@@ -528,9 +519,9 @@ def builtin_models() -> list[tuple[str, str]]:
     return sorted(_catalog()[0])
 
 
-@lru_cache(maxsize=1)
 def builtin_task_map() -> dict[str, str]:
-    """Bundled dataset-to-task grouping for macro-averaged reports."""
+    """Bundled dataset-to-task grouping for macro-averaged reports; a new
+    dict per call, so a caller's edit reaches no other caller."""
     data = resources.files("covsearch").joinpath("data/task_groups.json")
     return dict(json.loads(data.read_text(encoding="utf-8")))
 

@@ -19,7 +19,8 @@ the generator hand their checked grid-id cells to ``ScoreTable._from_cells``.
 A table stores them by context, sorted once; every view reads that index.
 
 All types are immutable after construction and safe to share across
-concurrent readers.
+concurrent readers; a ``Hyperparameter`` memoizes the raw spellings that
+proved members, a ``ConfigSpace`` the configurations it decoded.
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be non-negative, got {seed!r}")
 
 
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 def canonical_value(kind: str, raw: object) -> str:
     """Canonicalize a single hyperparameter value for the given kind.
 
@@ -189,19 +195,24 @@ class Hyperparameter:
         return canonical_value(self.kind, raw)
 
     def index(self, raw: object) -> int:
-        """Position of a value inside the domain; raises if not a member."""
+        """Position of a value inside the domain; raises if not a member.
+        A ``str`` spelling that proves a member is remembered; a failed one
+        never is, so it fails on every lookup."""
+        memo = self._value_index  # type: ignore[attr-defined]
         if type(raw) is str:
-            position = self._value_index.get(raw)  # type: ignore[attr-defined]
+            position = memo.get(raw)
             if position is not None:
                 return position
         value = canonical_value(self.kind, raw)
-        try:
-            return self._value_index[value]  # type: ignore[attr-defined]
-        except KeyError:
+        position = memo.get(value)
+        if position is None:
             raise ValidationError(
                 f"value {value!r} not in domain of hyperparameter {self.name!r}"
                 f" (domain: {list(self.domain)})"
-            ) from None
+            )
+        if type(raw) is str:
+            memo[raw] = position
+        return position
 
     def __contains__(self, raw: object) -> bool:
         try:
@@ -532,8 +543,7 @@ class CoverageRanking:
             raise ValidationError("ranking entries must be unique per configuration")
 
     def top(self, k: int) -> tuple[RankingEntry, ...]:
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
+        _check_count("k", k)
         return self.entries[:k]
 
     @property

@@ -39,6 +39,7 @@ from .model import (
     ScoreTable,
     UpperBoundResult,
     ValidationError,
+    _check_count,
 )
 # normalize and rank are not called here (held-out scores divide by the cell
 # maximum, and _held_out ranks through ranking._ranker); they stay module
@@ -252,8 +253,7 @@ def budget_curve(
     toward the earlier ranking position.  Budgets beyond the ranking length
     are clamped and flagged in the detail rows.
     """
-    if max_budget < 1:
-        raise ValidationError(f"max_budget must be >= 1, got {max_budget}")
+    _check_count("max_budget", max_budget)
     if normalize_by not in NORMALIZE_MODES:
         raise ValidationError(
             f"normalize_by must be one of {NORMALIZE_MODES}, got {normalize_by!r}"

@@ -11,7 +11,7 @@ import io
 import csv
 from typing import Iterable, Sequence
 
-from .ingest import CatalogEntry, CompletenessReport
+from .ingest import CatalogEntry, CompletenessReport, builtin_models, builtin_space
 from .model import (
     BudgetCurve,
     CoverageRanking,
@@ -19,19 +19,6 @@ from .model import (
     LooResult,
 )
 from .protocols import CompareRow
-
-CATALOG_COLUMNS = (
-    "model",
-    "method",
-    "source",
-    "rank",
-    "batch",
-    "lr",
-    "epochs",
-    "lr_scheduler",
-    "lora_r",
-    "lora_alpha",
-)
 
 
 def render_ranking(ranking: CoverageRanking, top: int | None = None) -> str:
@@ -184,14 +171,13 @@ def render_catalog(entries: Iterable[CatalogEntry]) -> str:
 
 
 def catalog_csv(entries: Iterable[CatalogEntry]) -> str:
-    """Delimited catalog rows with one column per known hyperparameter."""
+    """Delimited catalog rows with one column per hyperparameter of the
+    bundled spaces, in first-seen order over builtin_models()."""
+    names = dict.fromkeys(n for key in builtin_models() for n in builtin_space(*key).names)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CATALOG_COLUMNS)
+    writer.writerow(["model", "method", "source", "rank", *names])
     for e in entries:
         values = e.config.as_dict()
-        writer.writerow(
-            [e.model, e.method, e.source, e.rank]
-            + [values.get(col, "") for col in CATALOG_COLUMNS[4:]]
-        )
+        writer.writerow([e.model, e.method, e.source, e.rank, *(values.get(n, "") for n in names)])
     return out.getvalue()

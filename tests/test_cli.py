@@ -1,11 +1,14 @@
 """CLI behavior: exit codes, formats, determinism, pipelines."""
 
+import contextlib
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from io import StringIO
 from itertools import takewhile
 from pathlib import Path
 
@@ -15,7 +18,16 @@ from hypothesis import strategies as st
 
 import covsearch
 
-from covsearch import builtin_catalog, builtin_space, load_scores, load_space, serialize_space
+from covsearch import (
+    ConfigSpace,
+    Hyperparameter,
+    builtin_catalog,
+    builtin_space,
+    load_scores,
+    load_space,
+    serialize_space,
+)
+from covsearch import report
 from covsearch.cli import build_parser, main
 from covsearch.importance import DEFAULT_PERMUTATIONS
 from covsearch.ingest import CATALOG_METHODS, CATALOG_SOURCES
@@ -148,6 +160,17 @@ class TestRecommend:
     def test_catalog_csv_matches_golden_file(self):
         golden = Path(__file__).with_name("data").joinpath("golden_recommend.csv")
         assert catalog_csv(builtin_catalog()) == golden.read_text(encoding="utf-8")
+
+    def test_catalog_columns_come_from_the_bundled_spaces(self, monkeypatch):
+        def with_warmup(model, method):
+            space = builtin_space(model, method)
+            warmup = Hyperparameter("warmup", "integer", ("0", "100"))
+            return ConfigSpace((*space.hyperparameters, warmup), space.label)
+
+        monkeypatch.setattr(report, "builtin_space", with_warmup)
+        header = catalog_csv(builtin_catalog()).splitlines()[0]
+        # First seen in Llama-3-8B full_ft, the first of builtin_models().
+        assert header == "model,method,source,rank,batch,lr,epochs,lr_scheduler,warmup,lora_r,lora_alpha"
 
 
 class TestSynthPipeline:
@@ -446,6 +469,33 @@ class TestNumericFlags:
         assert not (tmp_path / "out.csv").exists()
 
 
+# A range error is a usage error worded by the library's own check.
+OUT_OF_RANGE_FLAGS = [
+    ("rank", "--threshold", "1.5", "threshold must be in (0, 1), got 1.5"),
+    ("rank", "--top", "0", "top must be >= 1, got 0"),
+    ("budget", "--max-budget", "0", "max_budget must be >= 1, got 0"),
+    ("importance", "--train-size", "0", "train_size must be >= 1, got 0"),
+    ("importance", "--permutations", "-3", "permutations must be >= 1, got -3"),
+    ("importance", "--seed", "-1", "seed must be non-negative, got -1"),
+    ("recommend", "--top", "0", "top must be >= 1, got 0"),
+    ("synth", "--seed", "-2", "seed must be non-negative, got -2"),
+]
+
+
+class TestRangeFlags:
+    @pytest.mark.parametrize("command,flag,value,message", OUT_OF_RANGE_FLAGS)
+    def test_library_wording(self, tmp_path, capsys, command, flag, value, message):
+        missing = str(tmp_path / "missing")  # never read: the flag fails first
+        io = {
+            "recommend": [],
+            "synth": ["--out-scores", missing],
+        }.get(command, ["--space", missing, "--scores", missing])
+        assert main([command, *io, flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"covsearch {command}: error: argument {flag}: {message}"
+        assert not Path(missing).exists()
+
+
 class TestErrorContract:
     """Malformed inputs exit 2 with one diagnostic line, never a traceback."""
 
@@ -562,6 +612,14 @@ class TestErrorContract:
         space, scores = write_inputs(tmp_path, [])
         assert main(["importance", "--space", space, "--scores", scores, *scope]) == 2
         self.assert_one_line_error(capsys, "covsearch: error: score table has no records\n")
+
+    def test_compare_without_a_bundled_default(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, BOTH_SPLIT_ROWS)
+        assert main([
+            "compare", "--space", space, "--scores", scores, "--task-map", "builtin",
+            "--model", "X", "--method", "lora",
+        ]) == 2
+        self.assert_one_line_error(capsys, "no bundled default for ('X', 'lora'); available: [")
 
     def test_non_utf8_space(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
@@ -815,3 +873,102 @@ class TestFuzzedScores:
         io = ["--space", str(space), "--scores", str(scores), "--out", str(tmp_path / "o")]
         for command in ("validate", "rank", "loo", "budget"):
             assert main([command, *io]) == 0
+
+
+# The JSON documents the commands read besides the score file, each valid
+# with FUZZ_BASE, and the JSON values mutations put in place of their parts.
+FUZZ_JSON = {
+    "space": json.loads(SPACE_DOC),
+    "task_map": {"A": "t", "B": "t", "C": "u"},
+    "default": {"hp": "x"},
+}
+FUZZ_WORDS = ["x", "A", "hp", "name", "kind", "domain", "label", "hyperparameters",
+              "real", "integer", "categorical", "1e400", "1_0", "a,b", " x", "x\n"]
+FUZZ_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(FUZZ_WORDS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FUZZ_WORDS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_JSON_TOKENS = [b"{", b"}", b"[", b"]", b",", b":", b'"', b"\\", b"\xff", b"\x00",
+                    b"\xef\xbb\xbf", b"NaN", b"-", b"\n"]
+
+
+def json_paths(node, path=()):
+    """The path of a JSON document's root and of each of its parts."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            yield from json_paths(node[key], (*path, key))
+
+
+@st.composite
+def mutated_json_inputs(draw):
+    """One of FUZZ_JSON's documents with one or two parts replaced or
+    deleted, and in one case of four a token spliced into its text."""
+    name = draw(st.sampled_from(sorted(FUZZ_JSON)))
+    doc = copy.deepcopy(FUZZ_JSON[name])
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(list(json_paths(doc)))) or (None,)
+        value = draw(st.sampled_from(FUZZ_WORDS) | FUZZ_JSON_VALUES)
+        if key is None:
+            doc = value
+            continue
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if draw(st.sampled_from(["replace", "delete"])) == "replace":
+            parent[key] = value
+        else:
+            del parent[key]
+    data = json.dumps(doc, ensure_ascii=draw(st.booleans())).encode()
+    if draw(st.integers(0, 3)) == 0:
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + draw(st.sampled_from(FUZZ_JSON_TOKENS)) + data[pos:]
+    return name, data
+
+
+class TestFuzzedJsonInputs:
+    """Mutated space files through validate and rank, and mutated task maps
+    and default configurations through compare: exit 0, 1 or 2, never a
+    traceback, and one error line on exit 2."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=mutated_json_inputs())
+    def test_never_a_traceback(self, case):
+        name, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {n: Path(tmp, f"{n}.json") for n in FUZZ_JSON}
+            for n, doc in FUZZ_JSON.items():
+                paths[n].write_text(json.dumps(doc), encoding="utf-8")
+            paths[name].write_bytes(data)
+            scores = Path(tmp, "scores.csv")
+            scores.write_bytes(FUZZ_BASE)
+            io = ["--space", str(paths["space"]), "--scores", str(scores), "--out", str(Path(tmp, "o"))]
+            if name == "space":
+                runs = [["validate", *io], ["rank", *io]]
+            else:
+                runs = [["compare", *io, "--task-map", str(paths["task_map"]),
+                         "--default-config", str(paths["default"])]]
+            for argv in runs:
+                err = StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
+                if code == 2:
+                    assert err.getvalue().startswith("covsearch: error: ")
+                    assert err.getvalue().count("\n") == 1
+
+    def test_base_documents_succeed(self, tmp_path):
+        paths = {n: tmp_path / f"{n}.json" for n in FUZZ_JSON}
+        for n, doc in FUZZ_JSON.items():
+            paths[n].write_text(json.dumps(doc), encoding="utf-8")
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(FUZZ_BASE)
+        io = ["--space", str(paths["space"]), "--scores", str(scores), "--out", str(tmp_path / "o")]
+        assert main(["validate", *io]) == 0
+        assert main(["rank", *io]) == 0
+        assert main(["compare", *io, "--task-map", str(paths["task_map"]),
+                     "--default-config", str(paths["default"])]) == 0

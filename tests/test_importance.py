@@ -175,6 +175,10 @@ class TestJsScore:
         with pytest.raises(DataError, match="two datasets"):
             js_score([(1.0, 0.0)])
 
+    def test_unequal_lengths(self):
+        with pytest.raises(ValidationError, match="^probability vectors must have equal length$"):
+            js_score([(1.0, 0.0), (0.5, 0.25, 0.25)])
+
     def test_permutation_symmetric(self):
         vectors = [(0.2, 0.8), (0.9, 0.1), (0.5, 0.5), (0.0, 1.0)]
         base = js_score(vectors)
@@ -236,10 +240,10 @@ class TestPermutationPval:
             permutation_pval(table, "hp")
 
     def test_ambiguous_train_size_rejected(self):
-        _, table, _ = random_instance(3, min_datasets=2, max_contexts=6)
-        if len(table.train_sizes()) > 1:
-            with pytest.raises(DataError, match="train size"):
-                permutation_pval(table, "h0")
+        rows = {"a": 100.0, "b": 99.0, "c": 10.0}
+        _, table = one_hp_table({(d, m): dict(rows) for d in ("A", "B") for m in (100, 1000)})
+        with pytest.raises(DataError, match="several train sizes"):
+            permutation_pval(table, "hp")
 
 
 class TestImportanceReport:

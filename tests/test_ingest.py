@@ -105,6 +105,23 @@ class TestSpaceFiles:
         with pytest.raises(ParseError, match="line 1"):
             parse_space("{nope")
 
+    @pytest.mark.parametrize("doc,message", [
+        ([], r"^\$: top level must be an object$"),
+        ({"label": 1, "hyperparameters": []}, "^label: label must be a string$"),
+        ({"hyperparameters": [1]}, r"^hyperparameters\[0\]: entry must be an object$"),
+        (
+            {"hyperparameters": [{"name": "a", "kind": "integer", "domain": [1], "x": 0}]},
+            r"^hyperparameters\[0\]: unknown field\(s\) \['x'\]$",
+        ),
+        (
+            {"hyperparameters": [{"name": "a", "kind": "integer", "domain": 1}]},
+            r"^hyperparameters\[0\]\.domain: domain must be an array$",
+        ),
+    ])
+    def test_malformed_document_shape(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            parse_space(json.dumps(doc))
+
 
 class TestScoreFiles:
     def setup_method(self):
@@ -233,6 +250,18 @@ STRICT_NUMBER_CASES = [
     ("train size with an exponent", 3, "d2,1e2,test,0.7,5e-05,10"),
     ("spelled-out non-finite score", 4, "d2,100,test,Infinity,1e-04,5"),
 ]
+
+
+class TestHeaderErrors:
+    def test_duplicate_hyperparameter_column(self):
+        text = scores_text(FULL_ROWS, header="dataset,train_size,split,score,lr,epochs,lr")
+        with pytest.raises(ParseError, match="^line 1: duplicate hyperparameter column$"):
+            parse_scores(text, parse_space(SPACE_DOC))
+
+    @pytest.mark.parametrize("text", ["", "\n", "# a comment only\n\n"])
+    def test_missing_header_row(self, text):
+        with pytest.raises(ParseError, match="^line 1: missing header row$"):
+            parse_scores(text, parse_space(SPACE_DOC))
 
 
 class TestStrictNumbers:
@@ -458,6 +487,12 @@ class TestCatalog:
         groups = builtin_task_map()
         assert len(groups) == 15
         assert set(groups.values()) == {"classification", "summarization", "cqa"}
+
+    def test_task_map_is_a_new_dict_per_call(self):
+        groups = builtin_task_map()
+        groups["zzz"] = "x"
+        assert "zzz" not in builtin_task_map()
+        assert "zzz" not in load_task_map("builtin")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from covsearch import (
     ConfigSpace,
     Configuration,
     Context,
+    CoverageRanking,
+    DataError,
     Hyperparameter,
     ScoreRecord,
     ScoreTable,
@@ -95,6 +97,25 @@ class TestHyperparameter:
     def test_membership(self):
         hp = Hyperparameter("batch", "integer", ("8", "32"))
         assert "8" in hp and "32.0" in hp and "16" not in hp
+
+    @pytest.mark.parametrize("name", [" lr", "lr ", "a,b"])
+    def test_invalid_name(self, name):
+        with pytest.raises(ValidationError, match=f"^invalid hyperparameter name {name!r}$"):
+            Hyperparameter(name, "categorical", ("a",))
+
+    def test_value_with_a_newline(self):
+        with pytest.raises(ValidationError, match="^hyperparameter value must not contain newlines$"):
+            Hyperparameter("c", "categorical", ("a\nb",))
+
+    def test_spellings_are_remembered_only_once_they_prove_members(self):
+        hp = Hyperparameter("lr", "real", ("5e-05", "1e-04"))
+        assert hp.index(" 0.00005") == hp.index(" 0.00005") == 0
+        assert hp._value_index[" 0.00005"] == 0
+        for _ in range(2):  # a failed spelling fails on every lookup
+            with pytest.raises(ValidationError, match="value '2.0e-4' not in domain"):
+                hp.index("2e-4")
+        assert "2e-4" not in hp._value_index and "2e-4" not in hp
+        assert hp.index(0.0001) == 1 and 0.0001 not in hp._value_index
 
 
 # Raw values of every type a space file or score file can hand over.
@@ -201,6 +222,27 @@ class TestConfigSpace:
         with pytest.raises(ValidationError, match="not in domain"):
             space.configuration({"lr": "2e-4"})
 
+    @pytest.mark.parametrize("values,message", [
+        ({"lr": "1e-4", "b": "8", "zz": "1"}, r"^unknown hyperparameter\(s\): \['zz'\]$"),
+        ({"lr": "1e-4"}, r"^missing hyperparameter value\(s\): \['b'\]$"),
+        (["1e-4"], "^expected 2 values, got 1$"),
+    ])
+    def test_configuration_shape_errors(self, values, message):
+        space = make_space(("lr", "real", ["1e-4"]), ("b", "integer", ["8"]))
+        with pytest.raises(ValidationError, match=message):
+            space.configuration(values)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_config_at_out_of_range(self, index):
+        with pytest.raises(ValidationError, match=rf"^grid id {index} outside 0\.\.3$"):
+            cat_space([2, 2]).config_at(index)
+
+    def test_unknown_hyperparameter_name(self):
+        space = cat_space([2, 2])
+        for lookup in (lambda: space.hyperparameter("zz"), lambda: space.value_positions("zz", 0)):
+            with pytest.raises(ValidationError, match="^no hyperparameter named 'zz' in space$"):
+                lookup()
+
 
 class TestConfiguration:
     def test_equality_and_hash(self):
@@ -235,6 +277,22 @@ class TestContext:
     def test_invalid(self, dataset, size):
         with pytest.raises(ValidationError):
             Context(dataset, size)
+
+    def test_dataset_with_a_newline(self):
+        with pytest.raises(ValidationError, match="^dataset identifier must not contain newlines$"):
+            Context("a\nb", 100)
+
+
+class TestCoverageRanking:
+    EMPTY = CoverageRanking(entries=(), contexts=(), split="test", threshold=0.5)
+
+    def test_top_needs_a_positive_k(self):
+        with pytest.raises(ValidationError, match="^k must be >= 1, got 0$"):
+            self.EMPTY.top(0)
+
+    def test_empty_ranking_has_no_recommendation(self):
+        with pytest.raises(DataError, match="^ranking is empty$"):
+            self.EMPTY.recommended
 
 
 class TestScoreRecord:
@@ -353,6 +411,18 @@ class TestStoredIndex:
 
 
 class TestSyntheticTable:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"correlation": 1.5}, r"^correlation must be in \[0, 1\], got 1.5$"),
+        ({"noise": 1.0}, r"^noise must be in \[0, 1\), got 1.0$"),
+        ({"scale": 0.0}, "^scale must be positive, got 0.0$"),
+        ({"datasets": 0}, "^need at least one dataset$"),
+        ({"datasets": ["a", "a"]}, "^dataset names must be unique$"),
+        ({"train_sizes": ()}, "^need at least one train size$"),
+    ])
+    def test_argument_errors(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            synthetic_table(**kwargs)
+
     def test_overflowing_scale_rejected(self):
         # Some contexts' scale factors overflow to inf; the first one's
         # scores must fail the score check, not enter the table.

@@ -540,6 +540,30 @@ class TestErrorBranches:
         ):
             budget_curve(table, max_budget=1)
 
+    def test_held_out_dataset_needs_test_records(self):
+        # A has validation records only, so it trains others but tests nothing.
+        val = {(d, 100): {"a": 1.0, "b": 0.5} for d in "ABC"}
+        _, table = one_hp_instance(val=val, test=dict(self.OTHERS))
+        with pytest.raises(
+            DataError,
+            match="^held-out dataset 'A' has no test records for the requested train sizes$",
+        ):
+            loo_cbs(table, split="validation")
+
+    def test_loo_needs_the_recommended_test_record(self):
+        _, table = self.held_out_a({"a": 1.0}, {"b": 100.0})
+        with pytest.raises(
+            DataError,
+            match=r"^recommended configuration \(hp=a\) has no test record on held-out"
+            r" context A@100$",
+        ):
+            loo_cbs(table)
+
+    def test_budget_needs_a_held_out_validation_cell(self):
+        _, table = one_hp_instance(val={}, test={("A", 100): {"a": 1.0}, **self.OTHERS})
+        with pytest.raises(DataError, match="^validation split unavailable for context A@100$"):
+            budget_curve(table)
+
     def test_upper_bound_needs_a_test_split(self):
         _, table = one_hp_instance(val={("A", 100): {"a": 1.0}}, test={})
         with pytest.raises(DataError, match="test split unavailable for context A@100"):

@@ -104,6 +104,11 @@ class TestRankExamples:
         assert by_name["z"].coverage == {Context("C", 100)}
         assert by_name["y"].coverage == frozenset()
 
+    def test_no_contexts(self):
+        _, table = one_hp_table({("A", 100): {"x": 3.0}})
+        with pytest.raises(DataError, match="^no contexts to rank over$"):
+            rank(table, [])
+
     def test_single_context_single_config(self):
         space, table = one_hp_table({("A", 100): {"x": 3.0}})
         ranking = rank(table)
