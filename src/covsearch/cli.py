@@ -114,16 +114,18 @@ def _comma_list(text: str) -> list[str]:
     return items
 
 
-def _comma_ints(text: str) -> list[int]:
-    return [_integer(part) for part in _comma_list(text)]
+def _train_sizes(text: str) -> list[int]:
+    """--train-sizes: comma-separated train sizes, each an integer >= 1."""
+    return [_count("train_size")(part) for part in _comma_list(text)]
 
 
 def _count_or_names(text: str) -> int | list[str]:
-    """synth --datasets: one all-digit item is a count (so any digits, not
-    only ASCII ones, must pass the grammar), anything else a list of names."""
+    """synth --datasets: one all-digit item is a count >= 1 (so any digits,
+    not only ASCII ones, must pass the grammar), anything else a list of
+    names."""
     names = _comma_list(text)
     if len(names) == 1 and names[0].isdigit():
-        return _integer(names[0])
+        return _count("datasets")(names[0])
     return names
 
 
@@ -360,7 +362,7 @@ def _add_common_arguments(
         "--datasets", type=_comma_list, default=None, help="comma-separated filter"
     )
     parser.add_argument(
-        "--train-sizes", type=_comma_ints, default=None, help="comma-separated filter"
+        "--train-sizes", type=_train_sizes, default=None, help="comma-separated filter"
     )
     if skip_degenerate:
         parser.add_argument(
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="dataset count or comma-separated names (default: 6)",
     )
-    p.add_argument("--train-sizes", type=_comma_ints, default=None)
+    p.add_argument("--train-sizes", type=_train_sizes, default=None)
     p.add_argument("--correlation", type=_real, default=0.7)
     p.add_argument("--noise", type=_real, default=0.1)
     p.add_argument("--seed", type=_checked(_integer, _check_seed), default=0)

@@ -33,8 +33,10 @@ bit for bit):
   pins it).  A scipy with another formula, or another libm, can move
   ``js_score`` in its last bits.
 
-Permutations are scored a bounded chunk at a time: one ``js_distance`` call
-takes every dataset pair of the chunk, and each distance equals the one the
+Permutations are scored a chunk at a time.  A chunk is a (permutations x
+pool) block of orders, bounded by ``_CHUNK_ELEMENTS``; each hyperparameter
+deals it with one ``bincount`` and scores it with one ``js_distance`` call
+over every dataset pair of the chunk.  Each distance equals the one the
 function gives for that pair alone, so results equal the recipe's bit for bit.
 """
 
@@ -68,7 +70,7 @@ _LN2 = math.log(2.0)
 # dataset pairs x domain size, per permutation), so memory stays flat in the
 # number of permutations.  A chunk holds at least one permutation, so past
 # this budget the temporaries grow with one permutation's pool and pairs.
-_CHUNK_ELEMENTS = 1 << 12
+_CHUNK_ELEMENTS = 1 << 14
 
 # numpy and scipy.special take about half a second to import and only the
 # distance and the permutation test use them, so they are bound on first
@@ -109,9 +111,10 @@ def value_distribution(
     return tuple(c / len(configs) for c in counts)
 
 
-def _js_scores(vectors) -> list[float]:
-    """js_score of each (datasets, values) stack on the last two axes."""
-    i, j = np.triu_indices(vectors.shape[-2], 1)
+def _js_scores(vectors, pairs) -> list[float]:
+    """js_score of each (datasets, values) stack on the last two axes;
+    ``pairs`` is ``np.triu_indices(datasets, 1)``."""
+    i, j = pairs
     distances = js_distance(vectors[..., i, :], vectors[..., j, :])
     return [1.0 - math.fsum(row) / len(i) for row in distances.reshape(-1, len(i)).tolist()]
 
@@ -148,7 +151,7 @@ def js_score(vectors: Sequence[Sequence[float]]) -> float:
     if len({len(v) for v in vectors}) > 1:
         raise ValidationError("probability vectors must have equal length")
     _load_numeric()
-    return _js_scores(np.asarray(vectors, dtype=float))[0]
+    return _js_scores(np.asarray(vectors, dtype=float), np.triu_indices(len(vectors), 1))[0]
 
 
 def _pools(
@@ -208,24 +211,29 @@ def _permutation_test(
     counts = np.array([len(pools[d]) for d in names])
     owner = np.repeat(np.arange(len(names)), counts)  # dataset of each pool slot
     values = [space.value_positions(hp.name, ids) for hp in hps]
+    pairs = np.triu_indices(len(names), 1)
 
-    def deal(k, orders):  # distributions of hps[k], one (datasets, V) per order
+    def deal(k, orders):  # distributions of hps[k], one (datasets, V) per row of orders
         width = len(hps[k].domain)
-        bins = owner * width
-        dealt = [np.bincount(bins + values[k][o], minlength=len(names) * width) for o in orders]
-        return np.reshape(dealt, (len(orders), len(names), width)) / counts[:, None]
+        cells = len(names) * width  # bins of one row: its datasets' value counts
+        bins = values[k][orders]  # a copy, added to in place: one temporary of the orders shape
+        bins += owner * width
+        bins += np.arange(len(orders))[:, None] * cells
+        dealt = np.bincount(bins.ravel(), minlength=len(orders) * cells)
+        return dealt.reshape(len(orders), len(names), width) / counts[:, None]
 
-    observed = [deal(k, [slice(None)]) for k in range(len(hps))]  # the pool as pooled
-    scores = [_js_scores(vectors)[0] for vectors in observed]
-    pairs = len(names) * (len(names) - 1) // 2
+    # The pool as pooled is the identity order.
+    observed = [deal(k, np.arange(len(ids))[None, :]) for k in range(len(hps))]
+    scores = [_js_scores(vectors, pairs)[0] for vectors in observed]
     widest = max(len(hp.domain) for hp in hps)
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(ids), pairs * widest))
+    chunk = max(1, _CHUNK_ELEMENTS // max(len(ids), len(pairs[0]) * widest))
     greater = [0] * len(hps)
     for start in range(0, permutations, chunk):
         stop = min(start + chunk, permutations)
-        orders = [np.random.default_rng((seed, i)).permutation(len(ids)) for i in range(start, stop)]
+        orders = np.stack([np.random.default_rng((seed, i)).permutation(len(ids))
+                           for i in range(start, stop)])
         for k, score in enumerate(scores):
-            greater[k] += sum(s > score for s in _js_scores(deal(k, orders)))
+            greater[k] += sum(s > score for s in _js_scores(deal(k, orders), pairs))
     return [(tuple(map(tuple, vectors[0].tolist())), score, g / permutations)
             for vectors, score, g in zip(observed, scores, greater)]
 

@@ -479,6 +479,10 @@ OUT_OF_RANGE_FLAGS = [
     ("importance", "--seed", "-1", "seed must be non-negative, got -1"),
     ("recommend", "--top", "0", "top must be >= 1, got 0"),
     ("synth", "--seed", "-2", "seed must be non-negative, got -2"),
+    ("synth", "--datasets", "0", "datasets must be >= 1, got 0"),
+    ("synth", "--train-sizes", "0", "train_size must be >= 1, got 0"),
+    ("synth", "--train-sizes", "100,-5", "train_size must be >= 1, got -5"),
+    ("loo", "--train-sizes", "0", "train_size must be >= 1, got 0"),
 ]
 
 

@@ -454,6 +454,42 @@ class TestBatchedPermutationTest:
         # and also fails on a numpy scalar where a Python float belongs.
         assert repr(actual) == repr(expected)
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=pooled_spaces(), permutations=st.integers(1, 40), seed=st.integers(0, 2**32))
+    def test_one_chunk_equals_the_scalar_loop_bit_for_bit(self, case, permutations, seed):
+        space, pools = case
+        with mock.patch.object(importance, "_CHUNK_ELEMENTS", 1 << 30):
+            actual = importance._permutation_test(
+                space, pools, space.hyperparameters, permutations, seed
+            )
+        expected = [
+            scalar_permutation_test(space, pools, hp, permutations, seed)
+            for hp in space.hyperparameters
+        ]
+        assert repr(actual) == repr(expected)
+
+    def test_one_chunk_is_dealt_and_scored_in_one_call_per_hyperparameter(self, monkeypatch):
+        space, table, _ = random_instance(7, min_datasets=3)
+        calls = {"js_distance": 0, "bincount": 0, "triu_indices": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(importance, "_CHUNK_ELEMENTS", 1 << 30)
+        monkeypatch.setattr(importance, "js_distance",
+                            counting("js_distance", importance.js_distance))
+        for name in ("bincount", "triu_indices"):
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        importance_report(table, combine_train_sizes=True, permutations=9, seed=3)
+        hps = len(space.hyperparameters)
+        # The observed pool, then the one chunk of all nine permutations.
+        assert calls["js_distance"] == hps * 2
+        assert calls["bincount"] == hps * 2
+        assert calls["triu_indices"] <= 1
+
     def test_orders_are_drawn_once_per_report(self, monkeypatch):
         space, table, _ = random_instance(7, min_datasets=3)
         assert len(space.hyperparameters) > 1
