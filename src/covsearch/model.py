@@ -390,10 +390,9 @@ class Context:
             raise ValidationError(f"invalid dataset identifier {self.dataset!r}")
         if "\n" in self.dataset:
             raise ValidationError("dataset identifier must not contain newlines")
-        if not isinstance(self.train_size, int) or self.train_size <= 0:
-            raise ValidationError(
-                f"train_size must be a positive integer, got {self.train_size!r}"
-            )
+        if not isinstance(self.train_size, int):
+            raise ValidationError(f"train_size must be an integer, got {self.train_size!r}")
+        _check_count("train_size", self.train_size)
 
     def __str__(self) -> str:
         return f"{self.dataset}@{self.train_size}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     BudgetCurve,
@@ -151,6 +151,10 @@ def _contexts_of(
     ]
 
 
+# A held-out dataset's test contexts, each mapped to its cell and the cell's maximum.
+_Tests = Mapping[Context, tuple[Mapping[int, float], float]]
+
+
 def _held_out(
     table: ScoreTable,
     datasets: Sequence[str] | None,
@@ -158,15 +162,17 @@ def _held_out(
     split: str,
     threshold: float,
     skip_degenerate: bool,
-) -> Iterator[tuple[str, CoverageRanking, dict[Context, tuple[Mapping[int, float], float]]]]:
-    """For each selected dataset in name order: the dataset, the coverage
-    ranking over every other dataset's contexts (all requested train sizes
-    together), and its own test contexts, each mapped to its test cell and
-    that cell's maximum.  Both sets of contexts are selected once, then split
-    by dataset; ``skip_degenerate`` applies to both.
+) -> Iterator[tuple[str, list[int], Callable[[], CoverageRanking], _Tests]]:
+    """For each selected dataset in name order: the dataset, the grid ids of
+    the coverage ranking over every other dataset's contexts (all requested
+    train sizes together) in ranking order, a function that builds that
+    ranking, and the dataset's own test contexts, each mapped to its test
+    cell and that cell's maximum.  Both sets of contexts are selected once,
+    then split by dataset; ``skip_degenerate`` applies to both.
 
-    Each ranking is ``ranking._ranker`` over the pool without the held-out
-    dataset, the ranking ``rank`` gives over the other datasets' contexts.
+    The order is ``ranking._ranker``'s over the pool without the held-out
+    dataset, the order of the ranking ``rank`` gives over the other
+    datasets' contexts; only a caller that returns the ranking builds it.
     The ranker builds every top set of the pool before the first dataset is
     yielded, so a degenerate pool context raises (or warns) once."""
     ds, sizes = _select_contexts(table, datasets, train_sizes)
@@ -175,19 +181,35 @@ def _held_out(
     pool = _contexts_of(table, split, ds, sizes)
     tests = _contexts_of(table, "test", ds, sizes)
     without = _ranker(table, pool, split, threshold, skip_degenerate)
+    pool_datasets = {ctx.dataset for ctx in pool}
     for held_out in ds:
-        if all(ctx.dataset == held_out for ctx in pool):
+        if pool_datasets <= {held_out}:
             raise DataError(f"no contexts remain after holding out {held_out!r}")
-        ranking = without(held_out)
+        ordered, ranking = without(held_out)
         held_out_contexts = [ctx for ctx in tests if ctx.dataset == held_out]
         if not held_out_contexts:
             raise DataError(
                 f"held-out dataset {held_out!r} has no test records for the"
                 f" requested train sizes"
             )
-        yield held_out, ranking, _usable(
+        yield held_out, ordered, ranking, _usable(
             held_out_contexts, skip_degenerate, lambda ctx: _cell_and_best(table, ctx, "test")
         )
+
+
+def _held_out_scores(table: ScoreTable, recommended: int, tests: _Tests) -> tuple[LooScore, ...]:
+    """The raw and normalized test scores of the recommended grid id on each
+    held-out test context."""
+    scores = []
+    for ctx, (cell, best) in tests.items():
+        raw = cell.get(recommended)
+        if raw is None:
+            raise DataError(
+                f"recommended configuration ({table.space.config_at(recommended)}) has no"
+                f" test record on held-out context {ctx}"
+            )
+        scores.append(LooScore(context=ctx, test_score=raw, normalized_test_score=raw / best))
+    return tuple(scores)
 
 
 def loo_cbs(
@@ -207,28 +229,15 @@ def loo_cbs(
     each held-out (dataset, train size) context.
     """
     results = []
-    for held_out, ranking, tests in _held_out(
+    for held_out, ordered, ranking, tests in _held_out(
         table, datasets, train_sizes, split, threshold, skip_degenerate
     ):
-        recommended = ranking.recommended
-        index = table.space.config_index(recommended)
-        scores = []
-        for ctx, (cell, best) in tests.items():
-            raw = cell.get(index)
-            if raw is None:
-                raise DataError(
-                    f"recommended configuration ({recommended}) has no test"
-                    f" record on held-out context {ctx}"
-                )
-            scores.append(
-                LooScore(context=ctx, test_score=raw, normalized_test_score=raw / best)
-            )
         results.append(
             LooResult(
                 held_out_dataset=held_out,
-                recommended_config=recommended,
-                scores=tuple(scores),
-                ranking=ranking,
+                recommended_config=table.space.config_at(ordered[0]),
+                scores=_held_out_scores(table, ordered[0], tests),
+                ranking=ranking(),
             )
         )
     return results
@@ -261,12 +270,10 @@ def budget_curve(
 
     details: list[BudgetDetail] = []
     per_k: dict[int, list[float]] = {k: [] for k in range(1, max_budget + 1)}
-    for _, ranking, tests in _held_out(
+    for _, ordered, _, tests in _held_out(
         table, datasets, train_sizes, split, threshold, skip_degenerate
     ):
-        candidates = [
-            (table.space.config_index(e.config), e.config) for e in ranking.top(max_budget)
-        ]
+        candidates = [(i, table.space.config_at(i)) for i in ordered[:max_budget]]
         for ctx, (test, test_max) in tests.items():
             val = table.cell(ctx, "validation")
             if not val:
@@ -372,15 +379,10 @@ def compare_protocols(
 
     loo = {
         s.context: s.test_score
-        for res in loo_cbs(
-            table,
-            ds,
-            sizes,
-            split=split,
-            threshold=threshold,
-            skip_degenerate=skip_degenerate,
+        for _, ordered, _, tests in _held_out(
+            table, ds, sizes, split, threshold, skip_degenerate
         )
-        for s in res.scores
+        for s in _held_out_scores(table, ordered[0], tests)
     }
 
     groups: dict[tuple[str, int], list[Context]] = {}

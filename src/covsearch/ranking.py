@@ -10,15 +10,21 @@ how many contexts they cover.
 
 ``_ranker`` builds every ranking.  Over the given contexts it builds each
 top set once and adds each grid id's normalized scores once, as exact
-integers: multiples of 2**-1074, the smallest subnormal float.  It returns a
+integers: multiples of 2**-1074, the smallest subnormal float.  It also
+finds each context's winners over the whole pool once.  It returns a
 function that ranks without one dataset.  That function subtracts the
 dataset's exact partial sums, which leaves exactly the sum over the others,
 and divides once, correctly rounded, so each score sum is the float that
-fsum over the others gives.  The coverage step (``_coverage``) then runs
-over the other datasets' top sets.  ``rank`` is that function with nothing
-held out, and ``protocols._held_out`` calls it once per dataset: O(D*G +
+fsum over the others gives.  Only the ids in the held-out top sets lose
+sum, so it redoes the coverage step only for contexts where one of them
+was a winner.  It returns the ranked ids in order and builds the ranking
+(``CoverageRanking``) only on request, reusing any entry equal to one built
+for an earlier held-out dataset.  ``rank`` is that function with nothing
+held out.  ``protocols._held_out`` calls it once per dataset: O(D*G +
 D^2*T) for D datasets, G grid points and top sets of mean size T, instead
-of O(D^2*G) for one ``rank`` per held-out dataset.
+of O(D^2*G) for one ``rank`` per held-out dataset.  Leave-one-out returns
+the rankings; the budget curve and the protocol comparison read only the
+order.
 
 Determinism: contexts are processed in sorted order, configurations in grid
 order, and score sums are exact before their one rounding, so equal inputs
@@ -28,8 +34,11 @@ handled as grid ids throughout and decoded only into the results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from itertools import compress, filterfalse, groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     ConfigSpace,
@@ -162,38 +171,14 @@ def _exact_sums(top_sets: Iterable[TopSet]) -> dict[int, int]:
     return sums
 
 
-def _coverage(
-    space: ConfigSpace,
-    top_sets: Mapping[Context, TopSet],
-    score_sum: Mapping[int, float],
-    split: str,
-    threshold: float,
-) -> CoverageRanking:
-    """The coverage step: the ranking over ``top_sets``, given the score sum
-    of exactly the ids that are members of them."""
-    # A configuration covers a context iff it is in the top set and ties the
-    # maximal score sum there; no strictly higher-ranked member can then be
-    # present, which is the set-difference definition in closed form.
-    coverage: dict[int, set[Context]] = {i: set() for i in score_sum}
-    for ctx, top in top_sets.items():
-        best = max(score_sum[i] for i, _ in top.id_members)
-        for i, _ in top.id_members:
-            if score_sum[i] == best:
-                coverage[i].add(ctx)
-
-    ordered = sorted(score_sum, key=lambda i: (-len(coverage[i]), -score_sum[i], i))
-    config_at = space.config_at
-    entries = tuple(
-        RankingEntry(
-            config=config_at(i),
-            score_sum=score_sum[i],
-            coverage=frozenset(coverage[i]),
-        )
-        for i in ordered
-    )
-    return CoverageRanking(
-        entries=entries, contexts=tuple(top_sets), split=split, threshold=threshold
-    )
+def _winners(ids: Sequence[int], score_sum: Mapping[int, float], floor=-math.inf) -> list[int]:
+    """The ids tied at the maximal score sum among ``ids``, or none if that
+    sum is not above ``floor``.  Over a top set, these are the ids that cover
+    its context: no strictly higher-ranked member is present, which is the
+    set-difference definition of coverage in closed form."""
+    sums = list(map(score_sum.__getitem__, ids))
+    best = max(sums)
+    return list(compress(ids, map(best.__eq__, sums))) if best > floor else []
 
 
 def _ranker(
@@ -202,29 +187,70 @@ def _ranker(
     split: str,
     threshold: float,
     skip_degenerate: bool,
-) -> Callable[[str | None], CoverageRanking]:
+) -> Callable[[str | None], tuple[list[int], Callable[[], CoverageRanking]]]:
     """The ranking over ``contexts`` without one dataset (``None``: none), as a
-    function of that dataset.  Top sets and exact sums are built once, here:
-    contexts in ascending order, duplicates dropped, degenerate ones as in
-    ``_usable``."""
+    function of that dataset: its ids in ranking order, and a function that
+    builds the ranking itself.  Top sets, exact sums and each context's
+    winners are built once, here: contexts in ascending order, duplicates
+    dropped, degenerate ones as in ``_usable``."""
     selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
     top_sets = _usable(selected, skip_degenerate, lambda c: top_set(table, c, split, threshold))
-    totals = _exact_sums(top_sets.values())
-    sums = {i: total / _SUM_UNIT for i, total in totals.items()}
+    # The pool by position, so no Context is hashed per held-out dataset.
+    pool, tops = list(top_sets), list(top_sets.values())
+    datasets = [ctx.dataset for ctx in pool]
+    members = [tuple(i for i, _ in top.id_members) for top in tops]
+    totals = _exact_sums(tops)
+    partials = {  # sorted, the contexts of a dataset are adjacent
+        dataset: _exact_sums(top for _, top in group)
+        for dataset, group in groupby(zip(datasets, tops), itemgetter(0))
+    }
+    sums = {i: totals[i] / _SUM_UNIT for i in sorted(totals)}
+    winners = [_winners(ids, sums) for ids in members]
+    runner_up = [  # the largest sum below the winners'
+        max((sums[i] for i in ids if i not in won), default=-math.inf)
+        for ids, won in zip(members, winners)
+    ]
+    entries: dict[tuple[int, float, tuple[int, ...]], RankingEntry] = {}
 
-    def without(held_out: str | None) -> CoverageRanking:
-        others = {ctx: top for ctx, top in top_sets.items() if ctx.dataset != held_out}
-        if not others:
+    def without(held_out: str | None) -> tuple[list[int], Callable[[], CoverageRanking]]:
+        kept = [k for k, dataset in enumerate(datasets) if dataset != held_out]
+        if not kept:
             raise DataError("all requested contexts are degenerate")
         score_sum = dict(sums)
-        partial = _exact_sums(top for ctx, top in top_sets.items() if ctx.dataset == held_out)
+        partial = partials.get(held_out, {})
         for i, part in partial.items():
             rest = totals[i] - part
             if rest:
                 score_sum[i] = rest / _SUM_UNIT
             else:  # each membership adds a positive amount: i is in no other top set
                 del score_sum[i]
-        return _coverage(table.space, others, score_sum, split, threshold)
+        # Only the ids in the held-out top sets lose sum, so a context keeps
+        # its winners unless one of them is such an id, and even then the
+        # best of them, if still above the runner-up's sum.
+        coverage: dict[int, list[int]] = {}
+        for k in kept:
+            won = winners[k]
+            if not partial.keys().isdisjoint(won):
+                won = _winners(won, score_sum, runner_up[k]) or _winners(members[k], score_sum)
+            for i in won:
+                coverage.setdefault(i, []).append(k)
+        # Stable sorts of the ascending ids: by score sum, then by coverage.
+        by_sum = sorted(score_sum, key=score_sum.__getitem__, reverse=True)
+        covered = filter(coverage.__contains__, by_sum)
+        ordered = sorted(covered, key=lambda i: len(coverage[i]), reverse=True)
+        ordered += filterfalse(coverage.__contains__, by_sum)
+
+        def ranking() -> CoverageRanking:
+            built = []
+            for i in ordered:
+                key = (i, score_sum[i], tuple(coverage.get(i, ())))
+                if key not in entries:  # else built for an earlier held-out dataset
+                    cover = frozenset(pool[k] for k in key[2])
+                    entries[key] = RankingEntry(table.space.config_at(i), score_sum[i], cover)
+                built.append(entries[key])
+            return CoverageRanking(tuple(built), tuple(pool[k] for k in kept), split, threshold)
+
+        return ordered, ranking
 
     return without
 
@@ -249,4 +275,5 @@ def rank(
     selected = table.contexts(split) if contexts is None else list(contexts)
     if not selected:
         raise DataError("no contexts to rank over")
-    return _ranker(table, selected, split, threshold, skip_degenerate)(None)
+    _, ranking = _ranker(table, selected, split, threshold, skip_degenerate)(None)
+    return ranking()

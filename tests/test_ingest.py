@@ -148,6 +148,11 @@ class TestScoreFiles:
             parse_scores(scores_text(rows), self.space)
         assert exc.value.line == 4
 
+    def test_zero_train_size_names_line(self):
+        rows = FULL_ROWS[:2] + ["d1,0,test,0.4,1e-04,5"]
+        with pytest.raises(ParseError, match="^line 4: train_size must be >= 1, got 0$"):
+            parse_scores(scores_text(rows), self.space)
+
     def test_row_order_irrelevant(self):
         a = parse_scores(scores_text(FULL_ROWS), self.space, warn_incomplete=False)
         b = parse_scores(scores_text(FULL_ROWS[::-1]), self.space, warn_incomplete=False)

@@ -282,6 +282,14 @@ class TestContext:
         with pytest.raises(ValidationError, match="^dataset identifier must not contain newlines$"):
             Context("a\nb", 100)
 
+    @pytest.mark.parametrize("size,message", [
+        (0, "^train_size must be >= 1, got 0$"),
+        (1.5, "^train_size must be an integer, got 1.5$"),
+    ])
+    def test_train_size_messages(self, size, message):
+        with pytest.raises(ValidationError, match=message):
+            Context("d", size)
+
 
 class TestCoverageRanking:
     EMPTY = CoverageRanking(entries=(), contexts=(), split="test", threshold=0.5)

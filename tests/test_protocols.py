@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from covsearch import (
     Context,
+    CoverageRanking,
     DataError,
     ScoreTable,
     ValidationError,
@@ -377,6 +378,28 @@ class TestContextSelection:
         assert 0 < len(calls) <= len(table.datasets()) * len(table.contexts())
 
 
+class TestRankingsBuilt:
+    """Budget and compare read only the order of each held-out ranking;
+    leave-one-out returns one ranking per held-out dataset."""
+
+    @pytest.mark.parametrize("protocol,built", [
+        (loo_cbs, 1),
+        (budget_curve, 0),
+        (lambda table: compare_protocols(table, {d: "t" for d in table.datasets()}), 0),
+    ], ids=["loo_cbs", "budget_curve", "compare_protocols"])
+    def test_rankings_built_per_held_out_dataset(self, monkeypatch, protocol, built):
+        table = synthetic_table(datasets=12)
+        calls = []
+
+        def counted(self, check=CoverageRanking.__post_init__):
+            calls.append(1)
+            check(self)
+
+        monkeypatch.setattr(CoverageRanking, "__post_init__", counted)
+        protocol(table)
+        assert len(calls) == built * len(table.datasets())
+
+
 def degenerate_held_out_instance():
     """Three datasets; the A@100 test cell is all zero, every other cell is
     positive."""
@@ -559,6 +582,15 @@ class TestErrorBranches:
         ):
             loo_cbs(table)
 
+    def test_compare_needs_the_recommended_test_record(self):
+        _, table = self.held_out_a({"a": 1.0}, {"b": 100.0})
+        with pytest.raises(
+            DataError,
+            match=r"^recommended configuration \(hp=a\) has no test record on held-out"
+            r" context A@100$",
+        ):
+            compare_protocols(table, task_map=dict.fromkeys("ABC", "t1"))
+
     def test_budget_needs_a_held_out_validation_cell(self):
         _, table = one_hp_instance(val={}, test={("A", 100): {"a": 1.0}, **self.OTHERS})
         with pytest.raises(DataError, match="^validation split unavailable for context A@100$"):
@@ -735,6 +767,82 @@ class TestMetamorphic:
             results = loo_cbs(table, **options)
         assert [r.held_out_dataset for r in results] == table.datasets()
         assert [r.ranking for r in results] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        instance=instances(scores=TINY_SCORES),
+        split=st.sampled_from(SPLITS),
+        threshold=st.sampled_from([5e-324, 1e-310, 0.97])
+        | st.floats(0, 1, exclude_min=True, exclude_max=True),
+        skip_degenerate=st.booleans(),
+        data=st.data(),
+    )
+    def test_budget_and_compare_read_a_fresh_rank_without_the_held_out_dataset(
+        self, instance, split, threshold, skip_degenerate, data
+    ):
+        domains, raw = instance
+        cells = raw[split]
+        for key in data.draw(st.sets(st.sampled_from(sorted(cells)), max_size=2)):
+            cells[key] = dict.fromkeys(cells[key], 0.0)
+        table = build_table(cat_space(domains), raw)
+        options = {"split": split, "threshold": threshold, "skip_degenerate": skip_degenerate}
+        max_budget = data.draw(st.integers(1, 4))
+        index = table.space.config_index
+
+        def picked(held_out):
+            """The budget rows of one held-out dataset, each picked from a
+            fresh ranking over the others."""
+            others = [c for c in table.contexts(split) if c.dataset != held_out]
+            ranking = rank(table, others, **options)
+            candidates = [e.config for e in ranking.top(max_budget)]
+            rows = []
+            for ctx in table.contexts("test"):
+                test = table.cell(ctx, "test")
+                test_max = max(test.values())
+                if ctx.dataset != held_out or (skip_degenerate and test_max == 0):
+                    continue
+                if test_max == 0:
+                    raise DataError(f"degenerate held-out context {ctx}")
+                val = table.cell(ctx, "validation")
+                for k in range(1, max_budget + 1):
+                    best = max(candidates[:k], key=lambda c: val[index(c)])  # first wins ties
+                    score = test[index(best)]
+                    rows.append((k, ctx, best, val[index(best)], score, score / test_max,
+                                 k > len(candidates)))
+            return rows
+
+        task_map = {d: f"t{n % 2}" for n, d in enumerate(table.datasets())}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                expected = [row for d in table.datasets() for row in picked(d)]
+                if not expected:
+                    raise DataError("all held-out test contexts are degenerate")
+            except DataError as exc:
+                with pytest.raises(type(exc)):
+                    budget_curve(table, max_budget=max_budget, **options)
+            else:
+                curve = budget_curve(table, max_budget=max_budget, **options)
+                assert [
+                    (d.k, d.context, d.config, d.validation_score, d.test_score,
+                     d.normalized_test_score, d.clamped)
+                    for d in curve.details
+                ] == expected
+            try:
+                loo = loo_cbs(table, **options)
+            except DataError as exc:
+                with pytest.raises(type(exc)):
+                    compare_protocols(table, task_map, **options)
+                return
+            rows = compare_protocols(table, task_map, **options)
+        groups = {}
+        for s in (s for r in loo for s in r.scores):
+            key = (task_map[s.context.dataset], s.context.train_size)
+            groups.setdefault(key, []).append(s.test_score)
+        assert [(r.task, r.train_size, r.cbs1_score) for r in rows] == [
+            (task, size, math.fsum(scores) / len(scores))
+            for (task, size), scores in sorted(groups.items())
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(instance=instances())
