@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
@@ -144,6 +146,7 @@ def _contexts_of(
     table: ScoreTable, split: str, datasets: Sequence[str], train_sizes: Sequence[int]
 ) -> list[Context]:
     """Contexts with ``split`` records among the given datasets and train sizes."""
+    datasets, train_sizes = set(datasets), set(train_sizes)
     return [
         ctx
         for ctx in table.contexts(split)
@@ -179,14 +182,17 @@ def _held_out(
     if len(ds) < 2:
         raise DataError("leave-one-out requires at least 2 datasets")
     pool = _contexts_of(table, split, ds, sizes)
-    tests = _contexts_of(table, "test", ds, sizes)
+    tests = {  # sorted, the contexts of a dataset are adjacent
+        dataset: list(group)
+        for dataset, group in groupby(_contexts_of(table, "test", ds, sizes), attrgetter("dataset"))
+    }
     without = _ranker(table, pool, split, threshold, skip_degenerate)
     pool_datasets = {ctx.dataset for ctx in pool}
     for held_out in ds:
         if pool_datasets <= {held_out}:
             raise DataError(f"no contexts remain after holding out {held_out!r}")
         ordered, ranking = without(held_out)
-        held_out_contexts = [ctx for ctx in tests if ctx.dataset == held_out]
+        held_out_contexts = tests.get(held_out)
         if not held_out_contexts:
             raise DataError(
                 f"held-out dataset {held_out!r} has no test records for the"

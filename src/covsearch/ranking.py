@@ -9,22 +9,29 @@ strictly larger score sum is.  The final ranking orders configurations by
 how many contexts they cover.
 
 ``_ranker`` builds every ranking.  Over the given contexts it builds each
-top set once and adds each grid id's normalized scores once, as exact
-integers: multiples of 2**-1074, the smallest subnormal float.  It also
-finds each context's winners over the whole pool once.  It returns a
-function that ranks without one dataset.  That function subtracts the
-dataset's exact partial sums, which leaves exactly the sum over the others,
-and divides once, correctly rounded, so each score sum is the float that
-fsum over the others gives.  Only the ids in the held-out top sets lose
-sum, so it redoes the coverage step only for contexts where one of them
-was a winner.  It returns the ranked ids in order and builds the ranking
-(``CoverageRanking``) only on request, reusing any entry equal to one built
-for an earlier held-out dataset.  ``rank`` is that function with nothing
-held out.  ``protocols._held_out`` calls it once per dataset: O(D*G +
-D^2*T) for D datasets, G grid points and top sets of mean size T, instead
-of O(D^2*G) for one ``rank`` per held-out dataset.  Leave-one-out returns
-the rankings; the budget curve and the protocol comparison read only the
-order.
+top set once and adds up each dataset's normalized scores per grid id once,
+as exact integers: multiples of 2**-1074, the smallest subnormal float.
+The pool's sums are the sums of those.  It splits each top set into levels
+of equal score sum and files the contexts by their levels: contexts with
+the same winners over the whole pool form a winner group, and so on down.
+It returns a function that ranks without one dataset.  That function
+subtracts the dataset's exact partial sums, which leaves exactly the sum
+over the others, and divides once, correctly rounded, so each score sum is
+the float that fsum over the others gives.  Only the ids in the held-out
+top sets lose sum, and no sum rises, so a winner group's best remaining sum
+is one value.  One bisect finds the group's contexts whose runner-up is
+below it; they keep the winners tied at it, and only the others go down a
+level.  Coverage is a count per id.  The covered contexts are listed only
+when the ranking (``CoverageRanking``) is built, on request, reusing any
+entry equal to one built for an earlier held-out dataset.  ``rank`` is that
+function with nothing held out.  ``protocols._held_out`` calls it once per
+dataset: O(D*G + D*(T + W + R + N log N)) for D datasets, G grid points,
+top sets of mean size T, W winner groups, R lower levels visited per
+held-out dataset, N <= G ids with a score sum, instead of O(D*G + D^2*T)
+for visiting every context per held-out dataset.  W and R do not grow with
+D where datasets agree on their best configurations; at worst W is the
+number of contexts.  Leave-one-out returns the rankings; the budget curve
+and the protocol comparison read only the order.
 
 Determinism: contexts are processed in sorted order, configurations in grid
 order, and score sums are exact before their one rounding, so equal inputs
@@ -35,6 +42,8 @@ handled as grid ids throughout and decoded only into the results.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, filterfalse, groupby
 from operator import itemgetter
@@ -171,14 +180,62 @@ def _exact_sums(top_sets: Iterable[TopSet]) -> dict[int, int]:
     return sums
 
 
-def _winners(ids: Sequence[int], score_sum: Mapping[int, float], floor=-math.inf) -> list[int]:
-    """The ids tied at the maximal score sum among ``ids``, or none if that
-    sum is not above ``floor``.  Over a top set, these are the ids that cover
-    its context: no strictly higher-ranked member is present, which is the
-    set-difference definition of coverage in closed form."""
+def _winners(ids: Sequence[int], score_sum: Mapping[int, float]) -> tuple[int, ...]:
+    """The ids tied at the maximal score sum among ``ids``.  Over a top set,
+    these are the ids that cover its context: no strictly higher-ranked
+    member is present, which is the set-difference definition of coverage in
+    closed form.  Over one level of it, they are the level's best."""
     sums = list(map(score_sum.__getitem__, ids))
-    best = max(sums)
-    return list(compress(ids, map(best.__eq__, sums))) if best > floor else []
+    return tuple(compress(ids, map(max(sums).__eq__, sums)))
+
+
+# The level after a context's last one.
+_LAST = (-math.inf, ())
+
+
+class _Levels:
+    """Pool contexts whose top sets agree on their highest levels of score
+    sum, a level being the members tied at one sum.  ``ids`` and ``total``
+    are the last of those levels (at the root: no ids, and every context).
+    ``contexts`` lists the contexts by the sum of their next level
+    (``below``, -inf past their last), ascending, so the contexts of each
+    next level are adjacent.  ``own`` holds each dataset's share of
+    ``below``, and ``sums`` the next levels' sums.  Each next level is built
+    the first time it is reached."""
+
+    def __init__(
+        self,
+        ids: tuple[int, ...],
+        total: float,
+        contexts: Iterable[int],
+        depth: int,
+        levels: Sequence[Sequence[tuple[float, tuple[int, ...]]]],
+        datasets: Sequence[str],
+    ):
+        keyed = sorted((levels[k][depth], k) for k in contexts)
+        self.ids, self.total, self.depth = ids, total, depth
+        self.contexts = [k for _, k in keyed]
+        self.below = [level[0] for level, _ in keyed]
+        self.own: dict[str, list[float]] = {}
+        for (below, _), k in keyed:
+            self.own.setdefault(datasets[k], []).append(below)
+        self._next = [
+            [level, [k for _, k in group]]
+            for level, group in groupby(keyed, itemgetter(0))
+            if level is not _LAST
+        ]
+        self.sums = [level[0] for level, _ in self._next]
+        self._levels, self._datasets = levels, datasets
+
+    def next(self, j: int) -> _Levels:
+        """The ``j``-th next level, in ``sums`` order."""
+        level = self._next[j]
+        if isinstance(level, list):
+            (total, ids), contexts = level
+            level = self._next[j] = _Levels(
+                ids, total, contexts, self.depth + 1, self._levels, self._datasets
+            )
+        return level
 
 
 def _ranker(
@@ -191,30 +248,33 @@ def _ranker(
     """The ranking over ``contexts`` without one dataset (``None``: none), as a
     function of that dataset: its ids in ranking order, and a function that
     builds the ranking itself.  Top sets, exact sums and each context's
-    winners are built once, here: contexts in ascending order, duplicates
-    dropped, degenerate ones as in ``_usable``."""
+    levels of score sum are built once, here: contexts in ascending order,
+    duplicates dropped, degenerate ones as in ``_usable``."""
     selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
     top_sets = _usable(selected, skip_degenerate, lambda c: top_set(table, c, split, threshold))
     # The pool by position, so no Context is hashed per held-out dataset.
-    pool, tops = list(top_sets), list(top_sets.values())
+    pool, tops = tuple(top_sets), list(top_sets.values())
     datasets = [ctx.dataset for ctx in pool]
-    members = [tuple(i for i, _ in top.id_members) for top in tops]
-    totals = _exact_sums(tops)
-    partials = {  # sorted, the contexts of a dataset are adjacent
-        dataset: _exact_sums(top for _, top in group)
-        for dataset, group in groupby(zip(datasets, tops), itemgetter(0))
-    }
+    spans, partials = {}, {}  # sorted, the contexts of a dataset are adjacent
+    for dataset, group in groupby(range(len(pool)), datasets.__getitem__):
+        ks = list(group)
+        spans[dataset] = range(ks[0], ks[-1] + 1)
+        partials[dataset] = _exact_sums(tops[k] for k in ks)
+    totals: Counter[int] = Counter()
+    for partial in partials.values():
+        totals.update(partial)  # exact integers: the sum does not depend on the order
     sums = {i: totals[i] / _SUM_UNIT for i in sorted(totals)}
-    winners = [_winners(ids, sums) for ids in members]
-    runner_up = [  # the largest sum below the winners'
-        max((sums[i] for i in ids if i not in won), default=-math.inf)
-        for ids, won in zip(members, winners)
-    ]
+    levels = []  # per context, its members tied at each score sum, in descending order
+    for top in tops:
+        tied: dict[float, list[int]] = {}
+        for i, _ in top.id_members:
+            tied.setdefault(sums[i], []).append(i)
+        levels.append([*sorted(((s, tuple(ids)) for s, ids in tied.items()), reverse=True), _LAST])
+    root = _Levels((), math.inf, range(len(pool)), 0, levels, datasets)
     entries: dict[tuple[int, float, tuple[int, ...]], RankingEntry] = {}
 
     def without(held_out: str | None) -> tuple[list[int], Callable[[], CoverageRanking]]:
-        kept = [k for k, dataset in enumerate(datasets) if dataset != held_out]
-        if not kept:
+        if partials.keys() <= {held_out}:
             raise DataError("all requested contexts are degenerate")
         score_sum = dict(sums)
         partial = partials.get(held_out, {})
@@ -224,31 +284,59 @@ def _ranker(
                 score_sum[i] = rest / _SUM_UNIT
             else:  # each membership adds a positive amount: i is in no other top set
                 del score_sum[i]
-        # Only the ids in the held-out top sets lose sum, so a context keeps
-        # its winners unless one of them is such an id, and even then the
-        # best of them, if still above the runner-up's sum.
-        coverage: dict[int, list[int]] = {}
-        for k in kept:
-            won = winners[k]
-            if not partial.keys().isdisjoint(won):
-                won = _winners(won, score_sum, runner_up[k]) or _winners(members[k], score_sum)
-            for i in won:
-                coverage.setdefault(i, []).append(k)
+        # Only the ids in the held-out top sets lose sum, and no sum rises.
+        # So contexts sharing their highest levels share their best sum so
+        # far, and the ids tied at it; one bisect finds those whose next
+        # level is below it, which that sum wins.  Only the others go on to
+        # their next level.  Coverage is counted per id here, and listed
+        # per context only in ranking().
+        count: dict[int, int] = {}
+        covers = []  # (contexts, how many of them lead, their winners)
+        stack = [(root, -math.inf, ())]
+        while stack:
+            level, best, won = stack.pop()
+            cut = bisect_left(level.below, best)
+            n = cut - bisect_left(level.own.get(held_out, ()), best)
+            if n:
+                covers.append((level.contexts, cut, won))
+                for i in won:
+                    count[i] = count.get(i, 0) + n
+            for j in range(bisect_left(level.sums, best), len(level.sums)):
+                nxt = level.next(j)
+                if len(nxt.own.get(held_out, ())) == len(nxt.contexts):
+                    continue  # held out whole, so its ids may have no sum left
+                if partial.keys().isdisjoint(nxt.ids):
+                    top, at = nxt.ids, nxt.total
+                else:
+                    top = _winners(nxt.ids, score_sum)
+                    at = score_sum[top[0]]
+                if at > best:
+                    stack.append((nxt, at, top))
+                else:
+                    stack.append((nxt, best, won + top if at == best else won))
         # Stable sorts of the ascending ids: by score sum, then by coverage.
         by_sum = sorted(score_sum, key=score_sum.__getitem__, reverse=True)
-        covered = filter(coverage.__contains__, by_sum)
-        ordered = sorted(covered, key=lambda i: len(coverage[i]), reverse=True)
-        ordered += filterfalse(coverage.__contains__, by_sum)
+        ordered = sorted(filter(count.__contains__, by_sum), key=count.__getitem__, reverse=True)
+        ordered += filterfalse(count.__contains__, by_sum)
 
         def ranking() -> CoverageRanking:
+            held = spans.get(held_out, range(0))
+            covered: dict[int, list[int]] = {}
+            for contexts, cut, won in covers:
+                leading = list(filterfalse(held.__contains__, contexts[:cut]))
+                for i in won:
+                    covered.setdefault(i, []).extend(leading)
+            coverage = {i: tuple(sorted(ks)) for i, ks in covered.items()}
             built = []
             for i in ordered:
-                key = (i, score_sum[i], tuple(coverage.get(i, ())))
-                if key not in entries:  # else built for an earlier held-out dataset
-                    cover = frozenset(pool[k] for k in key[2])
-                    entries[key] = RankingEntry(table.space.config_at(i), score_sum[i], cover)
-                built.append(entries[key])
-            return CoverageRanking(tuple(built), tuple(pool[k] for k in kept), split, threshold)
+                key = (i, score_sum[i], coverage.get(i, ()))
+                entry = entries.get(key)
+                if entry is None:  # else built for an earlier held-out dataset
+                    cover = frozenset(map(pool.__getitem__, key[2]))
+                    entry = entries[key] = RankingEntry(table.space.config_at(i), key[1], cover)
+                built.append(entry)
+            kept = pool[: held.start] + pool[held.stop :]
+            return CoverageRanking(tuple(built), kept, split, threshold)
 
         return ordered, ranking
 

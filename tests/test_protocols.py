@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covsearch.ranking as ranking_module
 from covsearch import (
     Context,
     CoverageRanking,
@@ -19,6 +20,7 @@ from covsearch import (
     loo_cbs,
     rank,
     synthetic_table,
+    top_set,
     upper_bound,
 )
 from helpers import build_table, cat_space, make_space, random_instance
@@ -852,3 +854,107 @@ class TestMetamorphic:
         normalized = [s.normalized_test_score for r in loo_cbs(table) for s in r.scores]
         first = budget_curve(table, max_budget=1).points[0]
         assert first.mean_normalized_test_score == math.fsum(normalized) / len(normalized)
+
+
+# ---------------------------------------------------------------------------
+# Winner groups: a held-out dataset redoes the coverage step once per group of
+# contexts sharing their winners over the whole pool, not once per context.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """(domain sizes, raw) like ``instances``, with six to twelve datasets on
+    a grid of at most four points and scores from three values.  Many
+    contexts then share their winners, and a runner-up's score sum often
+    ties the winners' once a dataset is held out."""
+    domains = draw(st.sampled_from([[2], [3], [4], [2, 2], [1, 3]]))
+    grid = [c.values for c in cat_space(domains).grid()]
+    datasets = [f"d{i:02d}" for i in range(draw(st.integers(6, 12)))]
+    sizes = draw(st.sampled_from([(100,), (100, 1000)]))
+    scores = st.sampled_from([0.5, 0.98, 1.0])
+    raw = {
+        split: {
+            (dataset, size): {values: draw(scores) for values in grid}
+            for dataset in datasets
+            for size in sizes
+        }
+        for split in SPLITS
+    }
+    return domains, raw
+
+
+class TestWinnerGroups:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        instance=tie_heavy_instances(),
+        split=st.sampled_from(SPLITS),
+        threshold=st.sampled_from([0.3, 0.6, 0.97]),
+    )
+    def test_tie_heavy_loo_and_budget_read_a_fresh_rank(self, instance, split, threshold):
+        domains, raw = instance
+        table = build_table(cat_space(domains), raw)
+        index = table.space.config_index
+        options = {"split": split, "threshold": threshold}
+        expected_rankings, expected_picks = [], []
+        for held_out in table.datasets():
+            others = [c for c in table.contexts(split) if c.dataset != held_out]
+            ranking = rank(table, others, **options)
+            expected_rankings.append(ranking)
+            candidates = [e.config for e in ranking.top(3)]
+            for ctx in table.contexts("test"):
+                if ctx.dataset == held_out:
+                    val = table.cell(ctx, "validation")
+                    for k in range(1, 4):
+                        best = max(candidates[:k], key=lambda c: val[index(c)])  # first wins ties
+                        expected_picks.append((k, ctx, best))
+        assert [r.ranking for r in loo_cbs(table, **options)] == expected_rankings
+        curve = budget_curve(table, max_budget=3, **options)
+        assert [(d.k, d.context, d.config) for d in curve.details] == expected_picks
+
+    @staticmethod
+    def groups_and_recomputed(table):
+        """The number of winner groups over the whole pool, and the number of
+        contexts, summed over held-out datasets, whose runner-up score sum is
+        not below the best sum of their winners without that dataset."""
+        pool = table.contexts("test")
+        full = rank(table)
+        sums = {e.config: e.score_sum for e in full.entries}
+        winners = {c: frozenset(e.config for e in full.entries if c in e.coverage) for c in pool}
+        runner_up = {
+            c: max((sums[x] for x in top_set(table, c, "test").configs if x not in winners[c]),
+                   default=-math.inf)
+            for c in pool
+        }
+        recomputed = 0
+        for held_out in table.datasets():
+            held = rank(table, [c for c in pool if c.dataset != held_out])
+            kept_sums = {e.config: e.score_sum for e in held.entries}
+            recomputed += sum(
+                max(kept_sums[x] for x in winners[c]) <= runner_up[c]
+                for c in pool if c.dataset != held_out
+            )
+        return len(set(winners.values())), recomputed
+
+    def test_winner_computations_do_not_grow_with_the_contexts(self, monkeypatch):
+        per_held_out = {}
+        for datasets in (12, 24):
+            table = synthetic_table(datasets=datasets)
+            calls = []
+
+            def counted(*args, winners=ranking_module._winners):
+                calls.append(1)
+                return winners(*args)
+
+            monkeypatch.setattr(ranking_module, "_winners", counted)
+            budget_curve(table)
+            monkeypatch.undo()
+            groups, recomputed = self.groups_and_recomputed(table)
+            # Per held-out dataset: at most one per winner group, plus one per
+            # context the groups leave to recompute.
+            assert len(calls) <= datasets * groups + recomputed
+            # That bound is below half the 2 * (datasets - 1) contexts each
+            # held-out dataset keeps, so one computation per context fails it.
+            assert groups + recomputed / datasets < datasets - 1
+            per_held_out[datasets] = len(calls) / datasets
+        assert per_held_out[24] <= per_held_out[12]
