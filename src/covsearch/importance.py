@@ -33,11 +33,17 @@ bit for bit):
   pins it).  A scipy with another formula, or another libm, can move
   ``js_score`` in its last bits.
 
-Permutations are scored a chunk at a time.  A chunk is a (permutations x
+Permutations are decided a chunk at a time.  A chunk is a (permutations x
 pool) block of orders, bounded by ``_CHUNK_ELEMENTS``; each hyperparameter
-deals it with one ``bincount`` and scores it with one ``js_distance`` call
-over every dataset pair of the chunk.  Each distance equals the one the
-function gives for that pair alone, so results equal the recipe's bit for bit.
+deals it with one ``bincount`` and gets every dataset pair's distance from
+one ``js_distance`` call, each equal to the one the function gives for that
+pair alone.  A permutation counts when its score beats the observed one.
+numpy's sum of its distances bounds their exact sum within a proven factor,
+and only a score too close to the observed one to tell apart that way is
+summed again with ``math.fsum``, so every decision, and so every p-value, is
+the recipe's bit for bit.  A hyperparameter with one value deals the same
+vectors in every permutation, so none is greater and its p-value is 0
+without a permutation being scored.
 """
 
 from __future__ import annotations
@@ -70,11 +76,15 @@ _LN2 = math.log(2.0)
 # dataset pairs x domain size, per permutation), so memory stays flat in the
 # number of permutations.  A chunk holds at least one permutation, so past
 # this budget the temporaries grow with one permutation's pool and pairs.
-_CHUNK_ELEMENTS = 1 << 14
+# Each chunk costs every hyperparameter a fixed few dozen numpy calls, and
+# the orders and one deal hold 16 bytes per pool slot: 100 permutations of a
+# 1,098-slot pool take four chunks of 25 at this budget, about 0.45 MB,
+# against eight chunks and 0.25 MB at 1 << 14.
+_CHUNK_ELEMENTS = 1 << 15
 
-# numpy and scipy.special take about half a second to import and only the
-# distance and the permutation test use them, so they are bound on first
-# use instead of at import time, which every CLI command would pay.
+# numpy and scipy.special take about a quarter of a second to import and
+# only the distance and the permutation test use them, so they are bound on
+# first use instead of at import time, which every CLI command would pay.
 np = rel_entr = None
 
 
@@ -111,12 +121,45 @@ def value_distribution(
     return tuple(c / len(configs) for c in counts)
 
 
-def _js_scores(vectors, pairs) -> list[float]:
-    """js_score of each (datasets, values) stack on the last two axes;
-    ``pairs`` is ``np.triu_indices(datasets, 1)``."""
+def _pair_distances(vectors, pairs):
+    """One row of dataset-pair distances per (datasets, values) stack on the
+    last two axes; ``pairs`` is ``np.triu_indices(datasets, 1)``."""
     i, j = pairs
-    distances = js_distance(vectors[..., i, :], vectors[..., j, :])
-    return [1.0 - math.fsum(row) / len(i) for row in distances.reshape(-1, len(i)).tolist()]
+    return js_distance(vectors[..., i, :], vectors[..., j, :]).reshape(-1, len(i))
+
+
+def _js_score(vectors, pairs) -> float:
+    (row,) = _pair_distances(vectors, pairs).tolist()
+    return 1.0 - math.fsum(row) / len(row)
+
+
+def _count_greater(distances, score: float) -> int:
+    """How many rows of non-negative distances have ``1.0 - math.fsum(row) /
+    n > score``, n the row length; equal to counting that way, bit for bit.
+
+    Let S be a row's exact sum, F = fsum(row) its correct rounding and A
+    numpy's sum, with u = 2**-53.  Each term reaches A through at most n - 1
+    rounded additions of non-negative numbers, each off by a factor within
+    [1 - u, 1 + u], so S(1-u)**(n-1) <= A <= S(1+u)**(n-1).  ``slack`` is
+    exact (n < 2**49), and 1 + 8nu exceeds both (1+u)/(1-u)**n and
+    (1+u)**n/(1-u) with room to spare, so even after the rounding of the
+    product and the quotient, fl(A*slack) >= F >= fl(A/slack).  (If S is
+    below 2**-1022, every partial sum is exact and A = F = S, so monotone
+    rounding gives both bounds alone; otherwise a quotient rounded just
+    below 2**-1022 is still within a relative u(1 + 9nu), inside the room.)
+    Both steps of g(x) = 1.0 - x / n round monotonically, so g never
+    increases with x: g(fl(A*slack)) > score implies g(F) > score, and
+    g(fl(A/slack)) <= score implies g(F) <= score.  Only rows that neither
+    bound decides go to fsum.
+    """
+    n = distances.shape[1]
+    slack = 1.0 + 8 * n * 2.0**-53
+    approx = distances.sum(1)
+    greater = 1.0 - approx * slack / n > score
+    unsure = ~greater & (1.0 - approx / slack / n > score)
+    return int(greater.sum()) + sum(
+        1.0 - math.fsum(row) / n > score for row in distances[unsure].tolist()
+    )
 
 
 def js_distance(p, q):
@@ -151,7 +194,7 @@ def js_score(vectors: Sequence[Sequence[float]]) -> float:
     if len({len(v) for v in vectors}) > 1:
         raise ValidationError("probability vectors must have equal length")
     _load_numeric()
-    return _js_scores(np.asarray(vectors, dtype=float), np.triu_indices(len(vectors), 1))[0]
+    return _js_score(np.asarray(vectors, dtype=float), np.triu_indices(len(vectors), 1))
 
 
 def _pools(
@@ -204,7 +247,8 @@ def _permutation_test(
 ) -> list[tuple[tuple[tuple[float, ...], ...], float, float]]:
     """Per hyperparameter of ``hps``: its per-dataset value distributions
     (datasets in name order), their js_score and its p-value.  Each
-    permutation order is drawn once and dealt for every hyperparameter."""
+    permutation order is drawn once and dealt for every hyperparameter
+    with more than one value."""
     _load_numeric()
     names = sorted(pools)
     ids = np.array([index for d in names for index in pools[d]], dtype=np.intp)
@@ -224,16 +268,20 @@ def _permutation_test(
 
     # The pool as pooled is the identity order.
     observed = [deal(k, np.arange(len(ids))[None, :]) for k in range(len(hps))]
-    scores = [_js_scores(vectors, pairs)[0] for vectors in observed]
+    scores = [_js_score(vectors, pairs) for vectors in observed]
+    # Every deal of a one-valued hyperparameter gives each dataset (1.0,), as
+    # the observed pool does, so each permuted score ties the observed one.
+    tested = [k for k, hp in enumerate(hps) if len(hp.domain) > 1]
     widest = max(len(hp.domain) for hp in hps)
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(ids), len(pairs[0]) * widest))
+    most = max(1, _CHUNK_ELEMENTS // max(len(ids), len(pairs[0]) * widest))
+    chunk = -(-permutations // -(-permutations // most))  # fewest chunks, filled evenly
     greater = [0] * len(hps)
     for start in range(0, permutations, chunk):
         stop = min(start + chunk, permutations)
         orders = np.stack([np.random.default_rng((seed, i)).permutation(len(ids))
                            for i in range(start, stop)])
-        for k, score in enumerate(scores):
-            greater[k] += sum(s > score for s in _js_scores(deal(k, orders), pairs))
+        for k in tested:
+            greater[k] += _count_greater(_pair_distances(deal(k, orders), pairs), scores[k])
     return [(tuple(map(tuple, vectors[0].tolist())), score, g / permutations)
             for vectors, score, g in zip(observed, scores, greater)]
 

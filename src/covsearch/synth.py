@@ -22,6 +22,7 @@ from .model import (
     ScoreTable,
     ValidationError,
     SPLITS,
+    _check_count,
     _check_score,
     _check_seed,
 )
@@ -65,8 +66,7 @@ def synthetic_table(
     if space is None:
         space = demo_space()
     if isinstance(datasets, int):
-        if datasets < 1:
-            raise ValidationError("need at least one dataset")
+        _check_count("datasets", datasets)
         names = [f"ds{i:02d}" for i in range(datasets)]
     else:
         names = list(datasets)

@@ -512,3 +512,97 @@ class TestBatchedPermutationTest:
             reports.append(importance_report(table, combine_train_sizes=True,
                                              permutations=23, seed=5))
         assert repr(reports[0]) == repr(reports[1])
+
+
+@st.composite
+def distance_rows(draw):
+    """1-4 rows of one length (1-13,000) drawn from a palette of a few values
+    in [0, 1], so values repeat; later rows reorder the first or move one of
+    its entries by an ulp, so their scores tie or nearly tie."""
+    n = draw(st.integers(1, 13_000))
+    palette = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    first = palette[rng.integers(len(palette), size=n)]
+    rows = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rng.permutation(first)
+        if draw(st.booleans()):
+            k = rng.integers(n)
+            row[k] = np.nextafter(row[k], draw(st.sampled_from([0.0, 1.0])))
+        rows.append(row)
+    return np.array(rows)
+
+
+def fsum_score(row):
+    return 1.0 - math.fsum(row) / len(row)
+
+
+class TestCountGreater:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=distance_rows(), which=st.integers(0, 3), ulps=st.integers(-4, 4))
+    def test_equals_counting_with_fsum(self, rows, which, ulps):
+        score = fsum_score(rows[which % len(rows)].tolist())
+        for _ in range(abs(ulps)):
+            score = float(np.nextafter(score, math.copysign(np.inf, ulps)))
+        expected = sum(fsum_score(row) > score for row in rows.tolist())
+        assert importance._count_greater(rows, score) == expected
+
+
+class TestDecisionFallbackAndSkip:
+    """fsum decides only the permutations numpy's sum cannot, and a
+    one-valued hyperparameter is not permuted at all."""
+
+    @pytest.fixture
+    def fsum_calls(self, monkeypatch):
+        calls = []
+        original = importance.math.fsum
+
+        def counted(row):
+            calls.append(len(row))
+            return original(row)
+
+        monkeypatch.setattr(importance.math, "fsum", counted)
+        return calls
+
+    def test_exact_ties_are_decided_by_fsum(self, fsum_calls):
+        # One member each, different values: every deal gives the observed
+        # pair back, in one order or the other, so every score ties it.
+        space, pools = cat_space([2]), {"a": [0], "b": [1]}
+        expected = scalar_permutation_test(space, pools, space.hyperparameters[0], 20, 0)
+        fsum_calls.clear()
+        actual = importance._permutation_test(space, pools, space.hyperparameters, 20, 0)
+        assert repr(actual) == repr([expected])
+        assert len(fsum_calls) == 1 + 20
+
+    def test_clear_margins_sum_only_the_observed_scores(self, fsum_calls):
+        # Two datasets all (v0, v0) and two all (v1, v1) score about 1/3; a
+        # random deal gives each dataset a mix near half and half, which
+        # scores far above that.
+        space = cat_space([2, 2])
+        pools = {"a": [0] * 20, "b": [0] * 20, "c": [3] * 20, "d": [3] * 20}
+        expected = [scalar_permutation_test(space, pools, hp, 50, 0)
+                    for hp in space.hyperparameters]
+        fsum_calls.clear()
+        actual = importance._permutation_test(space, pools, space.hyperparameters, 50, 0)
+        assert repr(actual) == repr(expected)
+        assert fsum_calls == [6, 6]
+
+    def test_one_valued_hyperparameter_is_not_permuted(self, monkeypatch):
+        space = cat_space([3, 1, 2])
+        pools = {"a": [0, 1, 2], "b": [3, 4], "c": [5, 5, 0, 4]}
+        expected = [scalar_permutation_test(space, pools, hp, 30, 9)
+                    for hp in space.hyperparameters]
+        widths = []
+        original = importance.js_distance
+
+        def counted(p, q):
+            widths.append(np.shape(p)[-1])
+            return original(p, q)
+
+        monkeypatch.setattr(importance, "_CHUNK_ELEMENTS", 1 << 30)
+        monkeypatch.setattr(importance, "js_distance", counted)
+        actual = importance._permutation_test(space, pools, space.hyperparameters, 30, 9)
+        assert repr(actual) == repr(expected)
+        assert actual[1][2] == 0.0
+        # The observed pool for all three, then the one chunk for two.
+        assert widths == [3, 1, 2, 3, 2]

@@ -423,7 +423,7 @@ class TestSyntheticTable:
         ({"correlation": 1.5}, r"^correlation must be in \[0, 1\], got 1.5$"),
         ({"noise": 1.0}, r"^noise must be in \[0, 1\), got 1.0$"),
         ({"scale": 0.0}, "^scale must be positive, got 0.0$"),
-        ({"datasets": 0}, "^need at least one dataset$"),
+        ({"datasets": 0}, "^datasets must be >= 1, got 0$"),
         ({"datasets": ["a", "a"]}, "^dataset names must be unique$"),
         ({"train_sizes": ()}, "^need at least one train size$"),
     ])
