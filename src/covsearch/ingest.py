@@ -49,6 +49,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 from . import model
@@ -342,16 +343,25 @@ def parse_scores(text: str, space: ConfigSpace, *, warn_incomplete: bool = True)
 
 
 def serialize_scores(table: ScoreTable) -> str:
-    """Canonical score-file serialization from the cells (sorted rows, shortest floats)."""
+    """Canonical score-file serialization from the cells (sorted rows, shortest
+    floats).  A dataset starting with '#' is quoted, or its rows would read
+    back as comments."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator=",", quoting=csv.QUOTE_ALL)
     writer.writerow(list(RESERVED_COLUMNS) + list(table.space.names))
-    writer.writerows(
-        [ctx.dataset, ctx.train_size, split, repr(score), *table.space.config_at(index).values]
-        for ctx in table.contexts()
-        for split in table.splits_for(ctx)
-        for index, score in table.cell(ctx, split).items()
-    )
+    for ctx in table.contexts():
+        rows = (
+            [ctx.dataset, ctx.train_size, split, repr(score), *table.space.config_at(index).values]
+            for split in table.splits_for(ctx)
+            for index, score in table.cell(ctx, split).items()
+        )
+        if ctx.dataset.startswith("#"):
+            for row in rows:
+                quoted.writerow(row[:1])  # the quoted dataset and its comma
+                writer.writerow(row[1:])
+        else:
+            writer.writerows(rows)
     return out.getvalue()
 
 
@@ -383,29 +393,6 @@ class CompletenessReport:
         return all(not m for _, _, m in self.missing)
 
 
-def _complement(ids: tuple[int, ...], size: int) -> list[int]:
-    """The grid ids below ``size`` that ascending ``ids`` lacks, in order.
-
-    Halves the id range at a present id and drops every part whose ids are
-    all present, so the work follows the gaps and not the grid size.
-    """
-    missing: list[int] = []
-
-    def walk(low: int, high: int, first: int, stop: int) -> None:
-        # ids[first:stop] are exactly the present ids in range(low, high).
-        if high - low == stop - first:
-            return
-        if first == stop:
-            missing.extend(range(low, high))
-            return
-        middle = (first + stop) // 2
-        walk(low, ids[middle], first, middle)
-        walk(ids[middle] + 1, high, middle + 1, stop)
-
-    walk(0, size, 0, len(ids))
-    return missing
-
-
 def completeness_report(table: ScoreTable) -> CompletenessReport:
     space = table.space
     # Cell ids are stored ascending, so a cell's id tuple keys its id set:
@@ -423,7 +410,10 @@ def completeness_report(table: ScoreTable) -> CompletenessReport:
             ids = tuple(cell)
             gap = gaps.get(ids)
             if gap is None:
-                gap = gaps[ids] = tuple(space._decode(_complement(ids, space.size)))
+                mask = bytearray(b"\x01") * space.size
+                for index in ids:
+                    mask[index] = 0
+                gap = gaps[ids] = tuple(space._decode(list(compress(range(space.size), mask))))
             missing.append((ctx, split, gap))
         if len(splits) == 1:
             single.append((ctx, splits[0]))

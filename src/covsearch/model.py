@@ -118,6 +118,11 @@ def _check_count(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
+def _one_line(text: str) -> bool:
+    """Whether ``text`` fits in one score-file line: no "\n" and no "\r"."""
+    return "\n" not in text and "\r" not in text
+
+
 def canonical_value(kind: str, raw: object) -> str:
     """Canonicalize a single hyperparameter value for the given kind.
 
@@ -133,7 +138,7 @@ def canonical_value(kind: str, raw: object) -> str:
     text = str(raw).strip()
     if not text:
         raise ValidationError("empty hyperparameter value")
-    if "\n" in text or "\r" in text:
+    if not _one_line(text):
         raise ValidationError("hyperparameter value must not contain newlines")
     if kind == "categorical":
         return text
@@ -173,7 +178,7 @@ class Hyperparameter:
             raise ValidationError(
                 f"hyperparameter name {self.name!r} shadows a reserved score-file column"
             )
-        if "," in self.name or "\n" in self.name:
+        if "," in self.name or not _one_line(self.name):
             raise ValidationError(f"invalid hyperparameter name {self.name!r}")
         if self.kind not in VALID_KINDS:
             raise ValidationError(
@@ -388,7 +393,7 @@ class Context:
     def __post_init__(self) -> None:
         if not self.dataset or self.dataset != self.dataset.strip():
             raise ValidationError(f"invalid dataset identifier {self.dataset!r}")
-        if "\n" in self.dataset:
+        if not _one_line(self.dataset):
             raise ValidationError("dataset identifier must not contain newlines")
         if not isinstance(self.train_size, int):
             raise ValidationError(f"train_size must be an integer, got {self.train_size!r}")

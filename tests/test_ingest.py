@@ -349,6 +349,81 @@ class TestLineBreaks:
         assert exc.value.line == 4
 
 
+# Characters that a score file must carry through a name: a comment mark, a
+# quote, the delimiter, an inner space, NUL and a Unicode line separator.
+NAME_CHARS = 'ab#", \x00\u2028'
+
+
+def accepted(build):
+    """A filter keeping the names that ``build`` raises no ValidationError on."""
+    def ok(name):
+        try:
+            build(name)
+        except ValidationError:
+            return False
+        return True
+    return ok
+
+
+@st.composite
+def odd_name_tables(draw):
+    """A table whose dataset, hyperparameter and value names come from
+    NAME_CHARS, with cells on random subsets of the grid."""
+    text = st.text(NAME_CHARS, min_size=1, max_size=4)
+    names = draw(st.lists(
+        text.filter(accepted(lambda n: Hyperparameter(n, "categorical", ("v",)))),
+        min_size=1, max_size=3, unique=True,
+    ))
+    values = st.lists(text.map(str.strip).filter(bool), min_size=1, max_size=3, unique=True)
+    space = ConfigSpace(tuple(
+        Hyperparameter(name, "categorical", tuple(draw(values))) for name in names
+    ))
+    datasets = draw(st.lists(
+        text.filter(accepted(lambda n: Context(n, 1))), min_size=1, max_size=3, unique=True,
+    ))
+    scores = st.floats(min_value=0, max_value=1e300)
+    cells = {}
+    for dataset in datasets:
+        for split in draw(st.sampled_from([("test",), ("validation",), ("validation", "test")])):
+            ids = draw(st.sets(st.integers(0, space.size - 1), min_size=1))
+            cells[Context(dataset, draw(st.sampled_from([1, 100]))), split] = {
+                index: draw(scores) for index in ids
+            }
+    return ScoreTable._from_cells(space, cells)
+
+
+class TestNamesRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(table=odd_name_tables())
+    def test_serialize_then_parse_is_identity(self, table):
+        space = parse_space(serialize_space(table.space))
+        assert parse_scores(serialize_scores(table), space, warn_incomplete=False) == table
+
+    def test_a_dataset_starting_with_a_comment_mark_is_quoted(self):
+        table = synthetic_table(datasets=["#a", "b", "c"], train_sizes=(100,))
+        text = serialize_scores(table)
+        assert parse_scores(text, table.space, warn_incomplete=False) == table
+        # Only the "#a" field differs from what the plain writer makes of a record.
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [r.context.dataset, r.context.train_size, r.split, repr(r.score), *r.config.values]
+            for r in table.records
+        )
+        plain = out.getvalue().splitlines()
+        rows = text.splitlines()[1:]
+        assert len(rows) == len(plain) == 144
+        assert rows[:48] == ['"#a"' + row[2:] for row in plain[:48]]
+        assert rows[48:] == plain[48:]
+
+    def test_carriage_return_in_a_dataset(self):
+        with pytest.raises(ValidationError, match="^dataset identifier must not contain newlines$"):
+            Context("a\rb", 100)
+
+    def test_carriage_return_in_a_hyperparameter_name(self):
+        with pytest.raises(ValidationError, match=r"^invalid hyperparameter name 'a\\rb'$"):
+            Hyperparameter("a\rb", "categorical", ("v",))
+
+
 class TestByteOrderMark:
     BOM = "\ufeff"
 
