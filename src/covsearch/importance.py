@@ -26,22 +26,25 @@ bit for bit):
   top set held.
 * ``js_pval`` is the fraction of permutations whose score is strictly
   greater than the observed score; ties do not count.
-* Each distance's relative entropies come from ``scipy.special.rel_entr``,
-  whose bits follow the platform libm: for x, y > 0 it is
+* Each distance's relative entropies follow ``scipy.special.rel_entr``
+  (scipy 1.17.1), whose bits follow the platform libm: for x, y > 0 it is
   ``x * log1p((x - y) / y)`` when 0.5 < x / y < 2 and ``x * log(x / y)``
-  otherwise, and 0 for x == 0 (scipy 1.17.1; ``tests/test_importance.py``
-  pins it).  A scipy with another formula, or another libm, can move
-  ``js_score`` in its last bits.
+  otherwise, and 0 for x == 0.  ``_rel_entr`` is that formula with its
+  special cases, on ``math.log`` and ``math.log1p``, which call the same
+  libm; ``tests/test_importance.py`` pins it to scipy bit for bit.  Another
+  libm can move ``js_score`` in its last bits.
 
 Permutations are decided a chunk at a time.  A chunk is a (permutations x
 pool) block of orders, bounded by ``_CHUNK_ELEMENTS``; each hyperparameter
-deals it with one ``bincount`` and gets every dataset pair's distance from
-one ``js_distance`` call, each equal to the one the function gives for that
-pair alone.  A permutation counts when its score beats the observed one.
-numpy's sum of its distances bounds their exact sum within a proven factor,
-and only a score too close to the observed one to tell apart that way is
-summed again with ``math.fsum``, so every decision, and so every p-value, is
-the recipe's bit for bit.  A hyperparameter with one value deals the same
+deals it with one ``bincount`` into value-leading (values, permutations,
+datasets) distributions, and ``_distance_bounds`` brackets every dataset
+pair's exact distance with numpy's vectorised ``log`` in one call.  A
+permutation counts when its score beats the observed one.  The bounds,
+summed with numpy, place most permutations above or below the observed
+score with proof; only the rest get their exact distances from
+``js_distance``, and those too close to call that way are summed again
+with ``math.fsum``, so every decision, and so every p-value, is the
+recipe's bit for bit.  A hyperparameter with one value deals the same
 vectors in every permutation, so none is greater and its p-value is 0
 without a permutation being scored.
 """
@@ -49,6 +52,8 @@ without a permutation being scored.
 from __future__ import annotations
 
 import math
+import sys
+from math import inf, log, log1p, nan
 from typing import Iterable, Sequence
 
 from .model import (
@@ -71,6 +76,13 @@ DEFAULT_THRESHOLD = 0.95
 DEFAULT_PERMUTATIONS = 100
 
 _LN2 = math.log(2.0)
+_TINY = sys.float_info.min
+
+# A relative error that numpy's float64 ``log`` and libm's ``log`` and
+# ``log1p`` are trusted to stay within, against the true logarithm (they are
+# within about one ulp, 2**-52); ``_distance_bounds`` rests on it and
+# ``tests/test_importance.py`` pins it.
+_LOG_ERROR = 2.0**-40
 
 # Elements per temporary array of one chunk of permutations (pool slots, or
 # dataset pairs x domain size, per permutation), so memory stays flat in the
@@ -82,16 +94,15 @@ _LN2 = math.log(2.0)
 # against eight chunks and 0.25 MB at 1 << 14.
 _CHUNK_ELEMENTS = 1 << 15
 
-# numpy and scipy.special take about a quarter of a second to import and
-# only the distance and the permutation test use them, so they are bound on
-# first use instead of at import time, which every CLI command would pay.
-np = rel_entr = None
+# numpy takes about a tenth of a second to import and only the distance and
+# the permutation test use it, so it is bound on first use instead of at
+# import time, which every CLI command would pay.
+np = None
 
 
 def _load_numeric() -> None:
-    global np, rel_entr
+    global np
     import numpy as np
-    from scipy.special import rel_entr
 
 
 def top_set_95(table: ScoreTable, context: Context, split: str = "test") -> TopSet:
@@ -121,6 +132,27 @@ def value_distribution(
     return tuple(c / len(configs) for c in counts)
 
 
+def _rel_entr(x: float, y: float) -> float:
+    """``scipy.special.rel_entr(x, y)`` bit for bit: the formula and special
+    cases of scipy 1.17.1 on the same libm ``log`` and ``log1p``."""
+    if x > 0 and y > 0:
+        ratio = x / y
+        if 0.5 < ratio < 2:
+            return x * log1p((x - y) / y)
+        if _TINY < ratio < inf:
+            return x * log(ratio)
+        return x * (log(x) - log(y))  # the ratio under- or overflows
+    if x == 0 and y >= 0:
+        return 0.0
+    return nan if x != x or y != y else inf
+
+
+def _rel_entrs(x, y):
+    """``_rel_entr`` of each pair of entries of two equal-shape arrays."""
+    terms = list(map(_rel_entr, x.ravel().tolist(), y.ravel().tolist()))
+    return np.array(terms, dtype=float).reshape(x.shape)
+
+
 def _pair_distances(vectors, pairs):
     """One row of dataset-pair distances per (datasets, values) stack on the
     last two axes; ``pairs`` is ``np.triu_indices(datasets, 1)``."""
@@ -133,33 +165,106 @@ def _js_score(vectors, pairs) -> float:
     return 1.0 - math.fsum(row) / len(row)
 
 
+def _split(lo, hi, score: float):
+    """Which rows surely have ``1.0 - math.fsum(row) / n > score``, and which
+    are undecided, for rows of n non-negative distances bounded entrywise
+    by ``lo <= row <= hi``; every other row surely has not.
+
+    Let S be a row's exact sum and F = fsum(row) its correct rounding, so
+    fsum(lo) <= F <= fsum(hi) by monotone rounding.  Let A be numpy's sum of
+    a row of bounds, with u = 2**-53.  Each term reaches A through at most
+    n - 1 rounded additions of non-negative numbers, each off by a factor
+    within [1 - u, 1 + u], so S(1-u)**(n-1) <= A <= S(1+u)**(n-1) for that
+    row's S.  ``slack`` is exact (n < 2**49), and 1 + 8nu exceeds both
+    (1+u)/(1-u)**n and (1+u)**n/(1-u) with room to spare, so even after the
+    rounding of the product and the quotient, fl(A*slack) >= fsum and
+    fl(A/slack) <= fsum of the same row.  (If S is below 2**-1022, every
+    partial sum is exact and A = fsum = S, so monotone rounding gives both
+    bounds alone; otherwise a quotient rounded just below 2**-1022 is still
+    within a relative u(1 + 9nu), inside the room.)  Both steps of
+    g(x) = 1.0 - x / n round monotonically, so g never increases with x:
+    g(fl(A_hi*slack)) > score implies g(F) > score, and
+    g(fl(A_lo/slack)) <= score implies g(F) <= score.
+    """
+    n = lo.shape[1]
+    slack = 1.0 + 8 * n * 2.0**-53
+    greater = 1.0 - hi.sum(1) * slack / n > score
+    return greater, ~greater & (1.0 - lo.sum(1) / slack / n > score)
+
+
 def _count_greater(distances, score: float) -> int:
     """How many rows of non-negative distances have ``1.0 - math.fsum(row) /
     n > score``, n the row length; equal to counting that way, bit for bit.
-
-    Let S be a row's exact sum, F = fsum(row) its correct rounding and A
-    numpy's sum, with u = 2**-53.  Each term reaches A through at most n - 1
-    rounded additions of non-negative numbers, each off by a factor within
-    [1 - u, 1 + u], so S(1-u)**(n-1) <= A <= S(1+u)**(n-1).  ``slack`` is
-    exact (n < 2**49), and 1 + 8nu exceeds both (1+u)/(1-u)**n and
-    (1+u)**n/(1-u) with room to spare, so even after the rounding of the
-    product and the quotient, fl(A*slack) >= F >= fl(A/slack).  (If S is
-    below 2**-1022, every partial sum is exact and A = F = S, so monotone
-    rounding gives both bounds alone; otherwise a quotient rounded just
-    below 2**-1022 is still within a relative u(1 + 9nu), inside the room.)
-    Both steps of g(x) = 1.0 - x / n round monotonically, so g never
-    increases with x: g(fl(A*slack)) > score implies g(F) > score, and
-    g(fl(A/slack)) <= score implies g(F) <= score.  Only rows that neither
-    bound decides go to fsum.
-    """
+    Only the rows that ``_split`` leaves undecided go to fsum."""
+    greater, unsure = _split(distances, distances, score)
     n = distances.shape[1]
-    slack = 1.0 + 8 * n * 2.0**-53
-    approx = distances.sum(1)
-    greater = 1.0 - approx * slack / n > score
-    unsure = ~greater & (1.0 - approx / slack / n > score)
     return int(greater.sum()) + sum(
         1.0 - math.fsum(row) / n > score for row in distances[unsure].tolist()
     )
+
+
+def _entropy_terms(x):
+    """numpy's sum over axis 0 of x * log x, each term 0 where x is 0."""
+    terms = np.fmax(x, _TINY)
+    np.log(terms, out=terms)
+    terms *= x
+    return terms.sum(0)
+
+
+def _distance_bounds(vectors, pairs):
+    """Bounds ``(lo, hi)``, each (rows, pairs), on ``js_distance`` of every
+    dataset pair of value-leading (V, rows, datasets) distributions whose
+    entries are count ratios c / n (0 <= c <= n < 2**50, correctly
+    rounded); ``pairs`` is ``np.triu_indices(datasets, 1)``.
+
+    For a pair's vectors a, b and the mixture m = fl(a + b) / 2 that
+    ``js_distance`` forms, let K = sum_v a_v ln(a_v / m_v) + b_v ln(b_v /
+    m_v) in real arithmetic.  Write u = 2**-53, d = ``_LOG_ERROR`` (numpy's
+    ``log`` and libm's ``log`` and ``log1p`` are taken to be within a
+    relative d of the true logarithm) and L = ln V + 1.  Each of a, b and m
+    sums to at most (1 + u)**2, so sum_v |x_v ln x_v| <= L for each, and each
+    half of K has sum_v |terms| <= ln 2 + 1/e (a term is at most x ln 2 when
+    x > m, and at most m / e otherwise).
+
+    * ``js_distance``'s divergence D is within E1 = 1.6(d + (V + 2)u) + 3.1u
+      of K / (2 ln 2).  Each ``_rel_entr`` term is its true value within a
+      relative 3u + d: the rounding of its ratio costs at most u / ln 2
+      relative, since ``log``'s argument stays outside (1/2, 2) and
+      ``log1p``'s inside (where x - m is exact), and the product u.  The
+      two sums of V terms add (V - 1)u times their 2.2 of |terms|; adding
+      them, halving and dividing by fl(ln 2) add 3.1u more.
+    * The estimate here, (fl(h_a + h_b) / 2 - h_m) / fl(ln 2) with h_x
+      numpy's sum of x * log x (``_entropy_terms``), is within
+      E2 = 2.9L(d + (V + 2)u) + 3.1u of K / (2 ln 2).  Since fl(a + b) is
+      within a relative u of a + b, K / 2 is sum_v (a_v ln a_v + b_v ln
+      b_v) / 2 - m_v ln m_v within uL; each h_x is within (d + Vu)L of its
+      true sum; rounding fl(h_a + h_b) adds uL after the halving, the
+      difference 0.7u (K / 2 <= ln 2), and the division a relative 2u.
+
+    E = 5L(d + (V + 4)u) exceeds E1 + E2 and the rounding of estimate
+    -+ E, so fl(estimate - E) <= D <= fl(estimate + E), and the monotone
+    clip and correctly rounded sqrt carry that to the distances.  Vectors
+    that are equal give D = 0 exactly (m = a, and every ``log1p`` argument
+    is 0), so both their bounds are 0.
+    """
+    width = len(vectors)
+    i, j = pairs
+    # take, unlike fancy indexing on the last axis, returns C-order arrays.
+    a, b = vectors.take(i, axis=2), vectors.take(j, axis=2)
+    same = (a == b).all(0)
+    a += b
+    a *= 0.5  # the mixture, as js_distance forms it
+    h = _entropy_terms(vectors)
+    estimate = h.take(i, axis=1)
+    estimate += h.take(j, axis=1)
+    estimate *= 0.5
+    estimate -= _entropy_terms(a)
+    estimate /= _LN2
+    error = 5 * (math.log(width) + 1) * (_LOG_ERROR + (width + 4) * 2.0**-53)
+    lo, hi = bounds = estimate + np.array([-error, error])[:, None, None]
+    np.sqrt(np.clip(bounds, 0.0, 1.0, out=bounds), out=bounds)
+    hi[same] = 0.0
+    return lo, hi
 
 
 def js_distance(p, q):
@@ -177,7 +282,7 @@ def js_distance(p, q):
     if a.shape != b.shape:
         raise ValidationError("probability vectors must have equal length")
     m = 0.5 * (a + b)
-    divergence = 0.5 * (rel_entr(a, m).sum(-1) + rel_entr(b, m).sum(-1)) / _LN2
+    divergence = 0.5 * (_rel_entrs(a, m).sum(-1) + _rel_entrs(b, m).sum(-1)) / _LN2
     distances = np.sqrt(np.clip(divergence, 0.0, 1.0))  # clamp rounding noise
     return float(distances) if distances.ndim == 0 else distances
 
@@ -257,17 +362,19 @@ def _permutation_test(
     values = [space.value_positions(hp.name, ids) for hp in hps]
     pairs = np.triu_indices(len(names), 1)
 
-    def deal(k, orders):  # distributions of hps[k], one (datasets, V) per row of orders
-        width = len(hps[k].domain)
-        cells = len(names) * width  # bins of one row: its datasets' value counts
+    def deal(k, orders):  # distributions of hps[k], (V, rows of orders, datasets)
+        cells = len(orders) * len(names)  # bins of one value: each row's datasets
         bins = values[k][orders]  # a copy, added to in place: one temporary of the orders shape
-        bins += owner * width
-        bins += np.arange(len(orders))[:, None] * cells
-        dealt = np.bincount(bins.ravel(), minlength=len(orders) * cells)
-        return dealt.reshape(len(orders), len(names), width) / counts[:, None]
+        bins *= cells
+        bins += owner
+        bins += np.arange(0, cells, len(names))[:, None]
+        dealt = np.bincount(bins.ravel(), minlength=len(hps[k].domain) * cells)
+        return dealt.reshape(-1, len(orders), len(names)) / counts
 
-    # The pool as pooled is the identity order.
-    observed = [deal(k, np.arange(len(ids))[None, :]) for k in range(len(hps))]
+    # The pool as pooled is the identity order; js_distance takes the values
+    # on the last axis.
+    observed = [np.moveaxis(deal(k, np.arange(len(ids))[None, :]), 0, -1)
+                for k in range(len(hps))]
     scores = [_js_score(vectors, pairs) for vectors in observed]
     # Every deal of a one-valued hyperparameter gives each dataset (1.0,), as
     # the observed pool does, so each permuted score ties the observed one.
@@ -281,7 +388,12 @@ def _permutation_test(
         orders = np.stack([np.random.default_rng((seed, i)).permutation(len(ids))
                            for i in range(start, stop)])
         for k in tested:
-            greater[k] += _count_greater(_pair_distances(deal(k, orders), pairs), scores[k])
+            vectors = deal(k, orders)
+            surely, unsure = _split(*_distance_bounds(vectors, pairs), scores[k])
+            greater[k] += int(surely.sum())
+            if unsure.any():
+                distances = _pair_distances(np.moveaxis(vectors[:, unsure], 0, -1), pairs)
+                greater[k] += _count_greater(distances, scores[k])
     return [(tuple(map(tuple, vectors[0].tolist())), score, g / permutations)
             for vectors, score, g in zip(observed, scores, greater)]
 

@@ -704,6 +704,7 @@ class TestStartup:
             ["budget", *io, "--max-budget", "2"],
             ["compare", *io, "--task-map", str(task_map)],
         ]
+        importance = ["importance", *io, "--permutations", "5"]
         script = f"""
 import sys
 def heavy():
@@ -713,6 +714,9 @@ assert heavy() == [], ("import", heavy())
 for argv in {commands!r}:
     assert covsearch.cli.main(argv) == 0, argv
     assert heavy() == [], (argv[0], heavy())
+# The permutation test needs numpy, and no more.
+assert covsearch.cli.main({importance!r}) == 0
+assert heavy() == ["numpy"], ("importance", heavy())
 """
         src = str(Path(covsearch.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -157,6 +158,44 @@ class TestRelEntrFormula:
         expected = [libm_rel_entr(x, y) for x, y in zip(a.tolist(), m.tolist())]
         assert rel_entr(a, m).tolist() == expected
         assert rel_entr(np.zeros(3), np.array([0.0, 0.25, 1.0])).tolist() == [0.0, 0.0, 0.0]
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestRelEntrMatchesScipy:
+    """importance._rel_entr, the exact term every reported distance takes,
+    equals scipy.special.rel_entr bit for bit."""
+
+    def assert_matches(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ours = [importance._rel_entr(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert bits(ours) == bits(rel_entr(x, y))
+
+    def test_seeded_pairs(self):
+        rng = np.random.default_rng(0)
+        self.assert_matches(rng.random(20_000), rng.random(20_000))
+
+    def test_count_ratios_and_their_mixtures(self):
+        rng = np.random.default_rng(3)
+        n = rng.integers(1, 10_001, size=(2, 50_000))
+        x, z = rng.integers(0, n + 1) / n
+        self.assert_matches(x, z)
+        self.assert_matches(x, 0.5 * (x + z))
+
+    def test_special_values(self):
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1.0, 0.5,
+                  2.0, 1e300]
+        self.assert_matches(*zip(*itertools.product(values, repeat=2)))
+
+    def test_ratios_that_underflow_or_overflow(self):
+        # scipy takes log(x) - log(y) when x / y is not a normal float.
+        rng = np.random.default_rng(6)
+        y = 10.0 ** rng.uniform(-5, 300, 20_000)
+        self.assert_matches(y * sys.float_info.min * rng.uniform(0.25, 4, 20_000), y)
+        y = 10.0 ** rng.uniform(-300, 5, 20_000)
+        self.assert_matches(sys.float_info.max * rng.uniform(0.1, 1, 20_000), y)
 
 
 class TestJsScore:
@@ -470,7 +509,7 @@ class TestBatchedPermutationTest:
 
     def test_one_chunk_is_dealt_and_scored_in_one_call_per_hyperparameter(self, monkeypatch):
         space, table, _ = random_instance(7, min_datasets=3)
-        calls = {"js_distance": 0, "bincount": 0, "triu_indices": 0}
+        calls = {"_distance_bounds": 0, "js_distance": 0, "bincount": 0, "triu_indices": 0}
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -479,15 +518,18 @@ class TestBatchedPermutationTest:
             return counted
 
         monkeypatch.setattr(importance, "_CHUNK_ELEMENTS", 1 << 30)
-        monkeypatch.setattr(importance, "js_distance",
-                            counting("js_distance", importance.js_distance))
+        for name in ("_distance_bounds", "js_distance"):
+            monkeypatch.setattr(importance, name, counting(name, getattr(importance, name)))
         for name in ("bincount", "triu_indices"):
             monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
         importance_report(table, combine_train_sizes=True, permutations=9, seed=3)
         hps = len(space.hyperparameters)
-        # The observed pool, then the one chunk of all nine permutations.
-        assert calls["js_distance"] == hps * 2
+        # The observed pool, then the one chunk of all nine permutations,
+        # bounded in one call; exact distances for the observed pool and at
+        # most one call for the chunk's undecided permutations.
         assert calls["bincount"] == hps * 2
+        assert calls["_distance_bounds"] == hps
+        assert hps <= calls["js_distance"] <= hps * 2
         assert calls["triu_indices"] <= 1
 
     def test_orders_are_drawn_once_per_report(self, monkeypatch):
@@ -592,17 +634,134 @@ class TestDecisionFallbackAndSkip:
         pools = {"a": [0, 1, 2], "b": [3, 4], "c": [5, 5, 0, 4]}
         expected = [scalar_permutation_test(space, pools, hp, 30, 9)
                     for hp in space.hyperparameters]
-        widths = []
-        original = importance.js_distance
+        widths = {"_distance_bounds": [], "js_distance": []}
 
-        def counted(p, q):
-            widths.append(np.shape(p)[-1])
-            return original(p, q)
+        def counting(name, width):
+            original = getattr(importance, name)
+
+            def counted(*args):
+                widths[name].append(width(args[0]))
+                return original(*args)
+            return counted
 
         monkeypatch.setattr(importance, "_CHUNK_ELEMENTS", 1 << 30)
-        monkeypatch.setattr(importance, "js_distance", counted)
+        # The chunk kernel takes value-leading stacks, js_distance value-last.
+        monkeypatch.setattr(importance, "_distance_bounds", counting("_distance_bounds", len))
+        monkeypatch.setattr(importance, "js_distance",
+                            counting("js_distance", lambda p: np.shape(p)[-1]))
         actual = importance._permutation_test(space, pools, space.hyperparameters, 30, 9)
         assert repr(actual) == repr(expected)
         assert actual[1][2] == 0.0
-        # The observed pool for all three, then the one chunk for two.
-        assert widths == [3, 1, 2, 3, 2]
+        # The observed pool for all three, then the one chunk for two, and
+        # exact distances only for those two's undecided permutations.
+        assert widths["_distance_bounds"] == [3, 2]
+        assert widths["js_distance"][:3] == [3, 1, 2]
+        assert set(widths["js_distance"][3:]) <= {3, 2}
+
+
+class TestLogError:
+    """_distance_bounds trusts numpy's log and libm's log and log1p to within
+    a relative importance._LOG_ERROR of the true logarithm; a numpy or libm
+    that breaks that fails here."""
+
+    def test_numpy_log_is_within_half_the_error_of_libm(self):
+        n = np.repeat(np.arange(1, 601), np.arange(1, 601))
+        counts = np.concatenate([np.arange(1, k + 1) for k in range(1, 601)])
+        ratios = counts / n  # every c / n with 0 < c <= n <= 600
+        rng = np.random.default_rng(4)
+        x = np.concatenate([
+            ratios,
+            0.5 * (ratios[:-1] + ratios[1:]),  # mixtures of neighbours
+            np.exp2(rng.uniform(-50, 0, 100_000)),
+        ])
+        libm = np.array([math.log(v) for v in x.tolist()])
+        numpy = np.log(x)
+        exact = libm == 0.0
+        assert (numpy[exact] == 0.0).all()
+        relative = np.abs(numpy - libm)[~exact] / np.abs(libm[~exact])
+        assert relative.max() <= importance._LOG_ERROR / 2
+
+    def test_libm_log_and_log1p_are_within_2_to_the_minus_50_of_the_true_value(self):
+        from decimal import Decimal, localcontext
+
+        rng = np.random.default_rng(5)
+        logs = np.exp2(rng.uniform(-50, 1, 2_000)).tolist()
+        log1ps = rng.uniform(-0.5, 1.0, 2_000).tolist()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for x in logs:
+                true = Decimal(x).ln()
+                assert abs(Decimal(math.log(x)) - true) <= abs(true) * Decimal(2) ** -50
+            for w in log1ps:
+                ctx.prec = 400  # 1 + w exactly
+                shifted = Decimal(w) + 1
+                ctx.prec = 60
+                true = shifted.ln()
+                assert abs(Decimal(math.log1p(w)) - true) <= abs(true) * Decimal(2) ** -50
+
+
+@st.composite
+def dealt_distributions(draw, widths=st.integers(2, 12)):
+    """Value-leading (V, rows, datasets) count ratios from pools of up to
+    10**4 members, of one of four kinds: random counts; one-hot vectors;
+    near-equal vectors (each dataset one member away from a shared base of
+    9,999); or one vector dealt at several pool sizes, so every pair is
+    identical."""
+    width, datasets, rows = draw(widths), draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "one-hot", "near-equal", "identical"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    p = rng.random(width) ** 3
+    p /= p.sum()
+    shape = (rows, datasets)
+    if kind == "random":
+        sizes = rng.integers(1, 10_001, size=shape)
+        counts = rng.multinomial(sizes, p)
+    elif kind == "one-hot":
+        sizes = rng.integers(1, 10_001, size=shape)
+        counts = np.zeros(shape + (width,), dtype=np.int64)
+        np.put_along_axis(counts, rng.integers(width, size=shape + (1,)), sizes[..., None], 2)
+    elif kind == "near-equal":
+        counts = np.tile(rng.multinomial(9_999, p), shape + (1,))
+        for row in counts.reshape(-1, width):
+            row[rng.integers(width)] += 1
+            if rng.random() < 0.5:  # or move one member instead
+                giver = rng.choice(np.flatnonzero(row))
+                row[giver] -= 1
+                row[rng.integers(width)] += 1
+        sizes = counts.sum(2)
+    else:
+        base = rng.multinomial(rng.integers(1, 100), p)
+        scale = rng.integers(1, 10_000 // base.sum() + 1, size=shape)
+        counts, sizes = base * scale[..., None], base.sum() * scale
+    vectors = counts / sizes[..., None]
+    return np.ascontiguousarray(np.moveaxis(vectors, -1, 0)), kind
+
+
+class TestDistanceBounds:
+    """_distance_bounds brackets the exact js_distance of every pair, tightly,
+    and pins identical vectors at exactly 0."""
+
+    def check(self, vectors, kind):
+        pairs = np.triu_indices(vectors.shape[2], 1)
+        before = vectors.copy()
+        lo, hi = importance._distance_bounds(vectors, pairs)
+        assert (vectors == before).all()
+        exact = importance._pair_distances(np.moveaxis(vectors, 0, -1), pairs)
+        assert (lo <= exact).all() and (exact <= hi).all()
+        # Within sqrt(2E) of each other even where the divergence is near 0.
+        assert (hi - lo <= 1e-5).all()
+        same = (vectors[:, :, pairs[0]] == vectors[:, :, pairs[1]]).all(0)
+        assert (lo[same] == 0.0).all() and (hi[same] == 0.0).all()
+        if kind == "identical":
+            assert same.all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=dealt_distributions())
+    def test_bounds_hold_the_exact_distance(self, case):
+        self.check(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=dealt_distributions(widths=st.integers(8, 12)))
+    def test_bounds_hold_on_domains_of_8_to_12_values(self, case):
+        # js_distance sums 8 or more terms pairwise, not one by one.
+        self.check(*case)
