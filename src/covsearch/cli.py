@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from argparse import ArgumentError
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from .ingest import (
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
 from .model import INTEGER, NUMBER, SPLITS, CovsearchError, ScoreTable, ValidationError
-from .model import _check_count, _check_seed, _check_threshold
-from .protocols import _contexts_of, _select_contexts, budget_curve, compare_protocols, loo_cbs
+from .model import _check_count, _check_seed, _check_threshold, _select
+from .protocols import budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
 from . import ranking as ranking_mod
@@ -180,15 +181,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     table = _load_inputs(args)
-    datasets, sizes = _select_contexts(table, args.datasets, args.train_sizes)
+    _, contexts = _select(table, args.split, args.datasets, args.train_sizes)
     ranking = rank(
         table,
-        _contexts_of(table, args.split, datasets, sizes),
+        contexts,
         split=args.split,
         threshold=args.threshold,
         skip_degenerate=args.skip_degenerate,
     )
-    return _write(args, ranking, partial(report.render_ranking, top=args.top), "ranking")
+    if args.top is not None:
+        ranking = replace(ranking, entries=ranking.top(args.top))
+    return _write(args, ranking, report.render_ranking, "ranking")
 
 
 def cmd_loo(args: argparse.Namespace) -> int:
@@ -227,8 +230,9 @@ def cmd_importance(args: argparse.Namespace) -> int:
         scopes = [args.train_size]
     elif args.combine_sizes:
         scopes = [None]
-    else:  # an empty table has no sizes; its one scope's report says so
-        scopes = _select_contexts(table, args.datasets, args.train_sizes)[1] or [None]
+    else:  # with no context selected, one scope's report says why
+        _, contexts = _select(table, args.split, args.datasets, args.train_sizes)
+        scopes = sorted({ctx.train_size for ctx in contexts}) or table.train_sizes()[:1] or [None]
     reports = [
         importance_report(
             table,

@@ -68,8 +68,8 @@ from .model import (
     ValidationError,
     _check_count,
     _check_seed,
+    _select,
 )
-from .protocols import _select_contexts
 from .ranking import TopSet, top_set
 
 DEFAULT_THRESHOLD = 0.95
@@ -314,33 +314,30 @@ def _pools(
 ) -> tuple[tuple[int, ...], dict[str, list[int]]]:
     """Check the permutation test's arguments; return the train sizes and the
     per-dataset top-set memberships as grid ids, in the documented pool
-    order, that every hyperparameter's test shares."""
+    order, that every hyperparameter's test shares.  A dataset pools the
+    sizes in scope that it has; one with none sits the scope out."""
     _check_count("permutations", permutations)
     _check_seed(seed)
-    available = table.train_sizes()
-    if not available:
+    sizes = table.train_sizes()
+    if not sizes:
         raise DataError("score table has no records")
     if combine_train_sizes:
         if train_size is not None:
             raise ValidationError("train_size and combine_train_sizes are exclusive")
-        sizes = tuple(available)
     elif train_size is not None:
-        sizes = tuple(_select_contexts(table, None, [train_size])[1])
-    elif len(available) == 1:
-        sizes = (available[0],)
-    else:
+        sizes = [train_size]
+    elif len(sizes) > 1:
         raise DataError(
-            f"table has several train sizes {available}; pass train_size or"
+            f"table has several train sizes {sizes}; pass train_size or"
             f" combine_train_sizes=True"
         )
-    names, _ = _select_contexts(table, datasets, None)
-    if len(names) < 2:
+    _, contexts = _select(table, split, datasets, sizes)
+    pools = {ctx.dataset: [] for ctx in contexts}
+    if len(pools) < 2:
         raise DataError("need at least two datasets to compare distributions")
-    pools = {
-        d: [i for m in sizes for i, _ in top_set(table, Context(d, m), split, threshold).id_members]
-        for d in names
-    }
-    return sizes, pools
+    for ctx in contexts:  # sorted: by dataset, then train size
+        pools[ctx.dataset] += [i for i, _ in top_set(table, ctx, split, threshold).id_members]
+    return tuple(sizes), pools
 
 
 def _permutation_test(

@@ -17,6 +17,8 @@ pass over the grid order).  The analyses work on grid ids;
 ``ScoreTable(space, records)`` is the public constructor; the parser and
 the generator hand their checked grid-id cells to ``ScoreTable._from_cells``.
 A table stores them by context, sorted once; every view reads that index.
+``_select`` is the one context selector: every command and analysis reads
+the (dataset, train size) contexts it gives, and only those.
 
 All types are immutable after construction and safe to share across
 concurrent readers; a ``Hyperparameter`` memoizes the raw spellings that
@@ -502,6 +504,33 @@ class ScoreTable:
         return self.cell(context, split).get(index)
 
 
+def _select(
+    table: ScoreTable,
+    split: str,
+    datasets: Sequence[str] | None = None,
+    train_sizes: Sequence[int] | None = None,
+) -> tuple[list[str], list[Context]]:
+    """The requested datasets, sorted, and the sorted contexts among them at
+    the requested train sizes that have ``split`` records; ``None`` requests
+    all.  A name or size the table lacks raises; a dataset that lacks a
+    requested size has no context at it, so it sits that size out."""
+    names, contexts = table.datasets(), table.contexts(split)
+    if datasets is not None:
+        wanted = set(datasets)
+        unknown = sorted(wanted.difference(names))
+        if unknown:
+            raise DataError(f"dataset(s) not in table: {unknown}")
+        names = sorted(wanted)
+        contexts = [ctx for ctx in contexts if ctx.dataset in wanted]
+    if train_sizes is not None:
+        wanted = set(train_sizes)
+        unknown = sorted(wanted.difference(table.train_sizes()))
+        if unknown:
+            raise DataError(f"train size(s) not in table: {unknown}")
+        contexts = [ctx for ctx in contexts if ctx.train_size in wanted]
+    return names, contexts
+
+
 # ---------------------------------------------------------------------------
 # Analysis result types
 # ---------------------------------------------------------------------------
@@ -696,6 +725,28 @@ class FixedConfigResult:
             "config": self.config.as_dict(),
             "scores": {str(c): s for c, s in self.scores},
             "macro_averages": dict(self.macro_averages),
+        }
+
+
+@dataclass(frozen=True)
+class CompareRow:
+    """One task x train-size row of the protocol comparison report."""
+
+    task: str
+    train_size: int
+    n_datasets: int
+    default_score: float | None
+    cbs1_score: float
+    upper_bound_score: float
+
+    def to_dict(self) -> dict:
+        return {
+            "task": self.task,
+            "train_size": self.train_size,
+            "n_datasets": self.n_datasets,
+            "default": self.default_score,
+            "cbs_1": self.cbs1_score,
+            "upper_bound": self.upper_bound_score,
         }
 
 

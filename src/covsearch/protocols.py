@@ -22,7 +22,6 @@ the test maximum, letting ratios exceed 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -31,6 +30,7 @@ from .model import (
     BudgetCurve,
     BudgetDetail,
     BudgetPoint,
+    CompareRow,
     Configuration,
     Context,
     CoverageRanking,
@@ -42,6 +42,7 @@ from .model import (
     UpperBoundResult,
     ValidationError,
     _check_count,
+    _select,
 )
 # normalize and rank are not called here (held-out scores divide by the cell
 # maximum, and _held_out ranks through ranking._ranker); they stay module
@@ -124,36 +125,6 @@ def upper_bound(table: ScoreTable, context: Context) -> UpperBoundResult:
     )
 
 
-def _select_contexts(
-    table: ScoreTable,
-    datasets: Sequence[str] | None,
-    train_sizes: Sequence[int] | None,
-) -> tuple[list[str], list[int]]:
-    all_datasets = table.datasets()
-    all_sizes = table.train_sizes()
-    ds = sorted(set(datasets)) if datasets is not None else all_datasets
-    sizes = sorted(set(train_sizes)) if train_sizes is not None else all_sizes
-    unknown = [d for d in ds if d not in all_datasets]
-    if unknown:
-        raise DataError(f"dataset(s) not in table: {unknown}")
-    unknown_sizes = [m for m in sizes if m not in all_sizes]
-    if unknown_sizes:
-        raise DataError(f"train size(s) not in table: {unknown_sizes}")
-    return ds, sizes
-
-
-def _contexts_of(
-    table: ScoreTable, split: str, datasets: Sequence[str], train_sizes: Sequence[int]
-) -> list[Context]:
-    """Contexts with ``split`` records among the given datasets and train sizes."""
-    datasets, train_sizes = set(datasets), set(train_sizes)
-    return [
-        ctx
-        for ctx in table.contexts(split)
-        if ctx.dataset in datasets and ctx.train_size in train_sizes
-    ]
-
-
 # A held-out dataset's test contexts, each mapped to its cell and the cell's maximum.
 _Tests = Mapping[Context, tuple[Mapping[int, float], float]]
 
@@ -178,17 +149,14 @@ def _held_out(
     datasets' contexts; only a caller that returns the ranking builds it.
     The ranker builds every top set of the pool before the first dataset is
     yielded, so a degenerate pool context raises (or warns) once."""
-    ds, sizes = _select_contexts(table, datasets, train_sizes)
-    if len(ds) < 2:
+    names, pool = _select(table, split, datasets, train_sizes)
+    if len(names) < 2:
         raise DataError("leave-one-out requires at least 2 datasets")
-    pool = _contexts_of(table, split, ds, sizes)
-    tests = {  # sorted, the contexts of a dataset are adjacent
-        dataset: list(group)
-        for dataset, group in groupby(_contexts_of(table, "test", ds, sizes), attrgetter("dataset"))
-    }
+    _, tested = _select(table, "test", names, train_sizes)  # sorted: by dataset first
+    tests = {dataset: list(group) for dataset, group in groupby(tested, attrgetter("dataset"))}
     without = _ranker(table, pool, split, threshold, skip_degenerate)
     pool_datasets = {ctx.dataset for ctx in pool}
-    for held_out in ds:
+    for held_out in names:
         if pool_datasets <= {held_out}:
             raise DataError(f"no contexts remain after holding out {held_out!r}")
         ordered, ranking = without(held_out)
@@ -338,28 +306,6 @@ def budget_curve(
     )
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    """One task x train-size row of the protocol comparison report."""
-
-    task: str
-    train_size: int
-    n_datasets: int
-    default_score: float | None
-    cbs1_score: float
-    upper_bound_score: float
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "train_size": self.train_size,
-            "n_datasets": self.n_datasets,
-            "default": self.default_score,
-            "cbs_1": self.cbs1_score,
-            "upper_bound": self.upper_bound_score,
-        }
-
-
 def compare_protocols(
     table: ScoreTable,
     task_map: Mapping[str, str],
@@ -378,15 +324,15 @@ def compare_protocols(
     Every column averages over the contexts with a leave-one-out score, so
     held-out contexts skipped as degenerate are left out of the row.
     """
-    ds, sizes = _select_contexts(table, datasets, train_sizes)
-    unknown = sorted(set(ds) - set(task_map))
+    names, _ = _select(table, split, datasets, train_sizes)
+    unknown = sorted(set(names) - set(task_map))
     if unknown:
         raise DataError(f"dataset(s) missing from task map: {unknown}")
 
     loo = {
         s.context: s.test_score
         for _, ordered, _, tests in _held_out(
-            table, ds, sizes, split, threshold, skip_degenerate
+            table, names, train_sizes, split, threshold, skip_degenerate
         )
         for s in _held_out_scores(table, ordered[0], tests)
     }

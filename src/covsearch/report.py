@@ -14,11 +14,11 @@ from typing import Iterable, Sequence
 from .ingest import CatalogEntry, CompletenessReport, builtin_models, builtin_space
 from .model import (
     BudgetCurve,
+    CompareRow,
     CoverageRanking,
     ImportanceReport,
     LooResult,
 )
-from .protocols import CompareRow
 
 
 def render_ranking(ranking: CoverageRanking, top: int | None = None) -> str:

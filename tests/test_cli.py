@@ -116,6 +116,22 @@ class TestRank:
         space, scores = write_inputs(tmp_path, ["A,100,test,1,x"])
         assert main(["rank", "--space", space, "--scores", scores, "--threshold", "1.5"]) == 1
 
+    def test_top_limits_machine_entries(self, tmp_path, capsys):
+        scores, space = tmp_path / "s.csv", tmp_path / "space.json"
+        main([
+            "synth", "--out-scores", str(scores), "--out-space", str(space),
+            "--datasets", "4", "--seed", "2",
+        ])
+        io = ["rank", "--space", str(space), "--scores", str(scores), "--format", "machine"]
+        capsys.readouterr()
+        assert main(io) == 0
+        full = json.loads(capsys.readouterr().out)["ranking"]
+        assert len(full["entries"]) > 2
+        assert main([*io, "--top", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["manifest"]["options"]["top"] == "2"
+        assert doc["ranking"] == {**full, "entries": full["entries"][:2]}
+
     def test_machine_output_carries_manifest(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
         assert main(["rank", "--space", space, "--scores", scores, "--format", "machine"]) == 0
@@ -217,7 +233,51 @@ class TestSynthPipeline:
         ) / len(normalized)
 
 
+RAGGED_ROWS = [  # C lacks train size 1000
+    f"{d},{m},test,{s},{v}"
+    for d, m, scores in [
+        ("A", 100, (100, 99, 10, 5)),
+        ("A", 1000, (10, 100, 99, 5)),
+        ("B", 100, (100, 10, 10, 5)),
+        ("B", 1000, (99, 10, 100, 5)),
+        ("C", 100, (10, 10, 100, 5)),
+    ]
+    for v, s in zip("xyzw", scores)
+]
+
+
 class TestImportanceCommand:
+    @pytest.mark.parametrize("scope,datasets", [
+        ([], [["A", "B", "C"], ["A", "B"]]),
+        (["--combine-sizes"], [["A", "B", "C"]]),
+        (["--train-size", "1000"], [["A", "B"]]),
+    ])
+    def test_ragged_table(self, tmp_path, capsys, scope, datasets):
+        space, scores = write_inputs(tmp_path, RAGGED_ROWS)
+        assert main([
+            "importance", "--space", space, "--scores", scores, "--permutations", "5",
+            "--format", "machine", *scope,
+        ]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["datasets"] for r in reports] == datasets
+
+    def test_split_without_records(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, RAGGED_ROWS)
+        assert main([
+            "importance", "--space", space, "--scores", scores, "--split", "validation",
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "covsearch: error: need at least two datasets to compare distributions\n"
+        )
+
+    def test_unknown_train_size_fails_before_any_scope(self, tmp_path, capsys, monkeypatch):
+        space, scores = write_inputs(tmp_path, RAGGED_ROWS)
+        monkeypatch.setattr(covsearch.cli, "importance_report", None)
+        assert main([
+            "importance", "--space", space, "--scores", scores, "--train-sizes", "100,7",
+        ]) == 2
+        assert capsys.readouterr().err == "covsearch: error: train size(s) not in table: [7]\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         scores, space = tmp_path / "s.csv", tmp_path / "space.json"
         main([

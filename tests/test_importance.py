@@ -384,6 +384,49 @@ def test_scope_errors():
         importance_report(table)
 
 
+def ragged_table():
+    """Datasets A and B at train sizes 100 and 1000; C only at 100."""
+    rows = {
+        ("A", 100): {"a": 100.0, "b": 99.0, "c": 10.0},
+        ("A", 1000): {"a": 10.0, "b": 100.0, "c": 99.0},
+        ("B", 100): {"a": 100.0, "b": 10.0, "c": 10.0},
+        ("B", 1000): {"a": 99.0, "b": 10.0, "c": 100.0},
+        ("C", 100): {"a": 10.0, "b": 10.0, "c": 100.0},
+    }
+    return one_hp_table(rows)[1]
+
+
+class TestRaggedTable:
+    """A dataset pools only the train sizes it has and sits out the others."""
+
+    def test_combined_sizes_pool_what_each_dataset_has(self):
+        table = ragged_table()
+        report = importance_report(table, combine_train_sizes=True, permutations=5)
+        assert report.datasets == ("A", "B", "C")
+        assert report.train_sizes == (100, 1000)
+        pools = [
+            [cfg for ctx in table.contexts("test") if ctx.dataset == d
+             for cfg in top_set_95(table, ctx).configs]
+            for d in "ABC"
+        ]
+        hp = table.space.hyperparameters[0]
+        assert report.entries[0].distributions == tuple(value_distribution(p, hp) for p in pools)
+
+    def test_a_dataset_sits_out_a_size_it_lacks(self):
+        table = ragged_table()
+        assert importance_report(table, train_size=100, permutations=5).datasets == ("A", "B", "C")
+        report = importance_report(table, train_size=1000, permutations=5)
+        assert (report.datasets, report.train_sizes) == (("A", "B"), (1000,))
+        assert report.entries[0].distributions == ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5))
+
+    def test_two_datasets_checked_before_any_top_set(self, monkeypatch):
+        table = ragged_table()
+        monkeypatch.setattr(importance, "top_set", None)
+        for scope in ({"datasets": ["A", "C"], "train_size": 1000}, {"datasets": ["B"]}):
+            with pytest.raises(DataError, match="^need at least two datasets"):
+                importance_report(table, combine_train_sizes="train_size" not in scope, **scope)
+
+
 def test_negative_seed_is_a_validation_error():
     rows = {"a": 100.0, "b": 99.0, "c": 10.0}
     _, table = one_hp_table({(d, 100): dict(rows) for d in ("A", "B")})

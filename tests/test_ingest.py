@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsearch import (
+    CatalogEntry,
     ConfigSpace,
     Configuration,
     Context,
@@ -562,6 +563,22 @@ class TestCatalog:
         assert builtin_space("Mistral-7B-v0.3", "full_ft").size == 48
         assert builtin_space("Llama-3-8B", "lora").size == 144
         assert builtin_space("Mistral-7B-v0.3", "lora").size == 144
+
+    def test_unknown_space_pair(self):
+        with pytest.raises(ValidationError, match=r"^no bundled space for \('Llama-3-8B', 'qlora'\); available: \["):
+            builtin_space("Llama-3-8B", "qlora")
+
+    @pytest.mark.parametrize("field,message", [
+        ({"method": "qlora"}, "^unknown method 'qlora'$"),
+        ({"source": "guess"}, "^unknown source 'guess'$"),
+    ])
+    def test_catalog_entry_rejects_unknown_labels(self, field, message):
+        fields = {
+            "model": "m", "method": "lora", "source": "cbs_recommendation", "rank": 1,
+            "config": Configuration((("lr", "1.0e-4"),)), **field,
+        }
+        with pytest.raises(ValidationError, match=message):
+            CatalogEntry(**fields)
 
     def test_task_map(self):
         groups = builtin_task_map()

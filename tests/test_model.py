@@ -8,14 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covsearch import (
+    BudgetCurve,
+    BudgetPoint,
     ConfigSpace,
     Configuration,
     Context,
     CoverageRanking,
     DataError,
+    FixedConfigResult,
+    HpImportance,
     Hyperparameter,
+    RankingEntry,
     ScoreRecord,
     ScoreTable,
+    UpperBoundResult,
     ValidationError,
     canonical_value,
     completeness_report,
@@ -436,3 +442,80 @@ class TestSyntheticTable:
         # scores must fail the score check, not enter the table.
         with pytest.raises(ValidationError, match=r"^score must be finite, got inf$"):
             synthetic_table(scale=1.7e308)
+
+
+class TestPublicPaths:
+    """Public accessors and invariant checks that the analyses never reach."""
+
+    space = make_space(("lr", "categorical", ["a", "b"]), ("bs", "integer", ["8", "16"]))
+
+    def test_configuration_get_unknown_name(self):
+        config = self.space.configuration(["a", 8])
+        assert config.get("bs") == "8"
+        with pytest.raises(KeyError, match="nosuch"):
+            config.get("nosuch")
+
+    def test_table_scores_and_score(self):
+        ctx = Context("d", 100)
+        a8, b16 = self.space.configuration(["a", 8]), self.space.configuration(["b", 16])
+        table = ScoreTable(self.space, [
+            ScoreRecord(ctx, "test", b16, 2.0), ScoreRecord(ctx, "test", a8, 1.0),
+        ])
+        assert list(table.scores(ctx, "test").items()) == [(a8, 1.0), (b16, 2.0)]
+        assert table.scores(ctx, "validation") == {}
+        assert table.score(ctx, "test", b16) == 2.0
+        outside = Configuration((("lr", "c"), ("bs", "8")))
+        assert table.score(ctx, "test", outside) is None
+        assert table.score(ctx, "test", Configuration((("lr", "a"),))) is None
+
+    def test_upper_bound_and_fixed_config_to_dict(self):
+        config = self.space.configuration(["b", 16])
+        bound = UpperBoundResult(Context("d", 100), config, 0.5, 0.75)
+        assert bound.to_dict() == {
+            "context": "d@100",
+            "config": {"lr": "b", "bs": "16"},
+            "validation_score": 0.5,
+            "test_score": 0.75,
+        }
+        fixed = FixedConfigResult(
+            config, ((Context("d", 100), 1.0), (Context("e", 100), 3.0)), (("all", 2.0),)
+        )
+        assert fixed.to_dict() == {
+            "config": {"lr": "b", "bs": "16"},
+            "scores": {"d@100": 1.0, "e@100": 3.0},
+            "macro_averages": {"all": 2.0},
+        }
+
+    def entry(self, values, covered):
+        return RankingEntry(
+            self.space.configuration(values), float(len(covered)),
+            frozenset(Context(d, 100) for d in covered),
+        )
+
+    def test_ranking_recommended_and_invariants(self):
+        wide, narrow = self.entry(["a", 8], "de"), self.entry(["b", 16], "f")
+        ranking = CoverageRanking((wide, narrow), (), "test", 0.9)
+        assert ranking.recommended == wide.config
+        with pytest.raises(DataError, match="^ranking is empty$"):
+            CoverageRanking((), (), "test", 0.9).recommended
+        with pytest.raises(ValidationError, match="^ranking entries must be sorted by coverage size$"):
+            CoverageRanking((narrow, wide), (), "test", 0.9)
+        with pytest.raises(ValidationError, match="^ranking entries must be unique per configuration$"):
+            CoverageRanking((wide, wide), (), "test", 0.9)
+
+    def test_budget_curve_needs_every_k(self):
+        points = (BudgetPoint(1, 0.5), BudgetPoint(3, 0.7))
+        with pytest.raises(ValidationError, match=r"^budget points must cover k = 1..max_budget$"):
+            BudgetCurve(points, (), 0.9, "test", "test_max")
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"distributions": ((1.5, -0.5),)}, "^probability vectors must be non-negative$"),
+        ({"distributions": ((0.5, 0.4),)}, "^probability vector sums to 0.9, not 1$"),
+        ({"js_score": 1.5}, r"^js_score out of \[0, 1\]: 1.5$"),
+        ({"js_pval": -0.1}, r"^js_pval out of \[0, 1\]: -0.1$"),
+    ])
+    def test_importance_range_checks(self, kwargs, message):
+        fields = {"distributions": ((0.5, 0.5),), "js_score": 0.5, "js_pval": 0.5, **kwargs}
+        with pytest.raises(ValidationError, match=message):
+            HpImportance("lr", ("d",), **fields)
+        HpImportance("lr", ("d",), **fields, error="recorded")  # an error entry skips the checks

@@ -77,6 +77,13 @@ class TestTopSet:
         ts = top_set(table, Context("d", 100), "test", 0.97)
         assert {c.values[0] for c in ts.configs} == {"x", "y"}
 
+    def test_members_and_membership(self):
+        space, table = one_hp_table({("d", 100): {"x": 100.0, "y": 50.0, "z": 98.0}})
+        ts = top_set(table, Context("d", 100), "test", 0.97)
+        x, y, z = (space.configuration([v]) for v in "xyz")
+        assert ts.members == ((x, 1.0), (z, 0.98))
+        assert x in ts and z in ts and y not in ts
+
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
     def test_threshold_domain(self, threshold):
         space, table = one_hp_table({("d", 100): {"x": 1.0}})
