@@ -230,9 +230,11 @@ def cmd_importance(args: argparse.Namespace) -> int:
         scopes = [args.train_size]
     elif args.combine_sizes:
         scopes = [None]
-    else:  # with no context selected, one scope's report says why
+    else:  # names and sizes are checked before any scope runs
         _, contexts = _select(table, args.split, args.datasets, args.train_sizes)
-        scopes = sorted({ctx.train_size for ctx in contexts}) or table.train_sizes()[:1] or [None]
+        sizes = args.train_sizes or {ctx.train_size for ctx in contexts}
+        # each listed size reports or says why not; so does one size if none is selected
+        scopes = sorted(set(sizes)) or table.train_sizes()[:1] or [None]
     reports = [
         importance_report(
             table,

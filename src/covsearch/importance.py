@@ -318,26 +318,24 @@ def _pools(
     sizes in scope that it has; one with none sits the scope out."""
     _check_count("permutations", permutations)
     _check_seed(seed)
-    sizes = table.train_sizes()
-    if not sizes:
+    available = table.train_sizes()
+    if not available:
         raise DataError("score table has no records")
     if combine_train_sizes:
         if train_size is not None:
             raise ValidationError("train_size and combine_train_sizes are exclusive")
-    elif train_size is not None:
-        sizes = [train_size]
-    elif len(sizes) > 1:
+    elif train_size is None and len(available) > 1:
         raise DataError(
-            f"table has several train sizes {sizes}; pass train_size or"
+            f"table has several train sizes {available}; pass train_size or"
             f" combine_train_sizes=True"
         )
-    _, contexts = _select(table, split, datasets, sizes)
+    _, contexts = _select(table, split, datasets, None if train_size is None else [train_size])
     pools = {ctx.dataset: [] for ctx in contexts}
     if len(pools) < 2:
         raise DataError("need at least two datasets to compare distributions")
     for ctx in contexts:  # sorted: by dataset, then train size
         pools[ctx.dataset] += [i for i, _ in top_set(table, ctx, split, threshold).id_members]
-    return tuple(sizes), pools
+    return tuple(sorted({ctx.train_size for ctx in contexts})), pools
 
 
 def _permutation_test(

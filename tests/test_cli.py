@@ -261,10 +261,17 @@ class TestImportanceCommand:
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert [r["datasets"] for r in reports] == datasets
 
-    def test_split_without_records(self, tmp_path, capsys):
-        space, scores = write_inputs(tmp_path, RAGGED_ROWS)
+    @pytest.mark.parametrize("scope", [  # C and D lack train size 1000
+        ["--split", "validation"],
+        ["--datasets", "C,D", "--train-sizes", "1000"],
+        ["--datasets", "C,D", "--train-sizes", "100,1000"],
+        ["--datasets", "C,D", "--train-size", "1000"],
+    ])
+    def test_scope_without_two_datasets(self, tmp_path, capsys, scope):
+        d_rows = [f"D,100,test,{s},{v}" for v, s in zip("xyzw", (10, 100, 10, 5))]
+        space, scores = write_inputs(tmp_path, RAGGED_ROWS + d_rows)
         assert main([
-            "importance", "--space", space, "--scores", scores, "--split", "validation",
+            "importance", "--space", space, "--scores", scores, "--permutations", "5", *scope,
         ]) == 2
         assert capsys.readouterr().err == (
             "covsearch: error: need at least two datasets to compare distributions\n"

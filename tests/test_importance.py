@@ -419,6 +419,17 @@ class TestRaggedTable:
         assert (report.datasets, report.train_sizes) == (("A", "B"), (1000,))
         assert report.entries[0].distributions == ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5))
 
+    def test_combined_sizes_report_only_the_sizes_pooled(self):
+        rows = {
+            ("A", 100): {"a": 100.0, "b": 99.0, "c": 10.0},
+            ("A", 1000): {"a": 10.0, "b": 100.0, "c": 99.0},
+            ("B", 100): {"a": 100.0, "b": 10.0, "c": 10.0},
+            ("C", 100): {"a": 10.0, "b": 10.0, "c": 100.0},
+        }
+        table = one_hp_table(rows)[1]
+        report = importance_report(table, ["B", "C"], combine_train_sizes=True, permutations=5)
+        assert (report.datasets, report.train_sizes) == (("B", "C"), (100,))
+
     def test_two_datasets_checked_before_any_top_set(self, monkeypatch):
         table = ragged_table()
         monkeypatch.setattr(importance, "top_set", None)
