@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 from argparse import ArgumentError
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -33,6 +34,7 @@ from .ingest import (
     load_task_map,
     serialize_scores,
     serialize_space,
+    _names_pair,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
 from .model import INTEGER, NUMBER, SPLITS, CovsearchError, ScoreTable, ValidationError
@@ -42,7 +44,7 @@ from .ranking import rank
 from . import importance as importance_mod
 from . import ranking as ranking_mod
 from . import ingest, protocols, report
-from .synth import synthetic_table
+from .synth import _check_correlation, _check_noise, _check_scale, synthetic_table
 
 
 # Namespace entries that are not recorded: the subcommand and its handler,
@@ -232,9 +234,14 @@ def cmd_importance(args: argparse.Namespace) -> int:
         scopes = [None]
     else:  # names and sizes are checked before any scope runs
         _, contexts = _select(table, args.split, args.datasets, args.train_sizes)
-        sizes = args.train_sizes or {ctx.train_size for ctx in contexts}
+        counts = Counter(ctx.train_size for ctx in contexts)  # datasets per size
         # each listed size reports or says why not; so does one size if none is selected
-        scopes = sorted(set(sizes)) or table.train_sizes()[:1] or [None]
+        scopes = sorted(set(args.train_sizes or counts)) or table.train_sizes()[:1] or [None]
+        pooled = [size for size in scopes if counts[size] > 1]
+        if args.train_sizes is None and pooled:  # by default, skip a size one dataset has
+            for size in sorted(set(scopes).difference(pooled)):
+                warnings.warn(f"train size {size} has fewer than two datasets; skipped")
+            scopes = pooled
     reports = [
         importance_report(
             table,
@@ -272,8 +279,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             e
             for e in builtin_catalog()
             if e.source == "default_baseline"
-            and e.model.lower() == args.model.lower()
-            and e.method.lower() == args.method.lower()
+            and _names_pair((e.model, e.method), args.model, args.method)
         ]
         if not matches:
             raise CovsearchError(
@@ -295,15 +301,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    entries = list(builtin_catalog())
-    if args.source != "all":
-        entries = [e for e in entries if e.source == args.source]
-    if args.model is not None:
-        entries = [e for e in entries if e.model.lower() == args.model.lower()]
-    if args.method is not None:
-        entries = [e for e in entries if e.method.lower() == args.method.lower()]
-    if args.top is not None:
-        entries = [e for e in entries if e.rank <= args.top]
+    if not any(_names_pair(pair, args.model) for pair in builtin_models()):
+        raise CovsearchError(f"no bundled model {args.model!r}; available: {builtin_models()}")
+    entries = [
+        e
+        for e in builtin_catalog()
+        if args.source in ("all", e.source)
+        and _names_pair((e.model, e.method), args.model, args.method)
+        and (args.top is None or e.rank <= args.top)
+    ]
     if args.format == "machine":
         body = report.catalog_csv(entries)
     else:
@@ -488,10 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset count or comma-separated names (default: 6)",
     )
     p.add_argument("--train-sizes", type=_train_sizes, default=None)
-    p.add_argument("--correlation", type=_real, default=0.7)
-    p.add_argument("--noise", type=_real, default=0.1)
+    p.add_argument("--correlation", type=_checked(_real, _check_correlation), default=0.7)
+    p.add_argument("--noise", type=_checked(_real, _check_noise), default=0.1)
     p.add_argument("--seed", type=_checked(_integer, _check_seed), default=0)
-    p.add_argument("--scale", type=_real, default=100.0)
+    p.add_argument("--scale", type=_checked(_real, _check_scale), default=100.0)
     p.set_defaults(func=cmd_synth)
 
     return parser

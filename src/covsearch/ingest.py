@@ -126,6 +126,12 @@ def parse_space(text: str) -> ConfigSpace:
         doc = json.loads(_newlines(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    return _space(doc)
+
+
+def _space(doc: object) -> ConfigSpace:
+    """The space of a decoded space document; each failed check is a
+    ParseError naming the path of the field at fault."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object", path="$")
     allowed = {"label", "hyperparameters", "manifest"}
@@ -443,24 +449,22 @@ class CatalogEntry:
         _check_count("rank", self.rank)
 
 
-def _catalog_doc() -> dict:
-    data = resources.files("covsearch").joinpath("data/catalog.json")
+def _bundled(name: str) -> dict:
+    """A fresh copy of one bundled JSON document of the package."""
+    data = resources.files("covsearch").joinpath(f"data/{name}")
     return json.loads(data.read_text(encoding="utf-8"))
+
+
+def _names_pair(pair: tuple[str, str], model: str | None, method: str | None = None) -> bool:
+    """Whether a bundled (model, method) pair is the one asked for, ignoring
+    case; a name given as None matches any."""
+    return all(w is None or n.lower() == w.lower() for n, w in zip(pair, (model, method)))
 
 
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[dict[tuple[str, str], ConfigSpace], tuple[CatalogEntry, ...]]:
-    doc = _catalog_doc()
-    spaces: dict[tuple[str, str], ConfigSpace] = {}
-    for item in doc["spaces"]:
-        space = ConfigSpace(
-            hyperparameters=tuple(
-                Hyperparameter(h["name"], h["kind"], tuple(h["domain"]))
-                for h in item["hyperparameters"]
-            ),
-            label=item["label"],
-        )
-        spaces[(item["model"], item["method"])] = space
+    doc = _bundled("catalog.json")
+    spaces = {(item.pop("model"), item.pop("method")): _space(item) for item in doc["spaces"]}
     entries = []
     for item in doc["entries"]:
         space = spaces[(item["model"], item["method"])]
@@ -477,13 +481,7 @@ def _catalog() -> tuple[dict[tuple[str, str], ConfigSpace], tuple[CatalogEntry, 
                 )
             )
         entries.append(
-            CatalogEntry(
-                model=item["model"],
-                method=item["method"],
-                source=item["source"],
-                rank=int(item["rank"]),
-                config=config,
-            )
+            CatalogEntry(item["model"], item["method"], item["source"], int(item["rank"]), config)
         )
     return spaces, tuple(entries)
 
@@ -496,12 +494,11 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
 def builtin_space(model: str, method: str) -> ConfigSpace:
     """The bundled search space for one (model, method) pair."""
     spaces = _catalog()[0]
-    for (m, t), space in spaces.items():
-        if m.lower() == model.lower() and t.lower() == method.lower():
+    for pair, space in spaces.items():
+        if _names_pair(pair, model, method):
             return space
-    available = sorted(spaces)
     raise ValidationError(
-        f"no bundled space for ({model!r}, {method!r}); available: {available}"
+        f"no bundled space for ({model!r}, {method!r}); available: {sorted(spaces)}"
     )
 
 
@@ -512,8 +509,7 @@ def builtin_models() -> list[tuple[str, str]]:
 def builtin_task_map() -> dict[str, str]:
     """Bundled dataset-to-task grouping for macro-averaged reports; a new
     dict per call, so a caller's edit reaches no other caller."""
-    data = resources.files("covsearch").joinpath("data/task_groups.json")
-    return dict(json.loads(data.read_text(encoding="utf-8")))
+    return _bundled("task_groups.json")
 
 
 def load_task_map(source: str | Path) -> dict[str, str]:

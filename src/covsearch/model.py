@@ -18,7 +18,8 @@ pass over the grid order).  The analyses work on grid ids;
 the generator hand their checked grid-id cells to ``ScoreTable._from_cells``.
 A table stores them by context, sorted once; every view reads that index.
 ``_select`` is the one context selector: every command and analysis reads
-the (dataset, train size) contexts it gives, and only those.
+the (dataset, train size) contexts it gives, and only those, and has its
+split checked there.
 
 All types are immutable after construction and safe to share across
 concurrent readers; a ``Hyperparameter`` memoizes the raw spellings that
@@ -514,6 +515,7 @@ def _select(
     the requested train sizes that have ``split`` records; ``None`` requests
     all.  A name or size the table lacks raises; a dataset that lacks a
     requested size has no context at it, so it sits that size out."""
+    _check_split(split)
     names, contexts = table.datasets(), table.contexts(split)
     if datasets is not None:
         wanted = set(datasets)

@@ -61,6 +61,7 @@ from .model import (
     ScoreTable,
     _check_split,
     _check_threshold,
+    _select,
     _warn,
 )
 
@@ -358,9 +359,8 @@ def rank(
     ``skip_degenerate`` is set, in which case they are dropped with a
     warning and excluded from the ranking provenance.
     """
-    _check_split(split)
+    selected = _select(table, split)[1] if contexts is None else list(contexts)
     _check_threshold(threshold)
-    selected = table.contexts(split) if contexts is None else list(contexts)
     if not selected:
         raise DataError("no contexts to rank over")
     _, ranking = _ranker(table, selected, split, threshold, skip_degenerate)(None)

@@ -41,6 +41,21 @@ def demo_space() -> ConfigSpace:
     )
 
 
+def _check_correlation(correlation: float) -> None:
+    if not 0 <= correlation <= 1:
+        raise ValidationError(f"correlation must be in [0, 1], got {correlation!r}")
+
+
+def _check_noise(noise: float) -> None:
+    if not 0 <= noise < 1:
+        raise ValidationError(f"noise must be in [0, 1), got {noise!r}")
+
+
+def _check_scale(scale: float) -> None:
+    if scale <= 0:
+        raise ValidationError(f"scale must be positive, got {scale!r}")
+
+
 def synthetic_table(
     space: ConfigSpace | None = None,
     datasets: int | Sequence[str] = 6,
@@ -56,12 +71,9 @@ def synthetic_table(
     ``correlation`` in [0, 1] controls how much the per-context rankings
     agree; ``noise`` in [0, 1) controls validation/test disagreement.
     """
-    if not 0 <= correlation <= 1:
-        raise ValidationError(f"correlation must be in [0, 1], got {correlation!r}")
-    if not 0 <= noise < 1:
-        raise ValidationError(f"noise must be in [0, 1), got {noise!r}")
-    if scale <= 0:
-        raise ValidationError(f"scale must be positive, got {scale!r}")
+    _check_correlation(correlation)
+    _check_noise(noise)
+    _check_scale(scale)
     _check_seed(seed)
     if space is None:
         space = demo_space()

@@ -22,6 +22,7 @@ from covsearch import (
     ConfigSpace,
     Hyperparameter,
     builtin_catalog,
+    builtin_models,
     builtin_space,
     load_scores,
     load_space,
@@ -173,6 +174,15 @@ class TestRecommend:
         golden = Path(__file__).with_name("data").joinpath("golden_recommend.csv")
         assert body == golden.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("flags", [[], ["--method", "lora"], ["--source", "all"]])
+    def test_unknown_model_is_a_data_error(self, capsys, flags):
+        assert main(["recommend", "--model", "mistral-7b", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"covsearch: error: no bundled model 'mistral-7b'; available: {builtin_models()}\n"
+        )
+
     def test_catalog_csv_matches_golden_file(self):
         golden = Path(__file__).with_name("data").joinpath("golden_recommend.csv")
         assert catalog_csv(builtin_catalog()) == golden.read_text(encoding="utf-8")
@@ -275,6 +285,26 @@ class TestImportanceCommand:
         ]) == 2
         assert capsys.readouterr().err == (
             "covsearch: error: need at least two datasets to compare distributions\n"
+        )
+
+    def test_default_run_skips_a_size_without_two_datasets(self, tmp_path, capsys):
+        scores, space = tmp_path / "s.csv", tmp_path / "space.json"
+        main(["synth", "--out-scores", str(scores), "--out-space", str(space), "--datasets", "3"])
+        lines = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [l for l in lines if not l.startswith(("ds01,1000,", "ds02,1000,"))]
+        scores.write_text("".join(kept), encoding="utf-8")
+        capsys.readouterr()
+        assert main([
+            "importance", "--space", str(space), "--scores", str(scores),
+            "--permutations", "5", "--format", "machine",
+        ]) == 0
+        captured = capsys.readouterr()
+        reports = json.loads(captured.out)["reports"]
+        assert [(r["train_sizes"], r["datasets"]) for r in reports] == [
+            ([100], ["ds00", "ds01", "ds02"])
+        ]
+        assert captured.err == (
+            "covsearch: warning: train size 1000 has fewer than two datasets; skipped\n"
         )
 
     def test_unknown_train_size_fails_before_any_scope(self, tmp_path, capsys, monkeypatch):
@@ -546,6 +576,9 @@ OUT_OF_RANGE_FLAGS = [
     ("importance", "--seed", "-1", "seed must be non-negative, got -1"),
     ("recommend", "--top", "0", "top must be >= 1, got 0"),
     ("synth", "--seed", "-2", "seed must be non-negative, got -2"),
+    ("synth", "--correlation", "2", "correlation must be in [0, 1], got 2.0"),
+    ("synth", "--noise", "1", "noise must be in [0, 1), got 1.0"),
+    ("synth", "--scale", "0", "scale must be positive, got 0.0"),
     ("synth", "--datasets", "0", "datasets must be >= 1, got 0"),
     ("synth", "--train-sizes", "0", "train_size must be >= 1, got 0"),
     ("synth", "--train-sizes", "100,-5", "train_size must be >= 1, got -5"),

@@ -1,10 +1,14 @@
 """Module layering: ``protocols`` is a leaf that only the CLI and the
-package root import, and no module reaches into its private names."""
+package root import, and no module reaches into its private names; only
+``ingest`` folds case, so the bundled (model, method) match has one home;
+and every attribute the benchmark's tracer patches exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import covsearch
+import covsearch.cli
 
 MODULES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -49,3 +53,26 @@ def test_no_module_imports_a_private_protocols_name():
         and isinstance(node.value, ast.Name) and node.value.id == "protocols"
     }
     assert private == set()
+
+
+def test_only_ingest_folds_case():
+    callers = {
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "lower"
+    }
+    assert callers == {"ingest"}
+
+
+def test_every_tracer_target_exists():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (owner.__name__, attr) for owner, attr, _ in tracing.TARGETS if attr not in vars(owner)
+    ]
+    assert missing == []
+    assert callable(covsearch.cli.builtin_catalog)  # the benchmark's import probe calls it

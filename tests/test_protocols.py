@@ -17,6 +17,7 @@ from covsearch import (
     budget_curve,
     compare_protocols,
     fixed_config_eval,
+    importance_report,
     loo_cbs,
     rank,
     synthetic_table,
@@ -378,6 +379,16 @@ class TestContextSelection:
             monkeypatch.setattr(Context, name, counted)
         protocol(table)
         assert 0 < len(calls) <= len(table.datasets()) * len(table.contexts())
+
+    @pytest.mark.parametrize("analysis", [
+        loo_cbs,
+        budget_curve,
+        lambda table, split: compare_protocols(table, {}, split=split),
+        lambda table, split: importance_report(table, train_size=100, split=split),
+    ], ids=["loo_cbs", "budget_curve", "compare_protocols", "importance_report"])
+    def test_unknown_split_is_named_before_any_context(self, analysis):
+        with pytest.raises(ValidationError, match=r"^split must be one of .*, got 'bogus'$"):
+            analysis(synthetic_table(datasets=3), split="bogus")
 
 
 class TestRankingsBuilt:
