@@ -18,7 +18,6 @@ import sys
 import warnings
 from argparse import ArgumentError
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -37,8 +36,8 @@ from .ingest import (
     _names_pair,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
-from .model import INTEGER, NUMBER, SPLITS, CovsearchError, ScoreTable, ValidationError
-from .model import _check_count, _check_seed, _check_threshold, _select
+from .model import INTEGER, NUMBER, SPLITS, CoverageRanking, CovsearchError, ScoreTable
+from .model import ValidationError, _check_count, _check_seed, _check_threshold, _select
 from .protocols import budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
@@ -132,6 +131,14 @@ def _count_or_names(text: str) -> int | list[str]:
     return names
 
 
+def _catalog_method(text: str) -> str:
+    """recommend --method: the catalog method that ``text`` names in any
+    case, as compare's --method matches; other text is left for the choices
+    check to reject."""
+    methods = (m for m in ingest.CATALOG_METHODS if _names_pair(("", m), None, text))
+    return next(methods, text)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -192,7 +199,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
         skip_degenerate=args.skip_degenerate,
     )
     if args.top is not None:
-        ranking = replace(ranking, entries=ranking.top(args.top))
+        top = ranking.top(args.top)
+        ranking = CoverageRanking(top, ranking.contexts, ranking.split, ranking.threshold)
     return _write(args, ranking, report.render_ranking, "ranking")
 
 
@@ -473,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="print the bundled configuration catalog")
     p.add_argument("--model", default=None)
-    p.add_argument("--method", default=None, choices=ingest.CATALOG_METHODS)
+    p.add_argument(
+        "--method", type=_catalog_method, default=None, choices=ingest.CATALOG_METHODS
+    )
     p.add_argument(
         "--source",
         choices=(*ingest.CATALOG_SOURCES, "all"),

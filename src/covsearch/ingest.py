@@ -46,9 +46,7 @@ import codecs
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import compress
 from pathlib import Path
 
@@ -64,6 +62,8 @@ from .model import (
     RESERVED_COLUMNS,
     ScoreTable,
     ValidationError,
+    _Record,
+    _set_field,
     _check_count,
     _check_score,
     _check_split,
@@ -380,8 +380,7 @@ def load_scores(path: str | Path, space: ConfigSpace, *, warn_incomplete: bool =
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(_Record):
     """Grid coverage of a score table.
 
     ``missing`` has one entry per (context, split) present in the table with
@@ -391,8 +390,13 @@ class CompletenessReport:
     the split they do have.
     """
 
-    missing: tuple[tuple[Context, str, tuple[Configuration, ...]], ...]
-    single_split: tuple[tuple[Context, str], ...]
+    def __init__(
+        self,
+        missing: tuple[tuple[Context, str, tuple[Configuration, ...]], ...],
+        single_split: tuple[tuple[Context, str], ...],
+    ) -> None:
+        _set_field(self, "missing", missing)
+        _set_field(self, "single_split", single_split)
 
     @property
     def is_complete(self) -> bool:
@@ -431,15 +435,18 @@ def completeness_report(table: ScoreTable) -> CompletenessReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One bundled recommendation: a ranked configuration for a model/method."""
 
-    model: str
-    method: str
-    source: str
-    rank: int
-    config: Configuration
+    def __init__(
+        self, model: str, method: str, source: str, rank: int, config: Configuration
+    ) -> None:
+        _set_field(self, "model", model)
+        _set_field(self, "method", method)
+        _set_field(self, "source", source)
+        _set_field(self, "rank", rank)
+        _set_field(self, "config", config)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.method not in CATALOG_METHODS:
@@ -451,6 +458,8 @@ class CatalogEntry:
 
 def _bundled(name: str) -> dict:
     """A fresh copy of one bundled JSON document of the package."""
+    from importlib import resources  # a command that reads no bundle never loads it
+
     data = resources.files("covsearch").joinpath(f"data/{name}")
     return json.loads(data.read_text(encoding="utf-8"))
 

@@ -23,7 +23,11 @@ split checked there.
 
 All types are immutable after construction and safe to share across
 concurrent readers; a ``Hyperparameter`` memoizes the raw spellings that
-proved members, a ``ConfigSpace`` the configurations it decoded.
+proved members, a ``ConfigSpace`` the configurations it decoded.  The
+records are plain classes on one ``_Record`` base, not dataclasses:
+building 20 dataclasses and importing ``dataclasses`` (which loads
+``inspect``) cost about 16-19 ms in every process, a CLI command's
+start-up included, where the base costs microseconds.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
+from functools import cached_property, total_ordering
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -166,13 +170,53 @@ def canonical_value(kind: str, raw: object) -> str:
     return f"{sign}{head}.{tail}e{norm.adjusted()}"
 
 
-@dataclass(frozen=True)
-class Hyperparameter:
+# Sets a field of a record past its read-only __setattr__.  Unlike a write
+# to the instance __dict__, it keeps CPython's compact attribute storage.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """A frozen record whose fields are its ``__init__``'s parameters, in order.
+
+    A subclass's ``__init__`` sets each field with ``_set_field`` and then
+    calls ``self.__post_init__()`` if the class has one.  After that the
+    fields are read-only.  Equality (same class, equal fields) and the hash
+    read them through one ``attrgetter`` per class; the repr is a
+    dataclass's, ``Context(dataset='a', train_size=100)``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Hyperparameter(_Record):
     """A named hyperparameter with a finite ordered value domain."""
 
-    name: str
-    kind: str
-    domain: tuple[str, ...]
+    def __init__(self, name: str, kind: str, domain: tuple[str, ...]) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "kind", kind)
+        _set_field(self, "domain", domain)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.name or self.name != self.name.strip():
@@ -196,8 +240,8 @@ class Hyperparameter:
             raise ValidationError(
                 f"duplicate value(s) {dupes} in domain of hyperparameter {self.name!r}"
             )
-        object.__setattr__(self, "domain", canon)
-        object.__setattr__(self, "_value_index", {v: i for i, v in enumerate(canon)})
+        _set_field(self, "domain", canon)
+        _set_field(self, "_value_index", {v: i for i, v in enumerate(canon)})
 
     def canonical(self, raw: object) -> str:
         return canonical_value(self.kind, raw)
@@ -230,11 +274,11 @@ class Hyperparameter:
         return True
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Record):
     """One full assignment of values, as (name, value) pairs in space order."""
 
-    items: tuple[tuple[str, str], ...]
+    def __init__(self, items: tuple[tuple[str, str], ...]) -> None:
+        _set_field(self, "items", items)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -257,15 +301,16 @@ class Configuration:
         return " ".join(f"{n}={v}" for n, v in self.items)
 
 
-@dataclass(frozen=True)
-class ConfigSpace:
+class ConfigSpace(_Record):
     """An ordered collection of hyperparameters defining a finite grid."""
 
-    hyperparameters: tuple[Hyperparameter, ...]
-    label: str = ""
+    def __init__(self, hyperparameters: tuple[Hyperparameter, ...], label: str = "") -> None:
+        _set_field(self, "hyperparameters", hyperparameters)
+        _set_field(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hyperparameters", tuple(self.hyperparameters))
+        _set_field(self, "hyperparameters", tuple(self.hyperparameters))
         if not self.hyperparameters:
             raise ValidationError("a config space needs at least one hyperparameter")
         names = [hp.name for hp in self.hyperparameters]
@@ -279,7 +324,7 @@ class ConfigSpace:
                 f"grid size {product} = {math.prod(sizes)} exceeds the"
                 f" supported maximum of {MAX_GRID_SIZE}"
             )
-        object.__setattr__(self, "_decoded", {})  # grid id -> Configuration
+        _set_field(self, "_decoded", {})  # grid id -> Configuration
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -386,12 +431,19 @@ class ConfigSpace:
         raise ValidationError(f"no hyperparameter named {name!r} in space")
 
 
-@dataclass(frozen=True, order=True)
-class Context:
-    """A dataset paired with a training-set size; the normalization unit."""
+@total_ordering
+class Context(_Record):
+    """A dataset paired with a training-set size; the normalization unit.
 
-    dataset: str
-    train_size: int
+    Contexts key every score cell and are ordered by (dataset, train size);
+    their hash, equality and ``<`` are spelled out on the two fields, as
+    fast as a tuple's, rather than read through the base's ``attrgetter``.
+    """
+
+    def __init__(self, dataset: str, train_size: int) -> None:
+        _set_field(self, "dataset", dataset)
+        _set_field(self, "train_size", train_size)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.dataset or self.dataset != self.dataset.strip():
@@ -405,19 +457,33 @@ class Context:
     def __str__(self) -> str:
         return f"{self.dataset}@{self.train_size}"
 
+    def __hash__(self) -> int:
+        return hash((self.dataset, self.train_size))
 
-@dataclass(frozen=True)
-class ScoreRecord:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dataset, self.train_size) == (other.dataset, other.train_size)
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dataset, self.train_size) < (other.dataset, other.train_size)
+        return NotImplemented
+
+
+class ScoreRecord(_Record):
     """One raw score for (context, split, configuration)."""
 
-    context: Context
-    split: str
-    config: Configuration
-    score: float
+    def __init__(self, context: Context, split: str, config: Configuration, score: float) -> None:
+        _set_field(self, "context", context)
+        _set_field(self, "split", split)
+        _set_field(self, "config", config)
+        _set_field(self, "score", score)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_split(self.split)
-        object.__setattr__(self, "score", _check_score(self.score))
+        _set_field(self, "score", _check_score(self.score))
 
 
 class ScoreTable:
@@ -538,13 +604,15 @@ def _select(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(_Record):
     """One ranked configuration with its score sum and covered contexts."""
 
-    config: Configuration
-    score_sum: float
-    coverage: frozenset[Context]
+    def __init__(
+        self, config: Configuration, score_sum: float, coverage: frozenset[Context]
+    ) -> None:
+        _set_field(self, "config", config)
+        _set_field(self, "score_sum", score_sum)
+        _set_field(self, "coverage", coverage)
 
     def to_dict(self) -> dict:
         return {
@@ -555,18 +623,25 @@ class RankingEntry:
         }
 
 
-@dataclass(frozen=True)
-class CoverageRanking:
+class CoverageRanking(_Record):
     """Configurations ordered by how many contexts they cover.
 
     ``contexts`` and ``split`` record the provenance of the ranking:
     exactly which (dataset, train size) cells and which score split fed it.
     """
 
-    entries: tuple[RankingEntry, ...]
-    contexts: tuple[Context, ...]
-    split: str
-    threshold: float
+    def __init__(
+        self,
+        entries: tuple[RankingEntry, ...],
+        contexts: tuple[Context, ...],
+        split: str,
+        threshold: float,
+    ) -> None:
+        _set_field(self, "entries", entries)
+        _set_field(self, "contexts", contexts)
+        _set_field(self, "split", split)
+        _set_field(self, "threshold", threshold)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_threshold(self.threshold)
@@ -596,13 +671,13 @@ class CoverageRanking:
         }
 
 
-@dataclass(frozen=True)
-class LooScore:
+class LooScore(_Record):
     """Held-out test performance of a recommended configuration."""
 
-    context: Context
-    test_score: float
-    normalized_test_score: float
+    def __init__(self, context: Context, test_score: float, normalized_test_score: float) -> None:
+        _set_field(self, "context", context)
+        _set_field(self, "test_score", test_score)
+        _set_field(self, "normalized_test_score", normalized_test_score)
 
     def to_dict(self) -> dict:
         return {
@@ -612,14 +687,20 @@ class LooScore:
         }
 
 
-@dataclass(frozen=True)
-class LooResult:
+class LooResult(_Record):
     """Outcome of one leave-one-dataset-out evaluation."""
 
-    held_out_dataset: str
-    recommended_config: Configuration
-    scores: tuple[LooScore, ...]
-    ranking: CoverageRanking
+    def __init__(
+        self,
+        held_out_dataset: str,
+        recommended_config: Configuration,
+        scores: tuple[LooScore, ...],
+        ranking: CoverageRanking,
+    ) -> None:
+        _set_field(self, "held_out_dataset", held_out_dataset)
+        _set_field(self, "recommended_config", recommended_config)
+        _set_field(self, "scores", scores)
+        _set_field(self, "ranking", ranking)
 
     def to_dict(self) -> dict:
         return {
@@ -630,14 +711,16 @@ class LooResult:
         }
 
 
-@dataclass(frozen=True)
-class UpperBoundResult:
+class UpperBoundResult(_Record):
     """Validation-selected best configuration, reported on the test split."""
 
-    context: Context
-    config: Configuration
-    validation_score: float
-    test_score: float
+    def __init__(
+        self, context: Context, config: Configuration, validation_score: float, test_score: float
+    ) -> None:
+        _set_field(self, "context", context)
+        _set_field(self, "config", config)
+        _set_field(self, "validation_score", validation_score)
+        _set_field(self, "test_score", test_score)
 
     def to_dict(self) -> dict:
         return {
@@ -648,34 +731,51 @@ class UpperBoundResult:
         }
 
 
-@dataclass(frozen=True)
-class BudgetPoint:
-    k: int
-    mean_normalized_test_score: float
+class BudgetPoint(_Record):
+    def __init__(self, k: int, mean_normalized_test_score: float) -> None:
+        _set_field(self, "k", k)
+        _set_field(self, "mean_normalized_test_score", mean_normalized_test_score)
 
 
-@dataclass(frozen=True)
-class BudgetDetail:
+class BudgetDetail(_Record):
     """Per-context audit row behind one budget-curve point."""
 
-    k: int
-    context: Context
-    config: Configuration
-    validation_score: float
-    test_score: float
-    normalized_test_score: float
-    clamped: bool
+    def __init__(
+        self,
+        k: int,
+        context: Context,
+        config: Configuration,
+        validation_score: float,
+        test_score: float,
+        normalized_test_score: float,
+        clamped: bool,
+    ) -> None:
+        _set_field(self, "k", k)
+        _set_field(self, "context", context)
+        _set_field(self, "config", config)
+        _set_field(self, "validation_score", validation_score)
+        _set_field(self, "test_score", test_score)
+        _set_field(self, "normalized_test_score", normalized_test_score)
+        _set_field(self, "clamped", clamped)
 
 
-@dataclass(frozen=True)
-class BudgetCurve:
+class BudgetCurve(_Record):
     """Mean held-out performance as a function of the evaluation budget."""
 
-    points: tuple[BudgetPoint, ...]
-    details: tuple[BudgetDetail, ...]
-    threshold: float
-    split: str
-    normalize_by: str
+    def __init__(
+        self,
+        points: tuple[BudgetPoint, ...],
+        details: tuple[BudgetDetail, ...],
+        threshold: float,
+        split: str,
+        normalize_by: str,
+    ) -> None:
+        _set_field(self, "points", points)
+        _set_field(self, "details", details)
+        _set_field(self, "threshold", threshold)
+        _set_field(self, "split", split)
+        _set_field(self, "normalize_by", normalize_by)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ks = [p.k for p in self.points]
@@ -706,13 +806,18 @@ class BudgetCurve:
         }
 
 
-@dataclass(frozen=True)
-class FixedConfigResult:
+class FixedConfigResult(_Record):
     """Test scores of a single fixed configuration plus task macro-averages."""
 
-    config: Configuration
-    scores: tuple[tuple[Context, float], ...]
-    macro_averages: tuple[tuple[str, float], ...]
+    def __init__(
+        self,
+        config: Configuration,
+        scores: tuple[tuple[Context, float], ...],
+        macro_averages: tuple[tuple[str, float], ...],
+    ) -> None:
+        _set_field(self, "config", config)
+        _set_field(self, "scores", scores)
+        _set_field(self, "macro_averages", macro_averages)
 
     @property
     def score_map(self) -> dict[Context, float]:
@@ -730,16 +835,24 @@ class FixedConfigResult:
         }
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(_Record):
     """One task x train-size row of the protocol comparison report."""
 
-    task: str
-    train_size: int
-    n_datasets: int
-    default_score: float | None
-    cbs1_score: float
-    upper_bound_score: float
+    def __init__(
+        self,
+        task: str,
+        train_size: int,
+        n_datasets: int,
+        default_score: float | None,
+        cbs1_score: float,
+        upper_bound_score: float,
+    ) -> None:
+        _set_field(self, "task", task)
+        _set_field(self, "train_size", train_size)
+        _set_field(self, "n_datasets", n_datasets)
+        _set_field(self, "default_score", default_score)
+        _set_field(self, "cbs1_score", cbs1_score)
+        _set_field(self, "upper_bound_score", upper_bound_score)
 
     def to_dict(self) -> dict:
         return {
@@ -752,8 +865,7 @@ class CompareRow:
         }
 
 
-@dataclass(frozen=True)
-class HpImportance:
+class HpImportance(_Record):
     """Cross-dataset consistency of one hyperparameter's preferred values.
 
     ``distributions[i]`` is the value-frequency vector of this
@@ -762,12 +874,22 @@ class HpImportance:
     library sets it: importance_report raises instead.
     """
 
-    name: str
-    datasets: tuple[str, ...]
-    distributions: tuple[tuple[float, ...], ...]
-    js_score: float | None
-    js_pval: float | None
-    error: str | None = None
+    def __init__(
+        self,
+        name: str,
+        datasets: tuple[str, ...],
+        distributions: tuple[tuple[float, ...], ...],
+        js_score: float | None,
+        js_pval: float | None,
+        error: str | None = None,
+    ) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "datasets", datasets)
+        _set_field(self, "distributions", distributions)
+        _set_field(self, "js_score", js_score)
+        _set_field(self, "js_pval", js_pval)
+        _set_field(self, "error", error)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.error is not None:
@@ -795,17 +917,26 @@ class HpImportance:
         }
 
 
-@dataclass(frozen=True)
-class ImportanceReport:
+class ImportanceReport(_Record):
     """Per-hyperparameter consistency scores for one analysis scope."""
 
-    entries: tuple[HpImportance, ...]
-    threshold: float
-    permutations: int
-    seed: int
-    split: str
-    train_sizes: tuple[int, ...]
-    datasets: tuple[str, ...]
+    def __init__(
+        self,
+        entries: tuple[HpImportance, ...],
+        threshold: float,
+        permutations: int,
+        seed: int,
+        split: str,
+        train_sizes: tuple[int, ...],
+        datasets: tuple[str, ...],
+    ) -> None:
+        _set_field(self, "entries", entries)
+        _set_field(self, "threshold", threshold)
+        _set_field(self, "permutations", permutations)
+        _set_field(self, "seed", seed)
+        _set_field(self, "split", split)
+        _set_field(self, "train_sizes", train_sizes)
+        _set_field(self, "datasets", datasets)
 
     def to_dict(self) -> dict:
         return {

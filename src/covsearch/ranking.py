@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, filterfalse, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -59,6 +58,8 @@ from .model import (
     EmptyContextError,
     RankingEntry,
     ScoreTable,
+    _Record,
+    _set_field,
     _check_split,
     _check_threshold,
     _select,
@@ -68,8 +69,7 @@ from .model import (
 DEFAULT_THRESHOLD = 0.97
 
 
-@dataclass(frozen=True)
-class TopSet:
+class TopSet(_Record):
     """Configurations within the threshold band of one context's best score.
 
     Members carry their normalized score and are listed in grid order; the
@@ -77,11 +77,19 @@ class TopSet:
     ``id_members`` holds them as (grid id, normalized score) pairs.
     """
 
-    context: Context
-    split: str
-    threshold: float
-    space: ConfigSpace
-    id_members: tuple[tuple[int, float], ...]
+    def __init__(
+        self,
+        context: Context,
+        split: str,
+        threshold: float,
+        space: ConfigSpace,
+        id_members: tuple[tuple[int, float], ...],
+    ) -> None:
+        _set_field(self, "context", context)
+        _set_field(self, "split", split)
+        _set_field(self, "threshold", threshold)
+        _set_field(self, "space", space)
+        _set_field(self, "id_members", id_members)
 
     @property
     def members(self) -> tuple[tuple[Configuration, float], ...]:

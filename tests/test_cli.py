@@ -183,6 +183,21 @@ class TestRecommend:
             f"covsearch: error: no bundled model 'mistral-7b'; available: {builtin_models()}\n"
         )
 
+    def test_method_matches_in_any_case(self, capsys):
+        assert main(["recommend", "--model", "llama-3-8b", "--method", "lora"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["recommend", "--model", "llama-3-8b", "--method", "LORA"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_unknown_method_is_a_usage_error(self, capsys):
+        assert main(["recommend", "--model", "llama-3-8b", "--method", "bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            "covsearch recommend: error: argument --method: invalid choice: 'bogus'"
+            " (choose from 'full_ft', 'lora')"
+        ]
+
     def test_catalog_csv_matches_golden_file(self):
         golden = Path(__file__).with_name("data").joinpath("golden_recommend.csv")
         assert catalog_csv(builtin_catalog()) == golden.read_text(encoding="utf-8")

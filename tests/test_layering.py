@@ -1,10 +1,15 @@
 """Module layering: ``protocols`` is a leaf that only the CLI and the
 package root import, and no module reaches into its private names; only
 ``ingest`` folds case, so the bundled (model, method) match has one home;
-and every attribute the benchmark's tracer patches exists."""
+every attribute the benchmark's tracer patches exists; and importing the CLI
+loads neither ``dataclasses`` nor what it pulls in, a cost every command
+would pay at start-up."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import covsearch
@@ -76,3 +81,38 @@ def test_every_tracer_target_exists():
     ]
     assert missing == []
     assert callable(covsearch.cli.builtin_catalog)  # the benchmark's import probe calls it
+
+
+def absolute_imports(tree):
+    """The module named by each absolute import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    importers = {
+        name
+        for name, tree in MODULES.items()
+        if any(module.split(".")[0] == "dataclasses" for module in absolute_imports(tree))
+    }
+    assert importers == set()
+
+
+def test_importing_the_cli_loads_no_start_up_weight():
+    # -S skips site-packages' .pth files, which may preload any module.
+    script = (
+        "import sys, covsearch.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+    )
+    src = str(Path(covsearch.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

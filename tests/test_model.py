@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from covsearch import (
     BudgetCurve,
+    BudgetDetail,
     BudgetPoint,
+    CatalogEntry,
+    CompareRow,
+    CompletenessReport,
     ConfigSpace,
     Configuration,
     Context,
@@ -18,9 +22,13 @@ from covsearch import (
     FixedConfigResult,
     HpImportance,
     Hyperparameter,
+    ImportanceReport,
+    LooResult,
+    LooScore,
     RankingEntry,
     ScoreRecord,
     ScoreTable,
+    TopSet,
     UpperBoundResult,
     ValidationError,
     canonical_value,
@@ -28,6 +36,7 @@ from covsearch import (
     serialize_scores,
     synthetic_table,
 )
+from covsearch.model import _Record
 from helpers import cat_space, make_space
 
 
@@ -519,3 +528,106 @@ class TestPublicPaths:
         with pytest.raises(ValidationError, match=message):
             HpImportance("lr", ("d",), **fields)
         HpImportance("lr", ("d",), **fields, error="recorded")  # an error entry skips the checks
+
+
+# One valid instance of every record type: its fields in declaration order,
+# then one field with another valid value.
+HP = Hyperparameter("hp", "categorical", ("x", "y"))
+CFG = Configuration((("hp", "x"),))
+CTX = Context("a", 100)
+ENTRY = RankingEntry(CFG, 1.0, frozenset({CTX}))
+RANKING = CoverageRanking((ENTRY,), (CTX,), "test", 0.9)
+RECORDS = [
+    (Hyperparameter, {"name": "hp", "kind": "categorical", "domain": ("x", "y")}, ("name", "lr")),
+    (Configuration, {"items": (("hp", "x"),)}, ("items", (("hp", "y"),))),
+    (ConfigSpace, {"hyperparameters": (HP,), "label": "s"}, ("label", "t")),
+    (Context, {"dataset": "a", "train_size": 100}, ("train_size", 1000)),
+    (ScoreRecord, {"context": CTX, "split": "test", "config": CFG, "score": 1.0},
+     ("split", "validation")),
+    (RankingEntry, {"config": CFG, "score_sum": 1.0, "coverage": frozenset({CTX})},
+     ("score_sum", 2.0)),
+    (CoverageRanking, {"entries": (ENTRY,), "contexts": (CTX,), "split": "test",
+                       "threshold": 0.9}, ("threshold", 0.8)),
+    (LooScore, {"context": CTX, "test_score": 1.0, "normalized_test_score": 1.0},
+     ("test_score", 2.0)),
+    (LooResult, {"held_out_dataset": "a", "recommended_config": CFG,
+                 "scores": (LooScore(CTX, 1.0, 1.0),), "ranking": RANKING},
+     ("held_out_dataset", "b")),
+    (UpperBoundResult, {"context": CTX, "config": CFG, "validation_score": 1.0,
+                        "test_score": 2.0}, ("test_score", 3.0)),
+    (BudgetPoint, {"k": 1, "mean_normalized_test_score": 0.5}, ("k", 2)),
+    (BudgetDetail, {"k": 1, "context": CTX, "config": CFG, "validation_score": 1.0,
+                    "test_score": 2.0, "normalized_test_score": 0.5, "clamped": False},
+     ("clamped", True)),
+    (BudgetCurve, {"points": (BudgetPoint(1, 0.5),), "details": (), "threshold": 0.9,
+                   "split": "test", "normalize_by": "test_max"},
+     ("normalize_by", "upper_bound")),
+    (FixedConfigResult, {"config": CFG, "scores": ((CTX, 1.0),),
+                         "macro_averages": (("t", 1.0),)}, ("macro_averages", ())),
+    (CompareRow, {"task": "t", "train_size": 100, "n_datasets": 2, "default_score": None,
+                  "cbs1_score": 1.0, "upper_bound_score": 2.0}, ("default_score", 0.5)),
+    (HpImportance, {"name": "hp", "datasets": ("a", "b"),
+                    "distributions": ((1.0, 0.0), (0.0, 1.0)), "js_score": 1.0,
+                    "js_pval": 0.5, "error": None}, ("error", "recorded")),
+    (ImportanceReport, {"entries": (), "threshold": 0.9, "permutations": 10, "seed": 0,
+                        "split": "test", "train_sizes": (100,), "datasets": ("a", "b")},
+     ("seed", 1)),
+    (CompletenessReport, {"missing": ((CTX, "test", ()),), "single_split": ()},
+     ("single_split", ((CTX, "test"),))),
+    (CatalogEntry, {"model": "m", "method": "lora", "source": "cbs_recommendation",
+                    "rank": 1, "config": CFG}, ("rank", 2)),
+    (TopSet, {"context": CTX, "split": "test", "threshold": 0.9,
+              "space": ConfigSpace((HP,)), "id_members": ((0, 1.0),)},
+     ("id_members", ((0, 1.0), (1, 0.95)))),
+]
+
+
+class TestRecords:
+    """Every record type: constructed by position or keyword, read-only,
+    equal and hashed by class and fields, and shown as a dataclass would."""
+
+    def test_every_record_type_is_covered(self):
+        assert {cls for cls, _, _ in RECORDS} == set(_Record.__subclasses__())
+
+    @pytest.mark.parametrize("cls,fields,change", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+    def test_semantics(self, cls, fields, change):
+        record = cls(*fields.values())
+        assert cls(**fields) == record and hash(cls(**fields)) == hash(record)
+        assert {name: getattr(record, name) for name in fields} == fields
+        shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(record) == f"{cls.__name__}({shown})"
+
+        first = next(iter(fields))
+        with pytest.raises(TypeError):
+            cls(**{name: value for name, value in fields.items() if name != first})
+        for name in (first, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, fields[first])
+        with pytest.raises(AttributeError):
+            delattr(record, first)
+        assert getattr(record, first) == fields[first]
+
+        name, value = change
+        other = cls(**{**fields, name: value})
+        assert other != record and not other == record
+        assert len({record, other, cls(**fields)}) == 2
+        subclass = type("Sub", (cls,), {})
+        assert subclass(**fields) != record and record != subclass(**fields)
+        assert record != tuple(fields.values())
+
+    def test_context_order(self):
+        contexts = [Context(d, n) for d in ("b", "a") for n in (1000, 100, 20)]
+        assert sorted(contexts) == [Context(d, n) for d in ("a", "b") for n in (20, 100, 1000)]
+        small, large = Context("a", 20), Context("a", 100)
+        assert small < large and small <= large and large > small and large >= small
+        assert small <= Context("a", 20) and small >= Context("a", 20)
+        assert not small < Context("a", 20)
+        for compare in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(small, compare)(("a", 20)) is NotImplemented
+        with pytest.raises(TypeError):
+            small < ("a", 20)
+
+    def test_cached_values_take_no_part_in_identity(self):
+        cached, fresh = ConfigSpace((HP,)), ConfigSpace((HP,))
+        assert cached.size == 2 and "size" in vars(cached) and "size" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
