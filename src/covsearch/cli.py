@@ -132,11 +132,13 @@ def _count_or_names(text: str) -> int | list[str]:
 
 
 def _catalog_method(text: str) -> str:
-    """recommend --method: the catalog method that ``text`` names in any
-    case, as compare's --method matches; other text is left for the choices
-    check to reject."""
+    """compare and recommend --method: the catalog method that ``text``
+    names in any case; other text is left for the choices check to reject."""
     methods = (m for m in ingest.CATALOG_METHODS if _names_pair(("", m), None, text))
     return next(methods, text)
+
+
+_METHOD = {"type": _catalog_method, "default": None, "choices": ingest.CATALOG_METHODS}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -475,15 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file of hyperparameter values for the default column",
     )
     p.add_argument("--model", default=None, help="bundled default: model name")
-    p.add_argument("--method", default=None, help="bundled default: full_ft or lora")
+    p.add_argument("--method", **_METHOD, help="bundled default: full_ft or lora")
     _add_output_arguments(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("recommend", help="print the bundled configuration catalog")
     p.add_argument("--model", default=None)
-    p.add_argument(
-        "--method", type=_catalog_method, default=None, choices=ingest.CATALOG_METHODS
-    )
+    p.add_argument("--method", **_METHOD)
     p.add_argument(
         "--source",
         choices=(*ingest.CATALOG_SOURCES, "all"),

@@ -42,11 +42,10 @@ pair's exact distance with numpy's vectorised ``log`` in one call.  A
 permutation counts when its score beats the observed one.  The bounds,
 summed with numpy, place most permutations above or below the observed
 score with proof; only the rest get their exact distances from
-``js_distance``, and those too close to call that way are summed again
-with ``math.fsum``, so every decision, and so every p-value, is the
-recipe's bit for bit.  A hyperparameter with one value deals the same
-vectors in every permutation, so none is greater and its p-value is 0
-without a permutation being scored.
+``js_distance``, summed with ``math.fsum``, so every decision, and so
+every p-value, is the recipe's bit for bit.  A hyperparameter with one
+value deals the same vectors in every permutation, so none is greater and
+its p-value is 0 without a permutation being scored.
 """
 
 from __future__ import annotations
@@ -193,14 +192,10 @@ def _split(lo, hi, score: float):
 
 
 def _count_greater(distances, score: float) -> int:
-    """How many rows of non-negative distances have ``1.0 - math.fsum(row) /
-    n > score``, n the row length; equal to counting that way, bit for bit.
-    Only the rows that ``_split`` leaves undecided go to fsum."""
-    greater, unsure = _split(distances, distances, score)
+    """How many rows of distances have ``1.0 - math.fsum(row) / n > score``,
+    n the row length."""
     n = distances.shape[1]
-    return int(greater.sum()) + sum(
-        1.0 - math.fsum(row) / n > score for row in distances[unsure].tolist()
-    )
+    return sum(1.0 - math.fsum(row) / n > score for row in distances.tolist())
 
 
 def _entropy_terms(x):

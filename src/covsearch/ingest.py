@@ -10,9 +10,10 @@ Space file (JSON, UTF-8)::
       ]
     }
 
-Domain values may be JSON strings or numbers; they are canonicalized on
-load (see model.canonical_value).  An optional top-level "manifest" object
-is accepted and ignored, so generated files can carry provenance.
+Names and kinds are JSON strings; domain values JSON strings or numbers,
+canonicalized on load (see model.canonical_value).  An optional top-level
+"manifest" object is accepted and ignored, so generated files can carry
+provenance.
 
 Score file (delimited text, UTF-8)::
 
@@ -23,8 +24,9 @@ starting with '#' and blank lines are ignored.  The first four columns are
 fixed; the remaining columns must be exactly the hyperparameters of the
 space (any order).  ``split`` is "validation" or "test"; scores are
 non-negative ASCII decimals (``model.NUMBER``), train sizes positive ASCII
-integers.  Fields containing the delimiter must be quoted; embedded newlines
-are not supported.  Files may start with a UTF-8 byte-order mark.
+integers of at most 309 digits.  Fields containing the delimiter must be
+quoted; embedded newlines are not supported.  Files may start with a UTF-8
+byte-order mark.
 
 Missing grid cells are tolerated with a warning rather than an error: real
 result dumps are often partial, and all downstream math operates over the
@@ -58,12 +60,13 @@ from .model import (
     CovsearchError,
     Hyperparameter,
     INTEGER,
+    MAX_EXPONENT,
     NUMBER,
     RESERVED_COLUMNS,
     ScoreTable,
     ValidationError,
     _Record,
-    _set_field,
+    _fill,
     _check_count,
     _check_score,
     _check_split,
@@ -107,12 +110,24 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _decode(text: str, source: str | Path | None = None) -> object:
+    """The one JSON decoder: the document ``text``, read from ``source`` if
+    given.  Bad syntax is a ParseError at its line; nesting too deep to decode
+    and an integer too long to convert are ParseErrors naming the source."""
+    where = "" if source is None else f" in {source}"
+    try:
+        return json.loads(_newlines(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON{where}: {exc.msg}", line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON{where}: arrays or objects nested too deeply") from None
+    except ValueError:  # int()'s digit limit, the one other error of json.loads
+        raise ParseError(f"invalid JSON{where}: an integer has too many digits") from None
+
+
 def load_json(path: str | Path) -> object:
     """Parse a UTF-8 JSON file; malformed content is a ParseError at its line."""
-    try:
-        return json.loads(_newlines(_read_text(path)))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from None
+    return _decode(_read_text(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +137,7 @@ def load_json(path: str | Path) -> object:
 
 def parse_space(text: str) -> ConfigSpace:
     """Parse a space document; round-trips exactly through serialize_space."""
-    try:
-        doc = json.loads(_newlines(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    return _space(doc)
+    return _space(_decode(text))
 
 
 def _space(doc: object) -> ConfigSpace:
@@ -157,16 +168,16 @@ def _space(doc: object) -> ConfigSpace:
         for key in ("name", "kind", "domain"):
             if key not in item:
                 raise ParseError(f"missing field {key!r}", path=path)
-        if not isinstance(item["domain"], list):
+        for key in ("name", "kind"):
+            if not isinstance(item[key], str):
+                raise ParseError(f"{key} must be a string", path=f"{path}.{key}")
+        domain = item["domain"]
+        if not isinstance(domain, list):
             raise ParseError("domain must be an array", path=f"{path}.domain")
+        if not all(type(v) in (str, int, float) for v in domain):  # so not bool or null
+            raise ParseError("domain values must be strings or numbers", path=f"{path}.domain")
         try:
-            hps.append(
-                Hyperparameter(
-                    name=str(item["name"]),
-                    kind=str(item["kind"]),
-                    domain=tuple(item["domain"]),
-                )
-            )
+            hps.append(Hyperparameter(item["name"], item["kind"], tuple(domain)))
         except ValidationError as exc:
             raise ParseError(str(exc), path=path) from None
     try:
@@ -265,6 +276,8 @@ class _ScoreRows:
             raise ParseError(
                 f"train_size must be an integer, got {fields[1]!r}", line=lineno
             )
+        if len(size_text.lstrip("+-")) > MAX_EXPONENT + 1:  # as values, within the float range
+            raise ParseError(f"train_size has more than {MAX_EXPONENT + 1} digits", line=lineno)
         if not NUMBER.fullmatch(score_text):
             raise ParseError(f"invalid score {score_text!r}", line=lineno)
         try:
@@ -395,8 +408,7 @@ class CompletenessReport(_Record):
         missing: tuple[tuple[Context, str, tuple[Configuration, ...]], ...],
         single_split: tuple[tuple[Context, str], ...],
     ) -> None:
-        _set_field(self, "missing", missing)
-        _set_field(self, "single_split", single_split)
+        _fill(self, locals())
 
     @property
     def is_complete(self) -> bool:
@@ -441,12 +453,7 @@ class CatalogEntry(_Record):
     def __init__(
         self, model: str, method: str, source: str, rank: int, config: Configuration
     ) -> None:
-        _set_field(self, "model", model)
-        _set_field(self, "method", method)
-        _set_field(self, "source", source)
-        _set_field(self, "rank", rank)
-        _set_field(self, "config", config)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.method not in CATALOG_METHODS:
@@ -461,7 +468,7 @@ def _bundled(name: str) -> dict:
     from importlib import resources  # a command that reads no bundle never loads it
 
     data = resources.files("covsearch").joinpath(f"data/{name}")
-    return json.loads(data.read_text(encoding="utf-8"))
+    return _decode(data.read_text(encoding="utf-8"), name)
 
 
 def _names_pair(pair: tuple[str, str], model: str | None, method: str | None = None) -> bool:

@@ -27,7 +27,9 @@ proved members, a ``ConfigSpace`` the configurations it decoded.  The
 records are plain classes on one ``_Record`` base, not dataclasses:
 building 20 dataclasses and importing ``dataclasses`` (which loads
 ``inspect``) cost about 16-19 ms in every process, a CLI command's
-start-up included, where the base costs microseconds.
+start-up included, where the base costs microseconds.  Records fill their
+fields from their signature with ``_fill``, but for four built on hot paths:
+``Configuration``, ``Context``, ``BudgetDetail`` and ``RankingEntry``.
 """
 
 from __future__ import annotations
@@ -178,11 +180,13 @@ _set_field = object.__setattr__
 class _Record:
     """A frozen record whose fields are its ``__init__``'s parameters, in order.
 
-    A subclass's ``__init__`` sets each field with ``_set_field`` and then
-    calls ``self.__post_init__()`` if the class has one.  After that the
-    fields are read-only.  Equality (same class, equal fields) and the hash
-    read them through one ``attrgetter`` per class; the repr is a
-    dataclass's, ``Context(dataset='a', train_size=100)``.
+    A subclass's ``__init__`` body is ``_fill(self, locals())``.  After that
+    the fields are read-only.  Equality (same class, equal fields) and the
+    hash read them through one ``attrgetter`` per class; the repr is a
+    dataclass's, ``Context(dataset='a', train_size=100)``.  ``Configuration``,
+    ``Context``, ``BudgetDetail`` and ``RankingEntry`` are built thousands of
+    times per pass, so they set their fields with ``_set_field`` directly,
+    where ``_fill``'s loop would cost them 0.2-0.5 µs per record.
     """
 
     def __init_subclass__(cls) -> None:
@@ -209,14 +213,20 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _fill(record: _Record, values: Mapping[str, object]) -> None:
+    """Set each field of ``record`` from its ``__init__``'s ``values``, then
+    run its ``__post_init__``, looked up on the record, if it has one."""
+    for name in record._fields:
+        _set_field(record, name, values[name])
+    if hasattr(record, "__post_init__"):
+        record.__post_init__()
+
+
 class Hyperparameter(_Record):
     """A named hyperparameter with a finite ordered value domain."""
 
     def __init__(self, name: str, kind: str, domain: tuple[str, ...]) -> None:
-        _set_field(self, "name", name)
-        _set_field(self, "kind", kind)
-        _set_field(self, "domain", domain)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if not self.name or self.name != self.name.strip():
@@ -305,9 +315,7 @@ class ConfigSpace(_Record):
     """An ordered collection of hyperparameters defining a finite grid."""
 
     def __init__(self, hyperparameters: tuple[Hyperparameter, ...], label: str = "") -> None:
-        _set_field(self, "hyperparameters", hyperparameters)
-        _set_field(self, "label", label)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         _set_field(self, "hyperparameters", tuple(self.hyperparameters))
@@ -475,11 +483,7 @@ class ScoreRecord(_Record):
     """One raw score for (context, split, configuration)."""
 
     def __init__(self, context: Context, split: str, config: Configuration, score: float) -> None:
-        _set_field(self, "context", context)
-        _set_field(self, "split", split)
-        _set_field(self, "config", config)
-        _set_field(self, "score", score)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         _check_split(self.split)
@@ -637,11 +641,7 @@ class CoverageRanking(_Record):
         split: str,
         threshold: float,
     ) -> None:
-        _set_field(self, "entries", entries)
-        _set_field(self, "contexts", contexts)
-        _set_field(self, "split", split)
-        _set_field(self, "threshold", threshold)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         _check_threshold(self.threshold)
@@ -675,9 +675,7 @@ class LooScore(_Record):
     """Held-out test performance of a recommended configuration."""
 
     def __init__(self, context: Context, test_score: float, normalized_test_score: float) -> None:
-        _set_field(self, "context", context)
-        _set_field(self, "test_score", test_score)
-        _set_field(self, "normalized_test_score", normalized_test_score)
+        _fill(self, locals())
 
     def to_dict(self) -> dict:
         return {
@@ -697,10 +695,7 @@ class LooResult(_Record):
         scores: tuple[LooScore, ...],
         ranking: CoverageRanking,
     ) -> None:
-        _set_field(self, "held_out_dataset", held_out_dataset)
-        _set_field(self, "recommended_config", recommended_config)
-        _set_field(self, "scores", scores)
-        _set_field(self, "ranking", ranking)
+        _fill(self, locals())
 
     def to_dict(self) -> dict:
         return {
@@ -717,10 +712,7 @@ class UpperBoundResult(_Record):
     def __init__(
         self, context: Context, config: Configuration, validation_score: float, test_score: float
     ) -> None:
-        _set_field(self, "context", context)
-        _set_field(self, "config", config)
-        _set_field(self, "validation_score", validation_score)
-        _set_field(self, "test_score", test_score)
+        _fill(self, locals())
 
     def to_dict(self) -> dict:
         return {
@@ -733,8 +725,7 @@ class UpperBoundResult(_Record):
 
 class BudgetPoint(_Record):
     def __init__(self, k: int, mean_normalized_test_score: float) -> None:
-        _set_field(self, "k", k)
-        _set_field(self, "mean_normalized_test_score", mean_normalized_test_score)
+        _fill(self, locals())
 
 
 class BudgetDetail(_Record):
@@ -770,12 +761,7 @@ class BudgetCurve(_Record):
         split: str,
         normalize_by: str,
     ) -> None:
-        _set_field(self, "points", points)
-        _set_field(self, "details", details)
-        _set_field(self, "threshold", threshold)
-        _set_field(self, "split", split)
-        _set_field(self, "normalize_by", normalize_by)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         ks = [p.k for p in self.points]
@@ -815,9 +801,7 @@ class FixedConfigResult(_Record):
         scores: tuple[tuple[Context, float], ...],
         macro_averages: tuple[tuple[str, float], ...],
     ) -> None:
-        _set_field(self, "config", config)
-        _set_field(self, "scores", scores)
-        _set_field(self, "macro_averages", macro_averages)
+        _fill(self, locals())
 
     @property
     def score_map(self) -> dict[Context, float]:
@@ -847,12 +831,7 @@ class CompareRow(_Record):
         cbs1_score: float,
         upper_bound_score: float,
     ) -> None:
-        _set_field(self, "task", task)
-        _set_field(self, "train_size", train_size)
-        _set_field(self, "n_datasets", n_datasets)
-        _set_field(self, "default_score", default_score)
-        _set_field(self, "cbs1_score", cbs1_score)
-        _set_field(self, "upper_bound_score", upper_bound_score)
+        _fill(self, locals())
 
     def to_dict(self) -> dict:
         return {
@@ -883,13 +862,7 @@ class HpImportance(_Record):
         js_pval: float | None,
         error: str | None = None,
     ) -> None:
-        _set_field(self, "name", name)
-        _set_field(self, "datasets", datasets)
-        _set_field(self, "distributions", distributions)
-        _set_field(self, "js_score", js_score)
-        _set_field(self, "js_pval", js_pval)
-        _set_field(self, "error", error)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.error is not None:
@@ -930,13 +903,7 @@ class ImportanceReport(_Record):
         train_sizes: tuple[int, ...],
         datasets: tuple[str, ...],
     ) -> None:
-        _set_field(self, "entries", entries)
-        _set_field(self, "threshold", threshold)
-        _set_field(self, "permutations", permutations)
-        _set_field(self, "seed", seed)
-        _set_field(self, "split", split)
-        _set_field(self, "train_sizes", train_sizes)
-        _set_field(self, "datasets", datasets)
+        _fill(self, locals())
 
     def to_dict(self) -> dict:
         return {

@@ -59,7 +59,7 @@ from .model import (
     RankingEntry,
     ScoreTable,
     _Record,
-    _set_field,
+    _fill,
     _check_split,
     _check_threshold,
     _select,
@@ -85,11 +85,7 @@ class TopSet(_Record):
         space: ConfigSpace,
         id_members: tuple[tuple[int, float], ...],
     ) -> None:
-        _set_field(self, "context", context)
-        _set_field(self, "split", split)
-        _set_field(self, "threshold", threshold)
-        _set_field(self, "space", space)
-        _set_field(self, "id_members", id_members)
+        _fill(self, locals())
 
     @property
     def members(self) -> tuple[tuple[Configuration, float], ...]:

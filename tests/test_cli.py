@@ -459,6 +459,31 @@ class TestCompareDefaultColumn:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert row["default"] == 90.0  # batch=4 scores 90, 100 and 80
 
+    def test_bundled_method_matches_in_any_case(self, tmp_path, capsys):
+        space, scores = tmp_path / "space.json", tmp_path / "scores.csv"
+        space.write_text(LLAMA_LORA_DEFAULT_DOC, encoding="utf-8")
+        rows = [
+            f"{d},100,{split},{s},{batch},1e-4,10,linear,32,8"
+            for d, by_batch in {"A": (90, 100), "B": (100, 50)}.items()
+            for batch, s in zip((4, 8), by_batch)
+            for split in ("validation", "test")
+        ]
+        scores.write_text("\n".join([LLAMA_LORA_HEADER, *rows]) + "\n", encoding="utf-8")
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t"}', encoding="utf-8")
+        outputs = []
+        for method in ("lora", "LORA"):
+            assert main([
+                "compare", "--space", str(space), "--scores", str(scores),
+                "--task-map", str(task_map), "--model", "llama-3-8b", "--method", method,
+                "--format", "machine",
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        doc = json.loads(outputs[1])
+        assert doc["manifest"]["options"]["method"] == "lora"
+        assert doc["rows"][0]["default"] == 95.0  # batch=4 scores 90 and 100
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -505,6 +530,8 @@ class TestFlagCombinations:
          "--model and --method must be given together"),
         (["--default-config", "DEFAULT", "--model", "Llama-3-8B", "--method", "lora"],
          "--default-config excludes --model and --method"),
+        (["--model", "llama-3-8b", "--method", "bogus"],
+         "argument --method: invalid choice: 'bogus' (choose from 'full_ft', 'lora')"),
     ])
     def test_compare(self, tmp_path, capsys, flags, message):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
@@ -542,7 +569,8 @@ class TestParserConstants:
         assert tuple(option("budget", "--normalize-by").choices) == NORMALIZE_MODES
         assert option("budget", "--max-budget").default == DEFAULT_MAX_BUDGET
         assert option("importance", "--permutations").default == DEFAULT_PERMUTATIONS
-        assert tuple(option("recommend", "--method").choices) == CATALOG_METHODS
+        for command in ("compare", "recommend"):
+            assert tuple(option(command, "--method").choices) == CATALOG_METHODS
         assert tuple(option("recommend", "--source").choices) == (*CATALOG_SOURCES, "all")
 
 
@@ -647,6 +675,40 @@ class TestErrorContract:
             "--task-map", str(task_map), "--default-config", str(default),
         ]) == 2
         self.assert_one_line_error(capsys, "line 1", "invalid JSON")
+
+    @pytest.mark.parametrize("flag", ["--space", "--task-map", "--default-config"])
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,  # nested past the decoder's recursion limit
+        '{"A": ' + "1" * 5000 + "}",  # an integer past int()'s digit limit
+    ], ids=["deep", "long integer"])
+    def test_json_the_decoder_refuses(self, tmp_path, capsys, flag, text):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        argv = {
+            "--space": ["rank", "--space", str(bad), "--scores", scores],
+            "--task-map": ["compare", "--space", space, "--scores", scores,
+                           "--task-map", str(bad)],
+            "--default-config": ["compare", "--space", space, "--scores", scores,
+                                 "--task-map", "builtin", "--default-config", str(bad)],
+        }[flag]
+        assert main(argv) == 2
+        named = [] if flag == "--space" else [f"in {bad}:"]
+        self.assert_one_line_error(capsys, "invalid JSON", *named)
+
+    def test_train_size_past_the_digit_bound(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, ["A,100,test,1,x", f"A,{'1' * 5000},test,1,y"])
+        assert main(["rank", "--space", space, "--scores", scores]) == 2
+        self.assert_one_line_error(capsys, "line 3: train_size has more than 309 digits")
+
+    @pytest.mark.parametrize("field,value", [("name", None), ("domain", [True, "y"])])
+    def test_space_field_of_another_json_type(self, tmp_path, capsys, field, value):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        doc = json.loads(SPACE_DOC)
+        doc["hyperparameters"][0][field] = value
+        Path(space).write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["rank", "--space", space, "--scores", scores]) == 2
+        self.assert_one_line_error(capsys, f"hyperparameters[0].{field}: ")
 
     def test_number_outside_the_ascii_grammar(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, ["A,100,test,1,x", "A,100,test,1_000,y"])

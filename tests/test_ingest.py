@@ -106,6 +106,24 @@ class TestSpaceFiles:
         with pytest.raises(ParseError, match="line 1"):
             parse_space("{nope")
 
+    @pytest.mark.parametrize("text,message", [
+        ("[" * 100_000 + "]" * 100_000, "arrays or objects nested too deeply"),
+        ('{"label": ' + "1" * 5000 + "}", "an integer has too many digits"),
+    ], ids=["deep", "long integer"])
+    def test_json_the_decoder_refuses(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=f"^invalid JSON: {message}$"):
+            parse_space(text)
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            ingest.load_json(path)
+        assert str(exc.value) == f"invalid JSON in {path}: {message}"
+
+    def test_numbers_and_strings_mix_in_a_domain(self):
+        doc = {"hyperparameters": [{"name": "lr", "kind": "real", "domain": ["1e-4", 5e-05, 1]}]}
+        (hp,) = parse_space(json.dumps(doc)).hyperparameters
+        assert hp.domain == ("1.0e-4", "5.0e-5", "1.0e0")
+
     @pytest.mark.parametrize("doc,message", [
         ([], r"^\$: top level must be an object$"),
         ({"label": 1, "hyperparameters": []}, "^label: label must be a string$"),
@@ -117,6 +135,22 @@ class TestSpaceFiles:
         (
             {"hyperparameters": [{"name": "a", "kind": "integer", "domain": 1}]},
             r"^hyperparameters\[0\]\.domain: domain must be an array$",
+        ),
+        *(
+            (
+                {"hyperparameters": [{"name": "a", "kind": "categorical", "domain": ["x"],
+                                      field: value}]},
+                rf"^hyperparameters\[0\]\.{field}: {message}$",
+            )
+            for field, value, message in [
+                ("name", None, "name must be a string"),
+                ("name", 1, "name must be a string"),
+                ("kind", ["categorical"], "kind must be a string"),
+                ("domain", ["x", None], "domain values must be strings or numbers"),
+                ("domain", [True, False], "domain values must be strings or numbers"),
+                ("domain", ["x", {"x": 1}], "domain values must be strings or numbers"),
+                ("domain", [["x"]], "domain values must be strings or numbers"),
+            ]
         ),
     ])
     def test_malformed_document_shape(self, doc, message):
@@ -243,9 +277,9 @@ class TestScoreFiles:
         assert parse_scores(text, space, warn_incomplete=False) == table
 
 
-# Spellings outside the ASCII decimal grammar, as (case, line, row): the row
-# replaces FULL_ROWS at that line (the header is line 1) and is otherwise
-# valid, so the spelling alone must be rejected.
+# Spellings outside the ASCII decimal grammar or its bounds, as (case, line,
+# row): the row replaces FULL_ROWS at that line (the header is line 1) and is
+# otherwise valid, so the spelling alone must be rejected.
 STRICT_NUMBER_CASES = [
     ("digit-group underscore in a score", 3, "d2,100,test,1_000,5e-05,10"),
     ("digit-group underscore in a train size", 2, "d2,1_00,test,0.5,5e-05,5"),
@@ -255,6 +289,7 @@ STRICT_NUMBER_CASES = [
     ("train size with a fraction", 3, "d2,100.0,test,0.7,5e-05,10"),
     ("train size with an exponent", 3, "d2,1e2,test,0.7,5e-05,10"),
     ("spelled-out non-finite score", 4, "d2,100,test,Infinity,1e-04,5"),
+    ("train size of 5,000 digits", 3, f"d2,{'1' * 5000},test,0.7,5e-05,10"),
 ]
 
 
@@ -280,6 +315,17 @@ class TestStrictNumbers:
         with pytest.raises(ParseError) as exc:
             parse_scores(scores_text(rows), parse_space(SPACE_DOC), warn_incomplete=False)
         assert exc.value.line == line
+
+    def test_train_size_digits_stop_at_the_float_range(self):
+        space = parse_space(SPACE_DOC)
+        size = "1" + "0" * 308  # 309 digits: exponent 308, as values may have
+        for text in (size, "+" + size):  # a sign is no digit
+            table = parse_scores(scores_text([f"d1,{text},test,0.5,5e-05,5"]), space,
+                                 warn_incomplete=False)
+            assert table.train_sizes() == [10**308]
+        rows = [f"d1,{size}0,test,0.5,5e-05,5"]
+        with pytest.raises(ParseError, match="^line 2: train_size has more than 309 digits$"):
+            parse_scores(scores_text(rows), space, warn_incomplete=False)
 
     def test_grammar_spellings_parse_as_before(self):
         spelled = [

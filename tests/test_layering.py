@@ -1,9 +1,10 @@
 """Module layering: ``protocols`` is a leaf that only the CLI and the
 package root import, and no module reaches into its private names; only
 ``ingest`` folds case, so the bundled (model, method) match has one home;
-every attribute the benchmark's tracer patches exists; and importing the CLI
+every attribute the benchmark's tracer patches exists; importing the CLI
 loads neither ``dataclasses`` nor what it pulls in, a cost every command
-would pay at start-up."""
+would pay at start-up; ``ingest._decode`` is the one JSON decoder; and
+every record fills its fields with ``_fill`` but the four built on hot paths."""
 
 import ast
 import importlib.util
@@ -116,3 +117,35 @@ def test_importing_the_cli_loads_no_start_up_weight():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_only_the_ingest_decoder_calls_json_loads():
+    def loads_calls(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "loads"
+        ]
+
+    decoder = next(
+        node for node in ast.walk(MODULES["ingest"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_decode"
+    )
+    calls = [call for tree in MODULES.values() for call in loads_calls(tree)]
+    assert len(calls) == 1 and calls == loads_calls(decoder)
+    assert "json" not in {  # no bare ``loads`` imported from json
+        node.module for tree in MODULES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+
+
+def test_records_fill_their_fields_but_the_four_hot_ones():
+    filled, direct = set(), set()
+    for tree in MODULES.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and "_Record" in [ast.unparse(b) for b in cls.bases]:
+                (init,) = [f for f in cls.body if getattr(f, "name", None) == "__init__"]
+                body = [ast.unparse(statement) for statement in init.body]
+                (filled if body == ["_fill(self, locals())"] else direct).add(cls.name)
+    assert direct == {"Configuration", "Context", "BudgetDetail", "RankingEntry"}
+    assert len(filled) == 16
