@@ -36,8 +36,9 @@ from .ingest import (
     _names_pair,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
-from .model import INTEGER, NUMBER, SPLITS, CoverageRanking, CovsearchError, ScoreTable
-from .model import ValidationError, _check_count, _check_seed, _check_threshold, _select
+from .model import INTEGER, MAX_EXPONENT, NUMBER, SPLITS, CoverageRanking, CovsearchError
+from .model import ScoreTable, ValidationError, _check_count, _check_seed, _check_threshold
+from .model import _data, _select
 from .protocols import budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
@@ -88,6 +89,8 @@ def _real(text: str) -> float:
 def _integer(text: str) -> int:
     if not INTEGER.fullmatch(text.strip()):
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if len(text.strip().lstrip("+-")) > MAX_EXPONENT + 1:  # the score file's train-size bound
+        raise argparse.ArgumentTypeError(f"integer has more than {MAX_EXPONENT + 1} digits")
     return int(text)
 
 
@@ -158,13 +161,9 @@ def _with_manifest(args: argparse.Namespace, body: str) -> str:
 def _write(args: argparse.Namespace, result, render, key: str | None = None) -> int:
     """Write one command's result in the requested format: ``render(result)``
     under the manifest's comment lines, or with ``--format machine`` a JSON
-    object holding the manifest and the result's ``to_dict()`` under key."""
+    object holding the manifest and the result's JSON form under key."""
     if getattr(args, "format", "text") == "machine":
-        if isinstance(result, (list, tuple)):
-            data = [r.to_dict() for r in result]
-        else:
-            data = result.to_dict()
-        text = json.dumps({"manifest": _manifest(args), key: data}, indent=2) + "\n"
+        text = json.dumps({"manifest": _manifest(args), key: _data(result)}, indent=2) + "\n"
     else:
         text = _with_manifest(args, render(result))
     _emit(text, args.out)

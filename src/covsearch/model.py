@@ -30,6 +30,8 @@ building 20 dataclasses and importing ``dataclasses`` (which loads
 start-up included, where the base costs microseconds.  Records fill their
 fields from their signature with ``_fill``, but for four built on hot paths:
 ``Configuration``, ``Context``, ``BudgetDetail`` and ``RankingEntry``.
+Results become JSON through one encoder, ``_data``, from their fields; only
+``RankingEntry``, ``BudgetDetail`` and ``FixedConfigResult`` write their own.
 """
 
 from __future__ import annotations
@@ -187,12 +189,21 @@ class _Record:
     ``Context``, ``BudgetDetail`` and ``RankingEntry`` are built thousands of
     times per pass, so they set their fields with ``_set_field`` directly,
     where ``_fill``'s loop would cost them 0.2-0.5 µs per record.
+
+    A result record's ``to_dict`` is ``_to_dict``: each field under its name,
+    in signature order, unless its class declares ``_json_order`` or
+    ``_json_renames`` (field to key).  Three write their own: ``RankingEntry``
+    adds ``coverage_size``, ``FixedConfigResult`` turns pairs into objects,
+    and ``BudgetDetail`` is hot (the shared path made a curve's 2.5x slower).
     """
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
+        renames = getattr(cls, "_json_renames", {})
+        order = getattr(cls, "_json_order", cls._fields)
+        cls._json_fields = tuple((renames.get(name, name), name) for name in order)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -220,6 +231,25 @@ def _fill(record: _Record, values: Mapping[str, object]) -> None:
         _set_field(record, name, values[name])
     if hasattr(record, "__post_init__"):
         record.__post_init__()
+
+
+def _data(value: object) -> object:
+    """A result value in JSON form: contexts as text, configurations as dicts,
+    records by ``to_dict()``, tuples and lists as lists item by item; the rest as is."""
+    if isinstance(value, _Record):
+        if isinstance(value, Context):
+            return str(value)
+        if isinstance(value, Configuration):
+            return value.as_dict()
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_data(item) for item in value]
+    return value
+
+
+def _to_dict(record: _Record) -> dict:
+    """A record's JSON object: each field's ``_data`` under its ``_json_fields`` key."""
+    return {key: _data(getattr(record, name)) for key, name in record._json_fields}
 
 
 class Hyperparameter(_Record):
@@ -643,6 +673,9 @@ class CoverageRanking(_Record):
     ) -> None:
         _fill(self, locals())
 
+    _json_order = ("split", "threshold", "contexts", "entries")
+    to_dict = _to_dict
+
     def __post_init__(self) -> None:
         _check_threshold(self.threshold)
         sizes = [len(e.coverage) for e in self.entries]
@@ -662,14 +695,6 @@ class CoverageRanking(_Record):
             raise DataError("ranking is empty")
         return self.entries[0].config
 
-    def to_dict(self) -> dict:
-        return {
-            "split": self.split,
-            "threshold": self.threshold,
-            "contexts": [str(c) for c in self.contexts],
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
 
 class LooScore(_Record):
     """Held-out test performance of a recommended configuration."""
@@ -677,12 +702,7 @@ class LooScore(_Record):
     def __init__(self, context: Context, test_score: float, normalized_test_score: float) -> None:
         _fill(self, locals())
 
-    def to_dict(self) -> dict:
-        return {
-            "context": str(self.context),
-            "test_score": self.test_score,
-            "normalized_test_score": self.normalized_test_score,
-        }
+    to_dict = _to_dict
 
 
 class LooResult(_Record):
@@ -697,13 +717,7 @@ class LooResult(_Record):
     ) -> None:
         _fill(self, locals())
 
-    def to_dict(self) -> dict:
-        return {
-            "held_out_dataset": self.held_out_dataset,
-            "recommended_config": self.recommended_config.as_dict(),
-            "scores": [s.to_dict() for s in self.scores],
-            "ranking": self.ranking.to_dict(),
-        }
+    to_dict = _to_dict
 
 
 class UpperBoundResult(_Record):
@@ -714,18 +728,14 @@ class UpperBoundResult(_Record):
     ) -> None:
         _fill(self, locals())
 
-    def to_dict(self) -> dict:
-        return {
-            "context": str(self.context),
-            "config": self.config.as_dict(),
-            "validation_score": self.validation_score,
-            "test_score": self.test_score,
-        }
+    to_dict = _to_dict
 
 
 class BudgetPoint(_Record):
     def __init__(self, k: int, mean_normalized_test_score: float) -> None:
         _fill(self, locals())
+
+    to_dict = _to_dict
 
 
 class BudgetDetail(_Record):
@@ -749,6 +759,17 @@ class BudgetDetail(_Record):
         _set_field(self, "normalized_test_score", normalized_test_score)
         _set_field(self, "clamped", clamped)
 
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k,
+            "context": str(self.context),
+            "config": self.config.as_dict(),
+            "validation_score": self.validation_score,
+            "test_score": self.test_score,
+            "normalized_test_score": self.normalized_test_score,
+            "clamped": self.clamped,
+        }
+
 
 class BudgetCurve(_Record):
     """Mean held-out performance as a function of the evaluation budget."""
@@ -763,33 +784,13 @@ class BudgetCurve(_Record):
     ) -> None:
         _fill(self, locals())
 
+    _json_order = ("threshold", "split", "normalize_by", "points", "details")
+    to_dict = _to_dict
+
     def __post_init__(self) -> None:
         ks = [p.k for p in self.points]
         if ks != list(range(1, len(ks) + 1)):
             raise ValidationError("budget points must cover k = 1..max_budget")
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "split": self.split,
-            "normalize_by": self.normalize_by,
-            "points": [
-                {"k": p.k, "mean_normalized_test_score": p.mean_normalized_test_score}
-                for p in self.points
-            ],
-            "details": [
-                {
-                    "k": d.k,
-                    "context": str(d.context),
-                    "config": d.config.as_dict(),
-                    "validation_score": d.validation_score,
-                    "test_score": d.test_score,
-                    "normalized_test_score": d.normalized_test_score,
-                    "clamped": d.clamped,
-                }
-                for d in self.details
-            ],
-        }
 
 
 class FixedConfigResult(_Record):
@@ -833,15 +834,10 @@ class CompareRow(_Record):
     ) -> None:
         _fill(self, locals())
 
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "train_size": self.train_size,
-            "n_datasets": self.n_datasets,
-            "default": self.default_score,
-            "cbs_1": self.cbs1_score,
-            "upper_bound": self.upper_bound_score,
-        }
+    _json_renames = {
+        "default_score": "default", "cbs1_score": "cbs_1", "upper_bound_score": "upper_bound"
+    }
+    to_dict = _to_dict
 
 
 class HpImportance(_Record):
@@ -864,6 +860,9 @@ class HpImportance(_Record):
     ) -> None:
         _fill(self, locals())
 
+    _json_renames = {"name": "hyperparameter"}
+    to_dict = _to_dict
+
     def __post_init__(self) -> None:
         if self.error is not None:
             return
@@ -878,16 +877,6 @@ class HpImportance(_Record):
             raise ValidationError(f"js_score out of [0, 1]: {self.js_score!r}")
         if self.js_pval is not None and not 0 <= self.js_pval <= 1:
             raise ValidationError(f"js_pval out of [0, 1]: {self.js_pval!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "hyperparameter": self.name,
-            "datasets": list(self.datasets),
-            "distributions": [list(v) for v in self.distributions],
-            "js_score": self.js_score,
-            "js_pval": self.js_pval,
-            "error": self.error,
-        }
 
 
 class ImportanceReport(_Record):
@@ -905,13 +894,7 @@ class ImportanceReport(_Record):
     ) -> None:
         _fill(self, locals())
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "permutations": self.permutations,
-            "seed": self.seed,
-            "split": self.split,
-            "train_sizes": list(self.train_sizes),
-            "datasets": list(self.datasets),
-            "entries": [e.to_dict() for e in self.entries],
-        }
+    _json_order = (
+        "threshold", "permutations", "seed", "split", "train_sizes", "datasets", "entries"
+    )
+    to_dict = _to_dict

@@ -1,8 +1,8 @@
 """Plain-text renderers for analysis results.
 
 Every renderer returns a deterministic string: equal inputs give
-byte-identical reports.  Machine-readable output is handled separately
-(``to_dict`` on the result types, serialized as JSON by the CLI).
+byte-identical reports.  Machine-readable output is not rendered here: the
+CLI serializes ``model._data(result)``, the result's fields, as JSON.
 """
 
 from __future__ import annotations

@@ -1157,3 +1157,113 @@ class TestFuzzedJsonInputs:
         assert main(["rank", *io]) == 0
         assert main(["compare", *io, "--task-map", str(paths["task_map"]),
                      "--default-config", str(paths["default"])]) == 0
+
+
+GOLDEN_DIR = Path(__file__).with_name("data")
+
+
+def json_shape(value):
+    """A JSON value's key order and value types, without its values."""
+    if isinstance(value, dict):
+        return [(key, json_shape(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [json_shape(item) for item in value]
+    return type(value).__name__
+
+
+class TestGoldenMachineOutput:
+    """``--format machine`` on a seeded synth table, against the files
+    ``tests/data/golden_*.json``: byte for byte, but importance only in key
+    order and value types, since its floats follow the platform's libm."""
+
+    @pytest.fixture
+    def io(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # relative paths, so that the manifests match
+        assert main([
+            "synth", "--out-scores", "scores.csv", "--out-space", "space.json",
+            "--datasets", "3", "--train-sizes", "100", "--seed", "1",
+        ]) == 0
+        Path("tasks.json").write_text(
+            '{"ds00": "ta", "ds01": "ta", "ds02": "tb"}', encoding="utf-8"
+        )
+        Path("default.json").write_text(
+            '{"batch": 8, "lr": "1e-4", "epochs": 5, "lr_scheduler": "cosine"}',
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        return ["--space", "space.json", "--scores", "scores.csv", "--format", "machine"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank"],
+            ["loo"],
+            ["budget", "--details"],
+            ["compare", "--task-map", "tasks.json", "--default-config", "default.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_byte_for_byte(self, io, capsys, argv):
+        assert main([*argv, *io]) == 0
+        golden = GOLDEN_DIR / f"golden_{argv[0]}.json"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    def test_importance_key_order_and_types(self, io, capsys):
+        assert main(["importance", *io]) == 0
+        golden = GOLDEN_DIR / "golden_importance.json"
+        expected = json.loads(golden.read_text(encoding="utf-8"))
+        assert json_shape(json.loads(capsys.readouterr().out)) == json_shape(expected)
+
+
+class TestLongIntegerFlags:
+    """An integer flag of more than 309 digits, the score file's train-size
+    bound, is a usage error that does not echo the digits."""
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("rank", "--top", "1" * 5000),
+            ("importance", "--seed", "1" * 5000),
+            ("synth", "--datasets", "1" * 5000),
+            ("loo", "--train-sizes", "100," + "1" * 5000),
+        ],
+        ids=lambda value: value[:20],
+    )
+    def test_usage_error(self, tmp_path, capsys, command, flag, value):
+        missing = str(tmp_path / "missing")  # never read: the flag fails first
+        io = ["--out-scores", missing] if command == "synth" else ["--space", missing]
+        assert main([command, *io, flag, value]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        message = "integer has more than 309 digits"
+        assert last == f"covsearch {command}: error: argument {flag}: {message}"
+        assert len(last) < 200
+        assert not Path(missing).exists()
+
+    def test_309_digits_are_an_integer(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        assert main(["rank", "--space", space, "--scores", scores, "--top", "9" * 309]) == 0
+        assert f"# top: {'9' * 309}\n" in capsys.readouterr().out
+
+
+class TestModuleEntrypoint:
+    """``python -m covsearch.cli`` goes through ``entrypoint``, as the
+    ``covsearch`` console script does; the rest of the suite calls ``main``."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(covsearch.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "covsearch.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+
+    def test_version(self):
+        done = self.run("--version")
+        assert (done.returncode, done.stdout) == (0, f"{covsearch.__version__}\n")
+
+    def test_usage_error(self):
+        done = self.run("frobnicate")
+        assert done.returncode == 1 and done.stdout == ""
+        assert "covsearch: error: argument command: invalid choice" in done.stderr

@@ -4,7 +4,8 @@ package root import, and no module reaches into its private names; only
 every attribute the benchmark's tracer patches exists; importing the CLI
 loads neither ``dataclasses`` nor what it pulls in, a cost every command
 would pay at start-up; ``ingest._decode`` is the one JSON decoder; and
-every record fills its fields with ``_fill`` but the four built on hot paths."""
+every record fills its fields with ``_fill`` but the four built on hot paths;
+and every result record's ``to_dict`` is the shared encoder but three."""
 
 import ast
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import covsearch
 import covsearch.cli
+from covsearch.model import _Record, _to_dict
 
 MODULES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -149,3 +151,28 @@ def test_records_fill_their_fields_but_the_four_hot_ones():
                 (filled if body == ["_fill(self, locals())"] else direct).add(cls.name)
     assert direct == {"Configuration", "Context", "BudgetDetail", "RankingEntry"}
     assert len(filled) == 16
+
+
+def test_results_encode_their_fields_but_three():
+    own = {
+        cls.name
+        for tree in MODULES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "to_dict"
+    }
+    assert own == {"RankingEntry", "BudgetDetail", "FixedConfigResult"}
+    shared = {
+        cls.__name__ for cls in _Record.__subclasses__() if vars(cls).get("to_dict") is _to_dict
+    }
+    assert shared == {
+        "CoverageRanking", "LooScore", "LooResult", "UpperBoundResult", "BudgetPoint",
+        "BudgetCurve", "CompareRow", "HpImportance", "ImportanceReport",
+    }
+    (write,) = [
+        node for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_write"
+    ]
+    called = {ast.unparse(node.func) for node in ast.walk(write) if isinstance(node, ast.Call)}
+    assert "_data" in called and "isinstance" not in called  # no list/tuple branch of its own

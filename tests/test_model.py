@@ -37,6 +37,7 @@ from covsearch import (
     synthetic_table,
 )
 from covsearch.model import _Record
+from covsearch.report import render_importance
 from helpers import cat_space, make_space
 
 
@@ -528,6 +529,18 @@ class TestPublicPaths:
         with pytest.raises(ValidationError, match=message):
             HpImportance("lr", ("d",), **fields)
         HpImportance("lr", ("d",), **fields, error="recorded")  # an error entry skips the checks
+
+    def test_table_equals_only_tables(self):
+        table = ScoreTable(self.space, [])
+        assert table.__eq__(object()) is NotImplemented
+        assert (table == object()) is False and table == ScoreTable(self.space, [])
+
+    def test_importance_error_row(self):
+        failed = HpImportance("lr", ("d", "e"), (), None, None, error="no top set")
+        scope = ImportanceReport((failed,), 0.9, 5, 0, "test", (100,), ("d", "e"))
+        text = render_importance([scope])
+        assert f"{'lr':<20} error: no top set" in text.splitlines()
+        assert text.splitlines()[-1] == "lr\t"  # its js_pval matrix cell is empty
 
 
 # One valid instance of every record type: its fields in declaration order,
