@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 import warnings
-from argparse import ArgumentError
+from argparse import ArgumentError, ArgumentTypeError
 from collections import Counter
 from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .ingest import (
-    ParseError,
     builtin_catalog,
     builtin_models,
     completeness_report,
-    load_json,
+    load_default_config,
     load_scores,
     load_space,
     load_task_map,
@@ -36,9 +36,9 @@ from .ingest import (
     _names_pair,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
-from .model import INTEGER, MAX_EXPONENT, NUMBER, SPLITS, CoverageRanking, CovsearchError
-from .model import ScoreTable, ValidationError, _check_count, _check_seed, _check_threshold
-from .model import _data, _select
+from .model import INTEGER, SPLITS, CoverageRanking, CovsearchError, ScoreTable, ValidationError
+from .model import _check_count, _check_digits, _check_seed, _check_threshold, _data, _number
+from .model import _select
 from .protocols import budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
 from . import importance as importance_mod
@@ -76,34 +76,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Numeric flags follow the score file's number grammar, so a spelling such
-# as `1_0` or `١٢` is a usage error here as it is a parse error there.
+# Numeric flags follow the score file's number grammar and ranges: `1_0`,
+# `١٢` or `1e999` is a usage error here as it is a parse error there.
 
 
 def _real(text: str) -> float:
-    if not NUMBER.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-    return float(text)
+    return float(_number(text.strip(), f"invalid number {reprlib.repr(text)}"))
 
 
 def _integer(text: str) -> int:
     if not INTEGER.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if len(text.strip().lstrip("+-")) > MAX_EXPONENT + 1:  # the score file's train-size bound
-        raise argparse.ArgumentTypeError(f"integer has more than {MAX_EXPONENT + 1} digits")
+        raise ValidationError(f"invalid integer {reprlib.repr(text)}")
+    _check_digits("integer", text.strip())  # the score file's train-size bound
     return int(text)
 
 
 def _checked(parse, check, *names):
     """A flag type: ``parse`` the text, then run the library's range check
-    ``check(*names, value)``; its ValidationError is the usage error."""
+    ``check(*names, value)``; a ValidationError of either is the usage error."""
 
     def convert(text: str):
-        value = parse(text)
         try:
+            value = parse(text)
             check(*names, value)
         except ValidationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise ArgumentTypeError(str(exc)) from None
         return value
 
     return convert
@@ -115,7 +112,7 @@ _count = partial(_checked, _integer, _check_count)  # _count("top"): an integer 
 def _comma_list(text: str) -> list[str]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        raise ArgumentTypeError(f"expected a comma-separated list, got {reprlib.repr(text)}")
     return items
 
 
@@ -276,13 +273,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     task_map = load_task_map(args.task_map)
     default_config = None
     if args.default_config is not None:
-        values = load_json(args.default_config)
-        if not isinstance(values, (dict, list)):
-            raise ParseError(
-                f"default configuration in {args.default_config} must be an"
-                f" object of hyperparameter values or an array of them"
-            )
-        default_config = table.space.configuration(values)
+        default_config = load_default_config(args.default_config, table.space)
     elif args.model is not None:
         matches = [
             e

@@ -60,7 +60,6 @@ from .model import (
     CovsearchError,
     Hyperparameter,
     INTEGER,
-    MAX_EXPONENT,
     NUMBER,
     RESERVED_COLUMNS,
     ScoreTable,
@@ -68,6 +67,7 @@ from .model import (
     _Record,
     _fill,
     _check_count,
+    _check_digits,
     _check_score,
     _check_split,
     _warn,
@@ -174,8 +174,7 @@ def _space(doc: object) -> ConfigSpace:
         domain = item["domain"]
         if not isinstance(domain, list):
             raise ParseError("domain must be an array", path=f"{path}.domain")
-        if not all(type(v) in (str, int, float) for v in domain):  # so not bool or null
-            raise ParseError("domain values must be strings or numbers", path=f"{path}.domain")
+        _check_values(domain, "domain values", path=f"{path}.domain")
         try:
             hps.append(Hyperparameter(item["name"], item["kind"], tuple(domain)))
         except ValidationError as exc:
@@ -184,6 +183,12 @@ def _space(doc: object) -> ConfigSpace:
         return ConfigSpace(hyperparameters=tuple(hps), label=label)
     except ValidationError as exc:
         raise ParseError(str(exc), path="hyperparameters") from None
+
+
+def _check_values(values: list, what: str, **where) -> None:
+    """The value rule of space-file domains and default configurations."""
+    if not all(type(v) in (str, int, float) for v in values):  # so not bool or null
+        raise ParseError(f"{what} must be strings or numbers", **where)
 
 
 def serialize_space(space: ConfigSpace) -> str:
@@ -276,11 +281,10 @@ class _ScoreRows:
             raise ParseError(
                 f"train_size must be an integer, got {fields[1]!r}", line=lineno
             )
-        if len(size_text.lstrip("+-")) > MAX_EXPONENT + 1:  # as values, within the float range
-            raise ParseError(f"train_size has more than {MAX_EXPONENT + 1} digits", line=lineno)
-        if not NUMBER.fullmatch(score_text):
-            raise ParseError(f"invalid score {score_text!r}", line=lineno)
         try:
+            _check_digits("train_size", size_text)
+            if not NUMBER.fullmatch(score_text):
+                raise ParseError(f"invalid score {score_text!r}", line=lineno)
             index = self.space._grid_id(hp.index(fields[f].strip()) for hp, f in self.columns)
             key = (fields[0].strip(), int(size_text), fields[2].strip())
             cell = self.cells.get(key)
@@ -538,3 +542,16 @@ def load_task_map(source: str | Path) -> dict[str, str]:
     ):
         raise ParseError("task map must be an object of dataset -> task", path="$")
     return doc
+
+
+def load_default_config(path: str | Path, space: ConfigSpace) -> Configuration:
+    """A default-configuration document: {name: value} or [value, ...] in space order."""
+    doc = load_json(path)
+    if not isinstance(doc, (dict, list)):
+        raise ParseError(
+            f"default configuration in {path} must be an"
+            f" object of hyperparameter values or an array of them"
+        )
+    values = list(doc.values()) if isinstance(doc, dict) else doc
+    _check_values(values, f"values of the default configuration in {path}")
+    return space.configuration(doc)

@@ -40,6 +40,7 @@ import itertools
 import math
 import os
 import re
+import reprlib
 import sys
 import warnings
 from decimal import Decimal
@@ -129,6 +130,23 @@ def _check_count(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
+def _check_digits(name: str, text: str) -> None:
+    if len(text.lstrip("+-")) > MAX_EXPONENT + 1:  # as a value, within the float range
+        raise ValidationError(f"{name} has more than {MAX_EXPONENT + 1} digits")
+
+
+def _number(text: str, invalid: str) -> Decimal:
+    """The one reader of numbers from outside: ``text`` in the NUMBER grammar
+    (else a ValidationError worded ``invalid``), its exponent in ±MAX_EXPONENT."""
+    if not NUMBER.fullmatch(text):
+        raise ValidationError(invalid)
+    dec = Decimal(text)
+    if dec and abs(dec.adjusted()) > MAX_EXPONENT:
+        bound = f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+        raise ValidationError(f"value {reprlib.repr(text)} has a decimal exponent outside {bound}")
+    return dec
+
+
 def _one_line(text: str) -> bool:
     """Whether ``text`` fits in one score-file line: no "\n" and no "\r"."""
     return "\n" not in text and "\r" not in text
@@ -153,14 +171,7 @@ def canonical_value(kind: str, raw: object) -> str:
         raise ValidationError("hyperparameter value must not contain newlines")
     if kind == "categorical":
         return text
-    if not NUMBER.fullmatch(text):
-        raise ValidationError(f"value {text!r} is not a valid {kind}")
-    dec = Decimal(text)
-    if dec and abs(dec.adjusted()) > MAX_EXPONENT:
-        raise ValidationError(
-            f"value {text!r} has a decimal exponent outside"
-            f" [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
-        )
+    dec = _number(text, f"value {text!r} is not a valid {kind}")
     if kind == "integer":
         if dec != dec.to_integral_value():
             raise ValidationError(f"value {text!r} is not an integer")

@@ -1245,6 +1245,90 @@ class TestLongIntegerFlags:
         assert f"# top: {'9' * 309}\n" in capsys.readouterr().out
 
 
+
+class TestDefaultConfigValues:
+    """A default configuration's values follow the space file's value rule:
+    JSON strings or numbers.  The domain below holds the text that ``str()``
+    makes of each value of another JSON type, so only the rule stops it."""
+
+    DOMAIN = ["x", "y", "None", "True", "['x']", "{'x': 1}"]
+
+    @pytest.mark.parametrize("value", [None, True, ["x"], {"x": 1}], ids=repr)
+    @pytest.mark.parametrize("shape", ["object", "array"])
+    def test_value_of_another_json_type(self, tmp_path, capsys, value, shape):
+        space, scores = write_inputs(tmp_path, ["A,100,test,1,x", "B,100,test,1,y"])
+        hps = [{"name": "hp", "kind": "categorical", "domain": self.DOMAIN}]
+        Path(space).write_text(json.dumps({"hyperparameters": hps}), encoding="utf-8")
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t"}', encoding="utf-8")
+        default = tmp_path / "default.json"
+        doc = {"hp": value} if shape == "object" else [value]
+        default.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main([
+            "compare", "--space", space, "--scores", scores, "--task-map", str(task_map),
+            "--default-config", str(default), "--out", str(out),
+        ]) == 2
+        TestErrorContract.assert_one_line_error(
+            capsys, f"values of the default configuration in {default} must be strings"
+        )
+        assert not out.exists()
+
+
+class TestRealFlagRange:
+    """A real flag follows the space file's exponent range, ±308: beyond it
+    the value would read as inf or 0.0, so it is a usage error naming the
+    range, and no output file is written."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("rank", "--threshold", "1e999"),
+        ("rank", "--threshold", "1e-999"),
+        ("synth", "--scale", "1e400"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        if command == "synth":
+            io = ["--out-scores", str(out)]
+        else:
+            space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+            io = ["--space", space, "--scores", scores, "--out", str(out)]
+        assert main([command, *io, flag, value]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"covsearch {command}: error: argument {flag}: value {value!r}"
+            f" has a decimal exponent outside [-308, 308]"
+        ]
+        assert not out.exists()
+
+    def test_the_range_edge_is_a_value(self, tmp_path, capsys):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        assert main(["rank", "--space", space, "--scores", scores, "--threshold", "1e-308"]) == 0
+        assert "# threshold: 1e-308\n" in capsys.readouterr().out
+
+
+class TestLongFlagArguments:
+    """A flag error quotes a long argument cut, so it stays one short line."""
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("rank", "--top", "x" * 5000),
+            ("rank", "--threshold", "x" * 5000),
+            ("rank", "--threshold", "9" * 5000),
+            ("rank", "--datasets", "," * 5000),
+            ("synth", "--datasets", "\u0663" * 5000),
+        ],
+        ids=lambda value: value[:12],
+    )
+    def test_one_short_line(self, tmp_path, capsys, command, flag, value):
+        missing = str(tmp_path / "missing")  # never read: the flag fails first
+        io = ["--out-scores", missing] if command == "synth" else ["--space", missing]
+        assert main([command, *io, flag, value]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0]) < 200
+        assert errors[0].startswith(f"covsearch {command}: error: argument {flag}: ")
+        assert not Path(missing).exists()
+
 class TestModuleEntrypoint:
     """``python -m covsearch.cli`` goes through ``entrypoint``, as the
     ``covsearch`` console script does; the rest of the suite calls ``main``."""

@@ -5,7 +5,10 @@ every attribute the benchmark's tracer patches exists; importing the CLI
 loads neither ``dataclasses`` nor what it pulls in, a cost every command
 would pay at start-up; ``ingest._decode`` is the one JSON decoder; and
 every record fills its fields with ``_fill`` but the four built on hot paths;
-and every result record's ``to_dict`` is the shared encoder but three."""
+every result record's ``to_dict`` is the shared encoder but three; and the
+CLI holds no input rule of its own: default configurations are read in
+``ingest``, whose one value rule space files share, and only ``model`` reads
+the number range."""
 
 import ast
 import importlib.util
@@ -176,3 +179,43 @@ def test_results_encode_their_fields_but_three():
     ]
     called = {ast.unparse(node.func) for node in ast.walk(write) if isinstance(node, ast.Call)}
     assert "_data" in called and "isinstance" not in called  # no list/tuple branch of its own
+
+
+def test_the_cli_holds_no_input_rule():
+    cli = MODULES["cli"]
+    imported = {
+        alias.name for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported & {"load_json", "ParseError", "NUMBER", "MAX_EXPONENT"} == set()
+    readers = {
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if getattr(node, "id", None) == "MAX_EXPONENT"  # a name
+        or getattr(node, "attr", None) == "MAX_EXPONENT"  # model.MAX_EXPONENT
+        or isinstance(node, ast.alias) and node.name == "MAX_EXPONENT"  # an import
+    }
+    assert readers == {"model"}
+    functions = {
+        (name, node.name): node
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    value_types = [
+        (name, node)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple) and ast.unparse(node) == "(str, int, float)"
+    ]
+    home = list(ast.walk(functions["ingest", "_check_values"]))
+    assert len(value_types) == 1 and value_types[0][1] in home
+    for reader in ("_space", "load_default_config"):
+        called = {ast.unparse(node.func) for node in ast.walk(functions["ingest", reader])
+                  if isinstance(node, ast.Call)}
+        assert "_check_values" in called
+    for function, banned in [("cmd_compare", "isinstance"), ("_real", "NUMBER.fullmatch")]:
+        called = {ast.unparse(node.func) for node in ast.walk(functions["cli", function])
+                  if isinstance(node, ast.Call)}
+        assert banned not in called
