@@ -7,14 +7,14 @@ shaped the result (all but --out, --format and synth's output paths), as
 '#' comment lines in text and delimited outputs, as a "manifest" object in
 JSON outputs.
 
-Exit codes: 0 success, 1 usage error, 2 data or parse error.
+Exit codes: 0 success, 1 usage error, 2 data or parse error.  ``_line``
+formats every diagnostic line that goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import reprlib
 import sys
 import warnings
 from argparse import ArgumentError, ArgumentTypeError
@@ -68,12 +68,23 @@ def _manifest(args: argparse.Namespace) -> dict:
     return {"command": args.command, "version": __version__, "options": options}
 
 
+def _line(text: str) -> str:
+    """One diagnostic line of at most 199 characters (tests pin messages of
+    up to 172): each line boundary shown as its escape, such as ``\\n``, and
+    a longer text cut to its head and tail around ``...``."""
+    breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines
+    text = text.translate({ord(c): repr(c)[1:-1] for c in breaks})
+    if len(text) > 199:
+        text = f"{text[:98]}...{text[-98:]}"
+    return text + "\n"
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1."""
 
     def error(self, message: str):  # noqa: D102 - argparse override
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, _line(f"{self.prog}: error: {message}"))
 
 
 # Numeric flags follow the score file's number grammar and ranges: `1_0`,
@@ -81,12 +92,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _real(text: str) -> float:
-    return float(_number(text.strip(), f"invalid number {reprlib.repr(text)}"))
+    return float(_number(text.strip(), f"invalid number {text!r}"))
 
 
 def _integer(text: str) -> int:
     if not INTEGER.fullmatch(text.strip()):
-        raise ValidationError(f"invalid integer {reprlib.repr(text)}")
+        raise ValidationError(f"invalid integer {text!r}")
     _check_digits("integer", text.strip())  # the score file's train-size bound
     return int(text)
 
@@ -112,7 +123,7 @@ _count = partial(_checked, _integer, _check_count)  # _count("top"): an integer 
 def _comma_list(text: str) -> list[str]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise ArgumentTypeError(f"expected a comma-separated list, got {reprlib.repr(text)}")
+        raise ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
     return items
 
 
@@ -168,7 +179,7 @@ def _write(args: argparse.Namespace, result, render, key: str | None = None) -> 
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    sys.stderr.write(f"covsearch: warning: {message}\n")
+    sys.stderr.write(_line(f"covsearch: warning: {message}"))
 
 
 def _load_inputs(args: argparse.Namespace) -> ScoreTable:
@@ -329,12 +340,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         scale=args.scale,
     )
-    scores_text = _with_manifest(args, serialize_scores(table))
-    Path(args.out_scores).write_text(scores_text, encoding="utf-8")
+    outputs = [(Path(args.out_scores), _with_manifest(args, serialize_scores(table)))]
     if args.out_space:
-        Path(args.out_space).write_text(
-            serialize_space(table.space), encoding="utf-8"
-        )
+        outputs.append((Path(args.out_space), serialize_space(table.space)))
+    created = [path for path, _ in outputs if not path.exists()]
+    try:
+        for path, text in outputs:
+            path.write_text(text, encoding="utf-8")
+    except OSError:  # a failed run leaves no file it created
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
     sys.stdout.write(
         f"wrote {len(table)} records for {len(table.contexts())} context(s)"
         f" to {args.out_scores}\n"
@@ -515,10 +531,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             return args.func(args)
         except ArgumentError as exc:  # a flag combination argparse does not check
-            sys.stderr.write(f"covsearch {args.command}: error: {exc}\n")
+            sys.stderr.write(_line(f"covsearch {args.command}: error: {exc}"))
             return 1
         except (CovsearchError, OSError) as exc:
-            sys.stderr.write(f"covsearch: error: {exc}\n")
+            sys.stderr.write(_line(f"covsearch: error: {exc}"))
             return 2
 
 

@@ -40,7 +40,6 @@ import itertools
 import math
 import os
 import re
-import reprlib
 import sys
 import warnings
 from decimal import Decimal
@@ -143,7 +142,7 @@ def _number(text: str, invalid: str) -> Decimal:
     dec = Decimal(text)
     if dec and abs(dec.adjusted()) > MAX_EXPONENT:
         bound = f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]"
-        raise ValidationError(f"value {reprlib.repr(text)} has a decimal exponent outside {bound}")
+        raise ValidationError(f"value {text!r} has a decimal exponent outside {bound}")
     return dec
 
 

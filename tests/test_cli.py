@@ -11,6 +11,7 @@ import tempfile
 from io import StringIO
 from itertools import takewhile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1328,6 +1329,166 @@ class TestLongFlagArguments:
         assert len(errors) == 1 and len(errors[0]) < 200
         assert errors[0].startswith(f"covsearch {command}: error: argument {flag}: ")
         assert not Path(missing).exists()
+
+
+LONG = "x" * 5000
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code and stderr, after checking that stderr
+    holds only whole lines of at most 199 characters, no traceback, and
+    exactly one error line when the command fails."""
+    err = StringIO()
+    # argparse wraps its usage lines to the terminal's width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(StringIO()):
+        code = main(argv)
+    text = err.getvalue()
+    assert code in (0, 1, 2)
+    lines = text.splitlines()
+    assert "Traceback" not in text and text == "".join(f"{line}\n" for line in lines)
+    assert all(len(line) <= 199 for line in lines)
+    assert sum(": error: " in line for line in lines) == (code != 0)
+    return code, text
+
+
+class TestDiagnosticLines:
+    """Every error or warning line is one line of at most 199 characters,
+    however long the value it echoes, with a line break shown as its
+    escape, such as ``\\n``."""
+
+    @pytest.mark.parametrize("command,flag,code", [
+        ("rank", "--split", 1),  # argparse's own choice check
+        ("rank", "--space", 2),  # an OSError's file name
+        ("rank", "--datasets", 2),  # a data error of the library
+        ("recommend", "--model", 2),
+    ])
+    def test_long_flag_argument(self, tmp_path, command, flag, code):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        io = ["--space", space, "--scores", scores] if command == "rank" else []
+        assert run_main([command, *io, flag, LONG])[0] == code
+
+    def test_long_score_file_value(self, tmp_path):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"label": "r", "hyperparameters": [
+            {"name": "hp", "kind": "real", "domain": [1, 2]}]}), encoding="utf-8")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"dataset,train_size,split,score,hp\nA,100,test,1,{LONG}\n",
+                          encoding="utf-8")
+        code, err = run_main(["validate", "--space", str(space), "--scores", str(scores)])
+        assert code == 2
+        assert err.startswith("covsearch: error: line 2: value 'xxx") and "..." in err
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\v", "\u2028"])
+    def test_line_break_in_a_path(self, tmp_path, brk):
+        space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
+        task_map = tmp_path / "tasks.json"
+        task_map.write_text('{"A": "t", "B": "t", "C": "u"}', encoding="utf-8")
+        default = tmp_path / f"d{brk}x.json"
+        default.write_text("{bad", encoding="utf-8")
+        code, err = run_main(["compare", "--space", space, "--scores", scores,
+                              "--task-map", str(task_map), "--default-config", str(default)])
+        assert code == 2 and f"d{repr(brk)[1:-1]}x.json" in err
+
+    def test_long_name_in_a_warning(self, tmp_path):
+        rows = THREE_CONTEXT_ROWS + [f"{LONG},100,test,0,x", f"{LONG},100,test,0,y"]
+        space, scores = write_inputs(tmp_path, rows)
+        code, err = run_main(["rank", "--space", space, "--scores", scores, "--skip-degenerate"])
+        assert code == 0
+        assert err.startswith("covsearch: warning: skipping degenerate context xxx")
+        assert err.endswith("xxx@100\n") and len(err) == 200
+
+
+class TestFailedSynthWritesNothing:
+    def test_unwritable_space_file(self, tmp_path, capsys):
+        argv = ["synth", "--out-scores", str(tmp_path / "ok.csv"),
+                "--out-space", str(tmp_path / "missing" / "s.json")]
+        assert main(argv) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_existing_file_stays(self, tmp_path):
+        scores = tmp_path / "ok.csv"
+        scores.write_text("mine", encoding="utf-8")
+        argv = ["synth", "--out-scores", str(scores), "--out-space", str(tmp_path)]
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == [scores]
+
+
+# Each subcommand's flags that take a value.
+VALUE_FLAGS = sorted(
+    (command, action.option_strings[-1])
+    for command, parser in build_parser()._subparsers._group_actions[0].choices.items()
+    for action in parser._actions
+    if action.option_strings and action.nargs != 0
+)
+# 5,000 characters: a short text repeated.
+LONG_TOKENS = st.text("x9,.\n \"\u0663\u00e9", min_size=1, max_size=3).map(
+    lambda text: (text * 5000)[:5000]
+)
+
+
+@st.composite
+def long_token_inputs(draw):
+    """A mutated score file or JSON input with a 5,000-character token
+    spliced into it, as ``(name, data)``."""
+    name, data = draw(st.sampled_from([
+        mutated_json_inputs(), mutated_score_files().map(lambda data: ("scores", data)),
+    ]).flatmap(lambda inputs: inputs))
+    pos = draw(st.integers(0, len(data)))
+    return name, data[:pos] + draw(LONG_TOKENS).encode() + data[pos:]
+
+
+class TestLongTokens:
+    """A 5,000-character token in any input or flag: exit 0, 1 or 2, each
+    stderr line at most 199 characters, one error line on failure, no
+    traceback, and no output file left by a failed command."""
+
+    @staticmethod
+    def run(tmp, runs, inputs=None):
+        """Each of ``runs``, a command and its arguments before the input
+        files, with FUZZ_BASE and FUZZ_JSON's documents as those files, but
+        for ``inputs``, a (name, data) pair, and with output files."""
+        files = {n: Path(tmp, f"{n}.json") for n in FUZZ_JSON}
+        for n, doc in FUZZ_JSON.items():
+            files[n].write_text(json.dumps(doc), encoding="utf-8")
+        files["scores"] = Path(tmp, "scores.csv")
+        files["scores"].write_bytes(FUZZ_BASE)
+        if inputs:
+            files[inputs[0]].write_bytes(inputs[1])
+        io = {"--space": files["space"], "--scores": files["scores"]}
+        inputs_of = {
+            "compare": {**io, "--task-map": files["task_map"], "--default-config": files["default"]},
+            "recommend": {},
+            "synth": {},
+        }
+        for i, argv in enumerate(runs):
+            outputs = {"--out": Path(tmp, f"out{i}")}
+            if argv[0] == "synth":
+                outputs = {"--out-scores": Path(tmp, f"out{i}.csv"),
+                           "--out-space": Path(tmp, f"out{i}.json")}
+            for flag, path in {**inputs_of.get(argv[0], io), **outputs}.items():
+                if flag not in argv:
+                    argv = [*argv, flag, str(path)]
+            code, _ = run_main(argv)
+            if code:
+                assert not any(path.exists() for path in outputs.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=long_token_inputs())
+    def test_in_an_input(self, inputs):
+        commands = {"scores": ["validate", "rank", "loo", "budget"],
+                    "space": ["validate", "rank"]}.get(inputs[0], ["compare"])
+        with tempfile.TemporaryDirectory() as tmp:
+            self.run(tmp, [[command] for command in commands], inputs)
+
+    @pytest.mark.parametrize("command,flag", VALUE_FLAGS)
+    @settings(max_examples=4, deadline=None)
+    @given(token=LONG_TOKENS)
+    def test_as_a_flag_value(self, command, flag, token):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.run(tmp, [[command, flag, token]])
+
 
 class TestModuleEntrypoint:
     """``python -m covsearch.cli`` goes through ``entrypoint``, as the

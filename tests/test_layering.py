@@ -8,7 +8,8 @@ every record fills its fields with ``_fill`` but the four built on hot paths;
 every result record's ``to_dict`` is the shared encoder but three; and the
 CLI holds no input rule of its own: default configurations are read in
 ``ingest``, whose one value rule space files share, and only ``model`` reads
-the number range."""
+the number range; and only the CLI writes to stderr, every line through
+``cli._line``, which alone bounds a diagnostic's width."""
 
 import ast
 import importlib.util
@@ -219,3 +220,30 @@ def test_the_cli_holds_no_input_rule():
         called = {ast.unparse(node.func) for node in ast.walk(functions["cli", function])
                   if isinstance(node, ast.Call)}
         assert banned not in called
+
+
+def test_every_diagnostic_line_goes_through_line():
+    assert "reprlib" not in {
+        module.split(".")[0] for tree in MODULES.values() for module in absolute_imports(tree)
+    }
+    uses = {
+        name: [node for node in ast.walk(tree) if getattr(node, "attr", None) == "stderr"]
+        for name, tree in MODULES.items()
+    }
+    assert {name for name, nodes in uses.items() if nodes} == {"cli"}
+    calls = [node for node in ast.walk(MODULES["cli"]) if isinstance(node, ast.Call)]
+    writes = [call for call in calls if ast.unparse(call.func) == "sys.stderr.write"]
+    (error,) = [
+        node for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name == "error"
+    ]
+    (exit_,) = [
+        node for node in ast.walk(error)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "self.exit"
+    ]
+    # the one other use is print_usage(sys.stderr): argparse wraps usage to the terminal
+    assert len(uses["cli"]) == len(writes) + 1 == 4
+    assert all(
+        isinstance(arg, ast.Call) and ast.unparse(arg.func) == "_line"
+        for arg in [call.args[0] for call in writes] + [exit_.args[1]]
+    )
