@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from argparse import ArgumentError, ArgumentTypeError
@@ -24,8 +25,8 @@ from pathlib import Path
 
 from . import __version__
 from .ingest import (
-    builtin_catalog,
-    builtin_models,
+    builtin_catalog,  # unused here: the benchmark's import probe calls cli.builtin_catalog()
+    catalog_entries,
     completeness_report,
     load_default_config,
     load_scores,
@@ -33,7 +34,6 @@ from .ingest import (
     load_task_map,
     serialize_scores,
     serialize_space,
-    _names_pair,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report
 from .model import INTEGER, SPLITS, CoverageRanking, CovsearchError, ScoreTable, ValidationError
@@ -52,6 +52,12 @@ from .synth import _check_correlation, _check_noise, _check_scale, synthetic_tab
 _UNRECORDED = frozenset({"command", "func", "out", "format", "out_scores", "out_space"})
 
 
+def _shown(value) -> str:
+    """``str(value)`` with each byte of a command-line text that is not
+    UTF-8 (a lone surrogate in the str) shown as its ``\\xNN`` escape."""
+    return os.fsencode(str(value)).decode("utf-8", "backslashreplace")
+
+
 def _manifest(args: argparse.Namespace) -> dict:
     """The run manifest: command, version and every option of the subcommand
     in declaration order (argparse fills the namespace with each option's
@@ -64,7 +70,7 @@ def _manifest(args: argparse.Namespace) -> dict:
             value = "true" if value else "false"
         elif isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
-        options[key.replace("_", "-")] = str(value)
+        options[key.replace("_", "-")] = _shown(value)
     return {"command": args.command, "version": __version__, "options": options}
 
 
@@ -142,21 +148,8 @@ def _count_or_names(text: str) -> int | list[str]:
     return names
 
 
-def _catalog_method(text: str) -> str:
-    """compare and recommend --method: the catalog method that ``text``
-    names in any case; other text is left for the choices check to reject."""
-    methods = (m for m in ingest.CATALOG_METHODS if _names_pair(("", m), None, text))
-    return next(methods, text)
-
-
-_METHOD = {"type": _catalog_method, "default": None, "choices": ingest.CATALOG_METHODS}
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+# compare and recommend --method
+_METHOD = {"type": ingest._catalog_method, "default": None, "choices": ingest.CATALOG_METHODS}
 
 
 def _with_manifest(args: argparse.Namespace, body: str) -> str:
@@ -167,14 +160,17 @@ def _with_manifest(args: argparse.Namespace, body: str) -> str:
 
 
 def _write(args: argparse.Namespace, result, render, key: str | None = None) -> int:
-    """Write one command's result in the requested format: ``render(result)``
-    under the manifest's comment lines, or with ``--format machine`` a JSON
-    object holding the manifest and the result's JSON form under key."""
-    if getattr(args, "format", "text") == "machine":
+    """Write one command's report to --out or stdout: given a ``key``, with
+    ``--format machine`` a JSON object of the manifest and the result's JSON
+    form under key; else ``render(result)`` under the manifest's comment lines."""
+    if key is not None and args.format == "machine":
         text = json.dumps({"manifest": _manifest(args), key: _data(result)}, indent=2) + "\n"
     else:
         text = _with_manifest(args, render(result))
-    _emit(text, args.out)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -286,17 +282,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.default_config is not None:
         default_config = load_default_config(args.default_config, table.space)
     elif args.model is not None:
-        matches = [
-            e
-            for e in builtin_catalog()
-            if e.source == "default_baseline"
-            and _names_pair((e.model, e.method), args.model, args.method)
-        ]
-        if not matches:
-            raise CovsearchError(
-                f"no bundled default for ({args.model!r}, {args.method!r});"
-                f" available: {builtin_models()}"
-            )
+        matches = catalog_entries(args.model, args.method, "default_baseline")
+        if not matches:  # each bundled pair has one; this guards an edited bundle
+            raise CovsearchError(f"no bundled default for ({args.model!r}, {args.method!r})")
         default_config = table.space.configuration(matches[0].config.as_dict())
     rows = compare_protocols(
         table,
@@ -312,21 +300,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    if not any(_names_pair(pair, args.model) for pair in builtin_models()):
-        raise CovsearchError(f"no bundled model {args.model!r}; available: {builtin_models()}")
+    source = None if args.source == "all" else args.source
     entries = [
         e
-        for e in builtin_catalog()
-        if args.source in ("all", e.source)
-        and _names_pair((e.model, e.method), args.model, args.method)
-        and (args.top is None or e.rank <= args.top)
+        for e in catalog_entries(args.model, args.method, source)
+        if args.top is None or e.rank <= args.top
     ]
-    if args.format == "machine":
-        body = report.catalog_csv(entries)
-    else:
-        body = report.render_catalog(entries)
-    _emit(_with_manifest(args, body), args.out)
-    return 0
+    render = report.catalog_csv if args.format == "machine" else report.render_catalog
+    return _write(args, entries, render)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -343,17 +324,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
     outputs = [(Path(args.out_scores), _with_manifest(args, serialize_scores(table)))]
     if args.out_space:
         outputs.append((Path(args.out_space), serialize_space(table.space)))
-    created = [path for path, _ in outputs if not path.exists()]
+    # A failed run leaves every target as it was: each text goes to a new
+    # file beside its target, renamed over it once every write succeeded.  A
+    # target that is not a regular file, such as /dev/null, is written in place.
+    staged, in_place = [], []
     try:
-        for path, text in outputs:
+        for number, (path, text) in enumerate(outputs):
+            if path.exists() and not path.is_file():
+                in_place.append((path, text))
+                continue
+            target = path.resolve()  # a symbolic link keeps pointing where it did
+            temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
+            staged.append((temp, target))
+            try:
+                temp.write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the target, not the new file
+                exc.filename = str(path)
+                raise
+        for path, text in in_place:
             path.write_text(text, encoding="utf-8")
-    except OSError:  # a failed run leaves no file it created
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+        for temp, target in staged:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
     sys.stdout.write(
         f"wrote {len(table)} records for {len(table.contexts())} context(s)"
-        f" to {args.out_scores}\n"
+        f" to {_shown(args.out_scores)}\n"
     )
     return 0
 

@@ -526,6 +526,26 @@ def builtin_models() -> list[tuple[str, str]]:
     return sorted(_catalog()[0])
 
 
+def catalog_entries(
+    model: str | None = None, method: str | None = None, source: str | None = None
+) -> list[CatalogEntry]:
+    """The bundled entries of ``model`` and ``method`` (matched ignoring
+    case; None matches any) from ``source`` (None keeps both), in catalog
+    order.  A model that names no bundled space is a CovsearchError."""
+    spaces, entries = _catalog()
+    if not any(_names_pair(pair, model) for pair in spaces):
+        raise CovsearchError(f"no bundled model {model!r}; available: {builtin_models()}")
+    pairs = {pair for pair in spaces if _names_pair(pair, model, method)}
+    return [e for e in entries if (e.model, e.method) in pairs and source in (None, e.source)]
+
+
+def _catalog_method(text: str) -> str:
+    """The catalog method that ``text`` names in any case; other text is
+    left for the caller's choices check to reject."""
+    methods = (m for m in CATALOG_METHODS if _names_pair(("", m), None, text))
+    return next(methods, text)
+
+
 def builtin_task_map() -> dict[str, str]:
     """Bundled dataset-to-task grouping for macro-averaged reports; a new
     dict per call, so a caller's edit reaches no other caller."""

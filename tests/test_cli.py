@@ -801,7 +801,16 @@ class TestErrorContract:
             "compare", "--space", space, "--scores", scores, "--task-map", "builtin",
             "--model", "X", "--method", "lora",
         ]) == 2
-        self.assert_one_line_error(capsys, "no bundled default for ('X', 'lora'); available: [")
+        self.assert_one_line_error(capsys, "no bundled model 'X'; available: [")
+
+    def test_compare_with_an_empty_bundled_match(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(covsearch.cli, "catalog_entries", lambda *query: [])
+        space, scores = write_inputs(tmp_path, BOTH_SPLIT_ROWS)
+        assert main([
+            "compare", "--space", space, "--scores", scores, "--task-map", "builtin",
+            "--model", "Llama-3-8B", "--method", "lora",
+        ]) == 2
+        self.assert_one_line_error(capsys, "no bundled default for ('Llama-3-8B', 'lora')")
 
     def test_non_utf8_space(self, tmp_path, capsys):
         space, scores = write_inputs(tmp_path, THREE_CONTEXT_ROWS)
@@ -965,6 +974,30 @@ class TestManifest:
         captured = capsys.readouterr()
         assert captured.err == "covsearch: warning: skipping degenerate context D@100\n"
         assert "# skip-degenerate: true\n" in captured.out
+
+    def test_option_bytes_that_are_not_utf8_show_escaped(self, inputs, tmp_path, capsys):
+        io, task_map = inputs
+        odd = tmp_path / os.fsdecode(b"t\xff.json")  # as argv holds such a byte
+        odd.write_bytes(Path(task_map).read_bytes())
+        argv = ["compare", *io, "--task-map", str(odd)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"# task-map: {tmp_path}/t\\xff.json\n" in out
+        assert main([*argv, "--out", str(tmp_path / "o.txt")]) == 0
+        assert (tmp_path / "o.txt").read_text(encoding="utf-8") == out
+        assert main([*argv, "--format", "machine"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert manifest["options"]["task-map"] == f"{tmp_path}/t\\xff.json"
+
+    def test_synth_space_path_that_is_not_utf8(self, inputs, tmp_path, capsys):
+        io, _ = inputs
+        odd = tmp_path / os.fsdecode(b"sp\xff.json")
+        odd.write_bytes(Path(io[1]).read_bytes())
+        scores = tmp_path / os.fsdecode(b"s\xff.csv")
+        assert main(["synth", "--space", str(odd), "--out-scores", str(scores)]) == 0
+        assert capsys.readouterr().out.endswith(f" to {tmp_path}/s\\xff.csv\n")
+        assert f"# space: {tmp_path}/sp\\xff.json\n" in scores.read_text(encoding="utf-8")
+        assert main(["rank", "--space", io[1], "--scores", str(scores)]) == 0
 
 
 # Three datasets scored on both splits; the A@100 test cell is all zero.
@@ -1413,6 +1446,25 @@ class TestFailedSynthWritesNothing:
         argv = ["synth", "--out-scores", str(scores), "--out-space", str(tmp_path)]
         assert main(argv) == 2
         assert list(tmp_path.iterdir()) == [scores]
+
+    def test_an_existing_file_is_unchanged(self, tmp_path, capsys):
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"keep\n")
+        argv = ["synth", "--out-scores", str(keep), "--out-space", str(tmp_path / "no" / "s.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"covsearch: error: [Errno 2] No such file or directory: '{tmp_path}/no/s.json'\n"
+        )
+        assert keep.read_bytes() == b"keep\n"
+        assert list(tmp_path.iterdir()) == [keep]
+
+    def test_a_target_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        space = tmp_path / "s.json"
+        argv = ["synth", "--out-scores", os.devnull, "--out-space", str(space)]
+        assert main(argv) == 0
+        assert Path(os.devnull).is_char_device()
+        load_space(space)
+        assert list(tmp_path.iterdir()) == [space]
 
 
 # Each subcommand's flags that take a value.

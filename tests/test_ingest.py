@@ -15,6 +15,7 @@ from covsearch import (
     ConfigSpace,
     Configuration,
     Context,
+    CovsearchError,
     Hyperparameter,
     ParseError,
     ScoreRecord,
@@ -625,6 +626,35 @@ class TestCatalog:
         }
         with pytest.raises(ValidationError, match=message):
             CatalogEntry(**fields)
+
+    def test_catalog_entries_match_model_and_method_in_any_case(self):
+        entries = ingest.catalog_entries("LLAMA-3-8b", "LoRA")
+        assert entries == [
+            e for e in builtin_catalog() if (e.model, e.method) == ("Llama-3-8B", "lora")
+        ]
+        assert len(entries) == 5
+
+    @pytest.mark.parametrize("source,sources", [
+        (None, {"cbs_recommendation", "default_baseline"}),
+        ("cbs_recommendation", {"cbs_recommendation"}),
+        ("default_baseline", {"default_baseline"}),
+    ])
+    def test_catalog_entries_keep_a_source(self, source, sources):
+        entries = ingest.catalog_entries("mistral-7b-v0.3", source=source)
+        assert {e.source for e in entries} == sources
+        assert entries == [
+            e for e in builtin_catalog() if e.model == "Mistral-7B-v0.3" and e.source in sources
+        ]
+
+    def test_catalog_entries_keep_catalog_order(self):
+        assert ingest.catalog_entries() == list(builtin_catalog())
+        ordered = [e for e in builtin_catalog() if e.method == "full_ft"]
+        assert ingest.catalog_entries(method="FULL_FT") == ordered
+
+    def test_catalog_entries_of_an_unknown_model(self):
+        message = r"^no bundled model 'mistral-7b'; available: \[\('Llama-3-8B', 'full_ft'\), "
+        with pytest.raises(CovsearchError, match=message):
+            ingest.catalog_entries("mistral-7b", "lora", "default_baseline")
 
     def test_task_map(self):
         groups = builtin_task_map()

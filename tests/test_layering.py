@@ -9,7 +9,9 @@ every result record's ``to_dict`` is the shared encoder but three; and the
 CLI holds no input rule of its own: default configurations are read in
 ``ingest``, whose one value rule space files share, and only ``model`` reads
 the number range; and only the CLI writes to stderr, every line through
-``cli._line``, which alone bounds a diagnostic's width."""
+``cli._line``, which alone bounds a diagnostic's width; the CLI queries no
+bundled catalog, which ``ingest.catalog_entries`` answers, and writes every
+report through ``cli._write`` but synth's files."""
 
 import ast
 import importlib.util
@@ -247,3 +249,25 @@ def test_every_diagnostic_line_goes_through_line():
         isinstance(arg, ast.Call) and ast.unparse(arg.func) == "_line"
         for arg in [call.args[0] for call in writes] + [exit_.args[1]]
     )
+
+
+def test_the_cli_queries_no_catalog_and_writes_through_write():
+    def calls(tree):
+        return [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    callers = {
+        name for name, tree in MODULES.items()
+        if any(called.endswith("_names_pair") for called in calls(tree))
+    }
+    assert callers == {"ingest"}
+    assert not [called for called in calls(MODULES["cli"]) if called.endswith("builtin_catalog")]
+
+    def writes(tree):
+        return [c for c in calls(tree) if c == "sys.stdout.write" or c.endswith(".write_text")]
+
+    homes = [
+        node for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name in ("_write", "cmd_synth")
+    ]
+    assert all(writes(home) for home in homes) and len(homes) == 2
+    assert len(writes(MODULES["cli"])) == sum(len(writes(home)) for home in homes)
