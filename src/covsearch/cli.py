@@ -8,7 +8,8 @@ shaped the result (all but --out, --format and synth's output paths), as
 JSON outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error.  ``_line``
-formats every diagnostic line that goes to stderr.
+formats every diagnostic line that goes to stderr, and ``_save`` writes
+every file.
 """
 
 from __future__ import annotations
@@ -168,10 +169,38 @@ def _write(args: argparse.Namespace, result, render, key: str | None = None) -> 
     else:
         text = _with_manifest(args, render(result))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _save([(Path(args.out), text)])
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _save(outputs: list[tuple[Path, str]]) -> None:
+    """Write each ``(path, text)`` so that a failed run leaves every target
+    as it was: each text goes to a new file beside its target, renamed over
+    it once every write succeeded.  A target that is not a regular file,
+    such as /dev/null, is written in place."""
+    staged, in_place = [], []
+    try:
+        for number, (path, text) in enumerate(outputs):
+            if path.exists() and not path.is_file():
+                in_place.append((path, text))
+                continue
+            target = path.resolve()  # a symbolic link keeps pointing where it did
+            temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
+            staged.append((temp, target))
+            try:
+                temp.write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the target, not the new file
+                exc.filename = str(path)
+                raise
+        for path, text in in_place:
+            path.write_text(text, encoding="utf-8")
+        for temp, target in staged:
+            os.replace(temp, target)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -311,6 +340,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.out_space and Path(args.out_scores).resolve() == Path(args.out_space).resolve():
+        raise ArgumentError(None, "--out-scores and --out-space name the same file")
     space = load_space(args.space) if args.space else None
     table = synthetic_table(
         space,
@@ -324,30 +355,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     outputs = [(Path(args.out_scores), _with_manifest(args, serialize_scores(table)))]
     if args.out_space:
         outputs.append((Path(args.out_space), serialize_space(table.space)))
-    # A failed run leaves every target as it was: each text goes to a new
-    # file beside its target, renamed over it once every write succeeded.  A
-    # target that is not a regular file, such as /dev/null, is written in place.
-    staged, in_place = [], []
-    try:
-        for number, (path, text) in enumerate(outputs):
-            if path.exists() and not path.is_file():
-                in_place.append((path, text))
-                continue
-            target = path.resolve()  # a symbolic link keeps pointing where it did
-            temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
-            staged.append((temp, target))
-            try:
-                temp.write_text(text, encoding="utf-8")
-            except OSError as exc:  # name the target, not the new file
-                exc.filename = str(path)
-                raise
-        for path, text in in_place:
-            path.write_text(text, encoding="utf-8")
-        for temp, target in staged:
-            os.replace(temp, target)
-    finally:
-        for temp, _ in staged:
-            temp.unlink(missing_ok=True)
+    _save(outputs)
     sys.stdout.write(
         f"wrote {len(table)} records for {len(table.contexts())} context(s)"
         f" to {_shown(args.out_scores)}\n"

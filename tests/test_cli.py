@@ -2,9 +2,12 @@
 
 import contextlib
 import copy
+import errno
 import json
 import math
 import os
+import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1465,6 +1468,121 @@ class TestFailedSynthWritesNothing:
         assert Path(os.devnull).is_char_device()
         load_space(space)
         assert list(tmp_path.iterdir()) == [space]
+
+    def test_outputs_naming_one_file_are_a_usage_error(self, tmp_path, capsys):
+        same = tmp_path / "same.out"
+        argv = ["synth", "--out-scores", str(same), "--out-space", str(same),
+                "--space", str(tmp_path / "missing.json")]  # not read: the usage error comes first
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "covsearch synth: error: --out-scores and --out-space name the same file\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outputs_naming_one_file_through_a_link_are_a_usage_error(self, tmp_path, capsys):
+        same, link = tmp_path / "same.out", tmp_path / "link.out"
+        same.write_bytes(b"keep\n")
+        link.symlink_to(same.name)
+        argv = ["synth", "--out-scores", str(same), "--out-space", str(link)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "covsearch synth: error: --out-scores and --out-space name the same file\n"
+        )
+        assert same.read_bytes() == b"keep\n" and os.readlink(link) == same.name
+        assert sorted(tmp_path.iterdir()) == [link, same]
+
+    def test_a_symlinked_target_keeps_its_link(self, tmp_path):
+        scores, link = tmp_path / "s.csv", tmp_path / "link.csv"
+        scores.write_bytes(b"keep\n")
+        link.symlink_to(scores.name)
+        space = tmp_path / "sp.json"
+        assert main(["synth", "--out-scores", str(link), "--out-space", str(space)]) == 0
+        assert os.readlink(link) == scores.name
+        load_scores(scores, load_space(space))
+
+
+# Each command that takes --out, with its arguments over the inputs that
+# ``out_argv`` writes: a synthetic table and a task map.
+OUT_COMMANDS = {
+    "validate": ["--space", "{space}", "--scores", "{scores}"],
+    "rank": ["--space", "{space}", "--scores", "{scores}"],
+    "loo": ["--space", "{space}", "--scores", "{scores}"],
+    "budget": ["--space", "{space}", "--scores", "{scores}", "--details"],
+    "importance": ["--space", "{space}", "--scores", "{scores}", "--permutations", "10"],
+    "compare": ["--space", "{space}", "--scores", "{scores}", "--task-map", "{tasks}"],
+    "recommend": [],
+}
+# A file-size limit below every report of OUT_COMMANDS.
+SIZE_LIMIT = 64
+
+
+def out_argv(tmp_path, command):
+    """``command``'s argv over inputs written to ``tmp_path/in``."""
+    inputs = tmp_path / "in"
+    files = {name: inputs / name for name in ("space", "scores", "tasks")}
+    if not inputs.exists():
+        inputs.mkdir()
+        main(["synth", "--out-scores", str(files["scores"]), "--out-space", str(files["space"]),
+              "--datasets", "a1,a2,b1,b2"])
+        tasks = {"a1": "ta", "a2": "ta", "b1": "tb", "b2": "tb"}
+        files["tasks"].write_text(json.dumps(tasks), encoding="utf-8")
+    return [command, *(arg.format(**files) for arg in OUT_COMMANDS[command])]
+
+
+class TestFailedWritesKeepFiles:
+    """Every --out is staged as synth's files are: written beside its target
+    and renamed over it, so a failed write leaves the old file as it was."""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_a_write_over_the_file_size_limit(self, tmp_path, command):
+        argv = out_argv(tmp_path, command)
+        assert main([*argv, "--out", str(tmp_path / "in" / "full")]) == 0
+        assert (tmp_path / "in" / "full").stat().st_size > SIZE_LIMIT
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"keep\n")
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        done = subprocess.run(  # the limit holds in the child only; Python ignores SIGXFSZ
+            [sys.executable, "-m", "covsearch.cli", *argv, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(covsearch.__file__).resolve().parents[1]),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (SIZE_LIMIT, hard)),
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"covsearch: error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{out}'\n"
+        )
+        assert out.read_bytes() == b"keep\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "in", out]
+
+    def test_a_target_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        argv = out_argv(tmp_path, "rank")
+        before = sorted((tmp_path / "in").iterdir())
+        assert main([*argv, "--out", os.devnull]) == 0
+        assert Path(os.devnull).is_char_device()
+        assert sorted((tmp_path / "in").iterdir()) == before
+        assert list(tmp_path.iterdir()) == [tmp_path / "in"]
+
+    def test_a_symlinked_target_keeps_its_link(self, tmp_path, capsys):
+        argv = out_argv(tmp_path, "rank")
+        target, link = tmp_path / "report.txt", tmp_path / "link.txt"
+        target.write_bytes(b"keep\n")
+        link.symlink_to(target.name)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert main([*argv, "--out", str(link)]) == 0
+        assert os.readlink(link) == target.name
+        assert target.read_text(encoding="utf-8") == capsys.readouterr().out
+
+    def test_a_replaced_file_takes_a_new_files_permissions(self, tmp_path):
+        argv = out_argv(tmp_path, "recommend")
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_bytes(b"keep\n")
+        old.chmod(0o600)
+        assert main([*argv, "--out", str(new)]) == main([*argv, "--out", str(old)]) == 0
+        assert stat.S_IMODE(old.stat().st_mode) == stat.S_IMODE(new.stat().st_mode)
+        assert old.read_bytes() == new.read_bytes()
 
 
 # Each subcommand's flags that take a value.

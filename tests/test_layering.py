@@ -10,8 +10,8 @@ CLI holds no input rule of its own: default configurations are read in
 ``ingest``, whose one value rule space files share, and only ``model`` reads
 the number range; and only the CLI writes to stderr, every line through
 ``cli._line``, which alone bounds a diagnostic's width; the CLI queries no
-bundled catalog, which ``ingest.catalog_entries`` answers, and writes every
-report through ``cli._write`` but synth's files."""
+bundled catalog, which ``ingest.catalog_entries`` answers; it prints only
+in ``cli._write`` and ``cmd_synth``, and writes every file in ``cli._save``."""
 
 import ast
 import importlib.util
@@ -262,12 +262,19 @@ def test_the_cli_queries_no_catalog_and_writes_through_write():
     assert callers == {"ingest"}
     assert not [called for called in calls(MODULES["cli"]) if called.endswith("builtin_catalog")]
 
-    def writes(tree):
-        return [c for c in calls(tree) if c == "sys.stdout.write" or c.endswith(".write_text")]
+    functions = {
+        node.name: node for node in ast.walk(MODULES["cli"]) if isinstance(node, ast.FunctionDef)
+    }
 
-    homes = [
-        node for node in ast.walk(MODULES["cli"])
-        if isinstance(node, ast.FunctionDef) and node.name in ("_write", "cmd_synth")
-    ]
-    assert all(writes(home) for home in homes) and len(homes) == 2
-    assert len(writes(MODULES["cli"])) == sum(len(writes(home)) for home in homes)
+    def writes(tree, names):
+        return [called for called in calls(tree) if called.endswith(names)]
+
+    files = (".write_text", ".write_bytes", "open", "os.replace")
+    assert writes(MODULES["cli"], files) == writes(functions["_save"], files) != []
+    assert all("_save" in calls(functions[name]) for name in ("_write", "cmd_synth"))
+    stdout = "sys.stdout.write"
+    printers = {name for name, node in functions.items() if writes(node, stdout)}
+    assert printers == {"_write", "cmd_synth"}
+    assert len(writes(MODULES["cli"], stdout)) == sum(
+        len(writes(functions[name], stdout)) for name in printers
+    )
