@@ -22,7 +22,9 @@ import warnings
 from argparse import ArgumentError, ArgumentTypeError
 from collections import Counter
 from functools import partial
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .ingest import (
@@ -153,49 +155,58 @@ def _count_or_names(text: str) -> int | list[str]:
 _METHOD = {"type": ingest._catalog_method, "default": None, "choices": ingest.CATALOG_METHODS}
 
 
-def _with_manifest(args: argparse.Namespace, body: str) -> str:
+def _header(args: argparse.Namespace) -> str:
+    """The run manifest as '#' comment lines."""
     manifest = _manifest(args)
     lines = [f"# covsearch {manifest['command']}", f"# version: {manifest['version']}"]
     lines += [f"# {key}: {value}" for key, value in manifest["options"].items()]
-    return "\n".join(lines + [body])
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _whole(render):
+    return lambda result: (render(result),)  # a renderer of one string, as one piece
 
 
 def _write(args: argparse.Namespace, result, render, key: str | None = None) -> int:
     """Write one command's report to --out or stdout: given a ``key``, with
     ``--format machine`` a JSON object of the manifest and the result's JSON
-    form under key; else ``render(result)`` under the manifest's comment lines."""
+    form under key; else the pieces ``render(result)`` yields under the
+    manifest's comment lines.  A file takes them one by one, stdout in one
+    write: a later write to a pipe its reader has closed would fail."""
     if key is not None and args.format == "machine":
-        text = json.dumps({"manifest": _manifest(args), key: _data(result)}, indent=2) + "\n"
+        pieces = [json.dumps({"manifest": _manifest(args), key: _data(result)}, indent=2), "\n"]
     else:
-        text = _with_manifest(args, render(result))
+        pieces = chain([_header(args)], render(result))
     if args.out:
-        _save([(Path(args.out), text)])
+        _save([(Path(args.out), pieces)])
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(pieces))
     return 0
 
 
-def _save(outputs: list[tuple[Path, str]]) -> None:
-    """Write each ``(path, text)`` so that a failed run leaves every target
-    as it was: each text goes to a new file beside its target, renamed over
-    it once every write succeeded.  A target that is not a regular file,
-    such as /dev/null, is written in place."""
+def _save(outputs: list[tuple[Path, Iterable[str]]]) -> None:
+    """Write each ``(path, pieces)`` so that a failed run leaves every target
+    as it was: each output's pieces go to a new file beside its target,
+    renamed over it once every write succeeded.  A target that is not a
+    regular file, such as /dev/null, is written in place."""
     staged, in_place = [], []
     try:
-        for number, (path, text) in enumerate(outputs):
+        for number, (path, pieces) in enumerate(outputs):
             if path.exists() and not path.is_file():
-                in_place.append((path, text))
+                in_place.append((path, pieces))
                 continue
             target = path.resolve()  # a symbolic link keeps pointing where it did
             temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
             staged.append((temp, target))
             try:
-                temp.write_text(text, encoding="utf-8")
+                with temp.open("w", encoding="utf-8") as file:
+                    file.writelines(pieces)
             except OSError as exc:  # name the target, not the new file
                 exc.filename = str(path)
                 raise
-        for path, text in in_place:
-            path.write_text(text, encoding="utf-8")
+        for path, pieces in in_place:
+            with path.open("w", encoding="utf-8") as file:
+                file.writelines(pieces)
         for temp, target in staged:
             os.replace(temp, target)
     finally:
@@ -219,7 +230,7 @@ def _load_inputs(args: argparse.Namespace) -> ScoreTable:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     table = _load_inputs(args)
-    return _write(args, completeness_report(table), report.render_completeness)
+    return _write(args, completeness_report(table), report.completeness_pieces)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -235,7 +246,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.top is not None:
         top = ranking.top(args.top)
         ranking = CoverageRanking(top, ranking.contexts, ranking.split, ranking.threshold)
-    return _write(args, ranking, report.render_ranking, "ranking")
+    return _write(args, ranking, _whole(report.render_ranking), "ranking")
 
 
 def cmd_loo(args: argparse.Namespace) -> int:
@@ -248,7 +259,7 @@ def cmd_loo(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         skip_degenerate=args.skip_degenerate,
     )
-    return _write(args, results, report.render_loo, "results")
+    return _write(args, results, _whole(report.render_loo), "results")
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
@@ -263,7 +274,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         normalize_by=args.normalize_by,
         skip_degenerate=args.skip_degenerate,
     )
-    return _write(args, curve, partial(report.render_budget, details=args.details), "curve")
+    return _write(args, curve, _whole(partial(report.render_budget, details=args.details)), "curve")
 
 
 def cmd_importance(args: argparse.Namespace) -> int:
@@ -297,7 +308,7 @@ def cmd_importance(args: argparse.Namespace) -> int:
         )
         for size in scopes
     ]
-    return _write(args, reports, report.render_importance, "reports")
+    return _write(args, reports, _whole(report.render_importance), "reports")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -325,7 +336,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         split=args.split,
         skip_degenerate=args.skip_degenerate,
     )
-    return _write(args, rows, report.render_compare, "rows")
+    return _write(args, rows, _whole(report.render_compare), "rows")
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
@@ -336,7 +347,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         if args.top is None or e.rank <= args.top
     ]
     render = report.catalog_csv if args.format == "machine" else report.render_catalog
-    return _write(args, entries, render)
+    return _write(args, entries, _whole(render))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -352,9 +363,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         scale=args.scale,
     )
-    outputs = [(Path(args.out_scores), _with_manifest(args, serialize_scores(table)))]
+    outputs = [(Path(args.out_scores), [_header(args), serialize_scores(table)])]
     if args.out_space:
-        outputs.append((Path(args.out_space), serialize_space(table.space)))
+        outputs.append((Path(args.out_space), [serialize_space(table.space)]))
     _save(outputs)
     sys.stdout.write(
         f"wrote {len(table)} records for {len(table.contexts())} context(s)"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import csv
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ingest import CatalogEntry, CompletenessReport, builtin_models, builtin_space
 from .model import (
@@ -128,35 +128,39 @@ def render_compare(rows: Sequence[CompareRow]) -> str:
 
 
 def render_completeness(report: CompletenessReport) -> str:
-    lines = []
+    return "".join(completeness_pieces(report))
+
+
+def completeness_pieces(report: CompletenessReport) -> Iterator[str]:
+    """``render_completeness``'s text as pieces, for a writer that need not
+    hold it whole: each header and warning line, and each gap's rows as one
+    block."""
     if report.is_complete:
-        lines.append("grid complete")
+        yield "grid complete\n"
     # The same configurations go missing in many cells, and cells with equal
-    # gaps share one tuple: format each configuration once, and copy a
-    # shared tuple's rows from where they first went.  Both are keyed by
-    # id(), not by hashing: completeness_report shares one tuple between
-    # cells and config_at one object per grid id, and the report keeps every
-    # tuple and configuration alive while this runs, so no id is reused.
-    # Equal but distinct objects are merely formatted twice.
+    # gaps share one tuple: format each configuration once, and join a
+    # tuple's rows into one block, kept while a later cell shares it.  Both
+    # are keyed by id(), not by hashing: completeness_report shares one tuple
+    # between cells and config_at one object per grid id, and the report
+    # keeps every tuple and configuration alive while this runs, so no id is
+    # reused.  Equal but distinct objects are merely formatted twice.
+    gaps = [gap for gap in report.missing if gap[2]]
+    last = {id(missing): i for i, (_, _, missing) in enumerate(gaps)}
     rows: dict[int, str] = {}
-    spans: dict[int, slice] = {}
-    for ctx, split, missing in report.missing:
-        if missing:
-            lines.append(f"{ctx} [{split}]: {len(missing)} missing configuration(s)")
-            span = spans.get(id(missing))
-            if span is not None:
-                lines.extend(lines[span])
-                continue
-            start = len(lines)
+    blocks: dict[int, str] = {}
+    for i, (ctx, split, missing) in enumerate(gaps):
+        yield f"{ctx} [{split}]: {len(missing)} missing configuration(s)\n"
+        block = blocks.pop(id(missing), None)
+        if block is None:
             for cfg in missing:
-                row = rows.get(id(cfg))
-                if row is None:
-                    row = rows[id(cfg)] = f"  {cfg}"
-                lines.append(row)
-            spans[id(missing)] = slice(start, len(lines))
+                if id(cfg) not in rows:
+                    rows[id(cfg)] = f"  {cfg}\n"
+            block = "".join([rows[id(cfg)] for cfg in missing])
+        if last[id(missing)] > i:
+            blocks[id(missing)] = block
+        yield block
     for ctx, split in report.single_split:
-        lines.append(f"warning: {ctx} has records only for the {split} split")
-    return "\n".join(lines) + "\n"
+        yield f"warning: {ctx} has records only for the {split} split\n"
 
 
 def render_catalog(entries: Iterable[CatalogEntry]) -> str:

@@ -1585,6 +1585,35 @@ class TestFailedWritesKeepFiles:
         assert old.read_bytes() == new.read_bytes()
 
 
+class TestClosedStdout:
+    """A reader that closes stdout after the first line leaves the command
+    quiet: the report goes to the pipe in one write, which the pipe holds,
+    so no later write meets the closed pipe.  Unbuffered (``python -u``),
+    a report written in pieces would reach the pipe piece by piece."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["validate"], ["loo", "--format", "machine"]], ids=" ".join)
+    def test_a_reader_that_stops_after_one_line(self, tmp_path, argv, unbuffered):
+        argv = out_argv(tmp_path, argv[0]) + argv[1:]
+        scores = tmp_path / "in" / "scores"
+        lines = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        scores.write_text("".join(lines[:10] + lines[10::2]), encoding="utf-8")  # every cell has gaps
+        env = {**os.environ, "PYTHONPATH": str(Path(covsearch.__file__).resolve().parents[1]),
+               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": "1" if unbuffered else ""}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "covsearch.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert child.stdout.readline() != b""
+            child.stdout.close()
+            stderr = child.stderr.read()
+        finally:
+            returncode = child.wait(timeout=60)
+            child.stderr.close()
+        assert (returncode, stderr) == (0, b"")
+
+
 # Each subcommand's flags that take a value.
 VALUE_FLAGS = sorted(
     (command, action.option_strings[-1])

@@ -1,10 +1,15 @@
 """Parsing, serialization, completeness, and the bundled catalog."""
 
+import contextlib
 import csv
 import io
 import itertools
 import json
+import random
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +39,12 @@ from covsearch import (
     serialize_space,
     synthetic_table,
 )
+import covsearch
 from covsearch import ingest
+from covsearch.cli import main
 from covsearch.ingest import CompletenessReport, _parse_csv_line
 from covsearch.model import INTEGER, NUMBER, RESERVED_COLUMNS
-from covsearch.report import render_completeness
+from covsearch.report import completeness_pieces, render_completeness
 from helpers import build_table, cat_space, make_space
 
 SPACE_DOC = json.dumps(
@@ -1272,3 +1279,78 @@ class TestGapReport:
         assert all(grid[i] is config for i, config in early.items())
         assert all(config is space.config_at(i) for i, config in enumerate(grid))
         assert all(a is b for a, b in zip(space.grid(), grid))
+
+
+# The benchmark's sparse-grid shape: 7 hyperparameters, 8,640 configurations.
+WIDE = (
+    ("lr", "real", ["1e-06", "5e-06", "1e-05", "5e-05", "1e-04", "5e-04"]),
+    ("batch", "integer", ["4", "8", "16", "32", "64"]),
+    ("epochs", "integer", ["1", "3", "5", "10"]),
+    ("warmup", "real", ["0.0", "0.03", "0.06", "0.1"]),
+    ("dropout", "real", ["0.0", "0.05", "0.1"]),
+    ("lr_scheduler", "categorical", ["constant", "cosine", "linear"]),
+    ("weight_decay", "real", ["0.0", "0.01"]),
+)
+
+
+def validate_argv(directory: Path, table: ScoreTable) -> list[str]:
+    """``validate``'s argv over ``table`` written to ``directory``."""
+    space, scores = directory / "space.json", directory / "scores.csv"
+    space.write_text(serialize_space(table.space), encoding="utf-8")
+    scores.write_text(serialize_scores(table), encoding="utf-8")
+    return ["validate", "--space", str(space), "--scores", str(scores)]
+
+
+class TestGapReportOutput:
+    """validate writes the gap report's pieces to --out one at a time and to
+    stdout in one write: both hold the reference text, and a file target
+    never needs the whole text in memory."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=gap_tables())
+    def test_out_and_stdout_hold_the_reference_text(self, table):
+        report = completeness_report(table)
+        pieces = list(completeness_pieces(report))
+        assert render_completeness(report) == "".join(pieces)
+        assert all(piece.endswith("\n") for piece in pieces)  # whole lines
+        expected = reference_render_completeness(
+            reference_completeness_report(on_fresh_space(table))
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            argv = validate_argv(Path(directory), table)
+            out = Path(directory) / "out.txt"
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(argv) == 0
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = (
+                f"# covsearch validate\n# version: {covsearch.__version__}\n"
+                f"# space: {argv[2]}\n# scores: {argv[4]}\n"
+            )
+            assert out.read_bytes() == stdout.getvalue().encode() == (manifest + expected).encode()
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one shared gap", "distinct gaps"])
+    def test_a_file_target_never_holds_the_whole_text(self, tmp_path, shared):
+        # 16 cells of 200 configurations each: all the same ones, so that
+        # every cell misses the same 8,440, or drawn apart for each cell.
+        space = make_space(*WIDE)
+        rng = random.Random(0)
+        ids = rng.sample(range(space.size), 200)
+        cells = {
+            (Context(dataset, size), split): dict.fromkeys(
+                ids if shared else rng.sample(range(space.size), 200), 0.5
+            )
+            for dataset in "abcd" for size in (100, 1000) for split in ("validation", "test")
+        }
+        argv = validate_argv(tmp_path, ScoreTable._from_cells(space, cells))
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 13_000_000
+        # Holding the whole text, the writer peaked at 2.41 times the file's
+        # size with one shared gap and at 2.48 times with distinct gaps.
+        assert peak < (size / 2 if shared else size)
