@@ -21,6 +21,7 @@ import sys
 import warnings
 from argparse import ArgumentError, ArgumentTypeError
 from collections import Counter
+from contextlib import suppress
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -172,7 +173,7 @@ def _write(args: argparse.Namespace, result, render, key: str | None = None) -> 
     ``--format machine`` a JSON object of the manifest and the result's JSON
     form under key; else the pieces ``render(result)`` yields under the
     manifest's comment lines.  A file takes them one by one, stdout in one
-    write: a later write to a pipe its reader has closed would fail."""
+    write; a reader that stops reading, as ``head`` does, is no error."""
     if key is not None and args.format == "machine":
         pieces = [json.dumps({"manifest": _manifest(args), key: _data(result)}, indent=2), "\n"]
     else:
@@ -180,7 +181,8 @@ def _write(args: argparse.Namespace, result, render, key: str | None = None) -> 
     if args.out:
         _save([(Path(args.out), pieces)])
     else:
-        sys.stdout.write("".join(pieces))
+        with suppress(BrokenPipeError):
+            sys.stdout.write("".join(pieces))
     return 0
 
 
@@ -367,10 +369,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out_space:
         outputs.append((Path(args.out_space), [serialize_space(table.space)]))
     _save(outputs)
-    sys.stdout.write(
-        f"wrote {len(table)} records for {len(table.contexts())} context(s)"
-        f" to {_shown(args.out_scores)}\n"
-    )
+    with suppress(BrokenPipeError):
+        sys.stdout.write(
+            f"wrote {len(table)} records for {len(table.contexts())} context(s)"
+            f" to {_shown(args.out_scores)}\n"
+        )
     return 0
 
 
@@ -555,7 +558,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    if sys.stdout is not None:  # None for a process started without fd 1
+        with suppress(BrokenPipeError):  # a closed pipe drops what is left in the buffer
+            sys.stdout.close()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -98,30 +98,47 @@ def fixed_config_eval(
     return FixedConfigResult(config=config, scores=scores, macro_averages=macro)
 
 
+def _cell(table: ScoreTable, context: Context, split: str) -> Mapping[int, float]:
+    """The context's cell on ``split``, which must hold a record."""
+    cell = table.cell(context, split)
+    if not cell:
+        raise DataError(f"{split} split unavailable for context {context}")
+    return cell
+
+
+def _selected(val: Mapping[int, float], ids: Iterable[int] | None = None) -> int:
+    """Selection on validation: the first of ``ids`` (default: every id of ``val``, in grid
+    order) with the highest score in ``val``, skipping ids it lacks; one of them must be in it."""
+    candidates = val if ids is None else filter(val.__contains__, ids)
+    return max(candidates, key=val.__getitem__)
+
+
+def _test_score(
+    table: ScoreTable, pick: int, test: Mapping[int, float], ctx: Context, role: str, held_out=False
+) -> float:
+    """The ``role`` configuration's (grid id ``pick``'s) score in ``ctx``'s test cell."""
+    score = test.get(pick)
+    if score is None:
+        where = f"held-out context {ctx}" if held_out else ctx
+        raise DataError(
+            f"{role} configuration ({table.space.config_at(pick)}) has no test record on {where}"
+        )
+    return score
+
+
 def upper_bound(table: ScoreTable, context: Context) -> UpperBoundResult:
     """Validation argmax of one context, reported on its test split.
 
     Validation ties break toward the configuration earliest in grid order.
     """
-    val = table.cell(context, "validation")
-    if not val:
-        raise DataError(f"validation split unavailable for context {context}")
-    test = table.cell(context, "test")
-    if not test:
-        raise DataError(f"test split unavailable for context {context}")
-    best_id = max(val, key=val.__getitem__)  # grid order: first maximum wins ties
-    best_config = table.space.config_at(best_id)
-    test_score = test.get(best_id)
-    if test_score is None:
-        raise DataError(
-            f"validation-selected configuration ({best_config}) has no test"
-            f" record for context {context}"
-        )
+    val = _cell(table, context, "validation")
+    test = _cell(table, context, "test")
+    best = _selected(val)
     return UpperBoundResult(
         context=context,
-        config=best_config,
-        validation_score=val[best_id],
-        test_score=test_score,
+        config=table.space.config_at(best),
+        validation_score=val[best],
+        test_score=_test_score(table, best, test, context, "validation-selected"),
     )
 
 
@@ -176,12 +193,7 @@ def _held_out_scores(table: ScoreTable, recommended: int, tests: _Tests) -> tupl
     held-out test context."""
     scores = []
     for ctx, (cell, best) in tests.items():
-        raw = cell.get(recommended)
-        if raw is None:
-            raise DataError(
-                f"recommended configuration ({table.space.config_at(recommended)}) has no"
-                f" test record on held-out context {ctx}"
-            )
+        raw = _test_score(table, recommended, cell, ctx, "recommended", held_out=True)
         scores.append(LooScore(context=ctx, test_score=raw, normalized_test_score=raw / best))
     return tuple(scores)
 
@@ -202,19 +214,17 @@ def loo_cbs(
     configuration's raw and normalized test scores are then reported on
     each held-out (dataset, train size) context.
     """
-    results = []
-    for held_out, ordered, ranking, tests in _held_out(
-        table, datasets, train_sizes, split, threshold, skip_degenerate
-    ):
-        results.append(
-            LooResult(
-                held_out_dataset=held_out,
-                recommended_config=table.space.config_at(ordered[0]),
-                scores=_held_out_scores(table, ordered[0], tests),
-                ranking=ranking(),
-            )
+    return [
+        LooResult(
+            held_out_dataset=held_out,
+            recommended_config=table.space.config_at(ordered[0]),
+            scores=_held_out_scores(table, ordered[0], tests),
+            ranking=ranking(),
         )
-    return results
+        for held_out, ordered, ranking, tests in _held_out(
+            table, datasets, train_sizes, split, threshold, skip_degenerate
+        )
+    ]
 
 
 def budget_curve(
@@ -242,55 +252,36 @@ def budget_curve(
             f"normalize_by must be one of {NORMALIZE_MODES}, got {normalize_by!r}"
         )
 
+    by_upper_bound = normalize_by == "upper_bound"
     details: list[BudgetDetail] = []
     per_k: dict[int, list[float]] = {k: [] for k in range(1, max_budget + 1)}
     for _, ordered, _, tests in _held_out(
         table, datasets, train_sizes, split, threshold, skip_degenerate
     ):
-        candidates = [(i, table.space.config_at(i)) for i in ordered[:max_budget]]
+        top = ordered[:max_budget]
         for ctx, (test, test_max) in tests.items():
-            val = table.cell(ctx, "validation")
-            if not val:
-                raise DataError(f"validation split unavailable for context {ctx}")
-            if normalize_by == "test_max":
-                denominator = test_max
-            else:
-                denominator = upper_bound(table, ctx).test_score
-                if denominator <= 0:
-                    raise DataError(
-                        f"upper-bound test score is zero for context {ctx};"
-                        f" cannot normalize"
-                    )
-            best, best_val = None, -1.0
-            for k in range(1, max_budget + 1):
-                if k <= len(candidates):
-                    cand_val = val.get(candidates[k - 1][0])
-                    if cand_val is not None and cand_val > best_val:
-                        best, best_val = candidates[k - 1], cand_val
-                if best is None:
-                    raise DataError(
-                        f"no top-{k} candidate has a validation record on {ctx}"
-                    )
-                best_id, best_config = best
-                test_score = test.get(best_id)
-                if test_score is None:
-                    raise DataError(
-                        f"selected configuration ({best_config}) has no test"
-                        f" record on {ctx}"
-                    )
-                normalized = test_score / denominator
-                per_k[k].append(normalized)
-                details.append(
-                    BudgetDetail(
-                        k=k,
-                        context=ctx,
-                        config=best_config,
-                        validation_score=best_val,
-                        test_score=test_score,
-                        normalized_test_score=normalized,
-                        clamped=k > len(candidates),
-                    )
+            val = _cell(table, ctx, "validation")
+            denominator = upper_bound(table, ctx).test_score if by_upper_bound else test_max
+            if denominator <= 0:  # only an upper bound can be: a test maximum is positive
+                raise DataError(
+                    f"upper-bound test score is zero for context {ctx}; cannot normalize"
                 )
+            if top[0] not in val:  # every longer prefix holds top[0], so only k = 1 can fail
+                raise DataError(f"no top-1 candidate has a validation record on {ctx}")
+            picks, k = [], max_budget
+            while k:  # the winner of top[:k] also wins each shorter prefix that holds it
+                best = _selected(val, top[:k])
+                picks.append((best, k))
+                k = top.index(best)
+            for best, last in reversed(picks):  # best wins each budget from its own rank to last
+                config, best_val = table.space.config_at(best), val[best]
+                test_score = _test_score(table, best, test, ctx, "validation-selected")
+                normalized = test_score / denominator
+                for k in range(top.index(best) + 1, last + 1):
+                    per_k[k].append(normalized)
+                    details.append(
+                        BudgetDetail(k, ctx, config, best_val, test_score, normalized, k > len(top))
+                    )
     if not details:
         raise DataError("all held-out test contexts are degenerate")
     points = tuple(
@@ -346,8 +337,7 @@ def compare_protocols(
         ub_scores = [upper_bound(table, ctx).test_score for ctx in contexts]
         default_score = None
         if default_config is not None:
-            fixed = fixed_config_eval(table, default_config, contexts)
-            default_score = fixed.macro_map["all"]
+            default_score = fixed_config_eval(table, default_config, contexts).macro_map["all"]
         rows.append(
             CompareRow(
                 task=task,

@@ -135,8 +135,8 @@ def completeness_pieces(report: CompletenessReport) -> Iterator[str]:
     """``render_completeness``'s text as pieces, for a writer that need not
     hold it whole: each header and warning line, and each gap's rows as one
     block."""
-    if report.is_complete:
-        yield "grid complete\n"
+    if report.is_complete:  # missing has an entry for every cell that holds a record
+        yield "grid complete\n" if report.missing else "no records\n"
     # The same configurations go missing in many cells, and cells with equal
     # gaps share one tuple: format each configuration once, and join a
     # tuple's rows into one block, kept while a later cell shares it.  Both

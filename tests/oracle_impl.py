@@ -73,12 +73,29 @@ def reference_loo(ranking_scores, test_scores, config_order, threshold, datasets
     return results
 
 
+def reference_upper_bound(val_scores, test_scores, config_order):
+    """Full grid search per context: {context: (config, val, test)}.
+
+    Of the configurations with the highest validation score, the earliest in
+    grid order; ``test`` is its test score, None without a record.
+    """
+    results = {}
+    for ctx, rows in val_scores.items():
+        best_val = max(rows.values())
+        best = [c for c in config_order if rows.get(c) == best_val][0]
+        results[ctx] = (best, best_val, test_scores.get(ctx, {}).get(best))
+    return results
+
+
 def reference_budget(
-    ranking_scores, val_scores, test_scores, config_order, threshold, datasets, max_budget
+    ranking_scores, val_scores, test_scores, config_order, threshold, datasets, max_budget,
+    denominators=None,
 ):
     """Budget curve by enumerating every selection.
 
-    Returns ({k: mean}, {(k, context): (config, val, normalized)}).
+    Returns ({k: mean}, {(k, context): (config, val, normalized)}).  Test
+    scores divide by the context's test maximum, or by ``denominators[ctx]``
+    when given.
     """
     per_k = {k: [] for k in range(1, max_budget + 1)}
     selections = {}
@@ -90,7 +107,10 @@ def reference_budget(
         for ctx in sorted(test_scores):
             if ctx[0] != held_out:
                 continue
-            denominator = max(test_scores[ctx].values())
+            if denominators is None:
+                denominator = max(test_scores[ctx].values())
+            else:
+                denominator = denominators[ctx]
             for k in range(1, max_budget + 1):
                 candidates = ranking[:k]
                 best, best_val = None, -1.0

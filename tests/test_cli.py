@@ -39,6 +39,7 @@ from covsearch.ingest import CATALOG_METHODS, CATALOG_SOURCES
 from covsearch.model import SPLITS
 from covsearch.protocols import DEFAULT_MAX_BUDGET, NORMALIZE_MODES
 from covsearch.report import catalog_csv
+from helpers import cat_space
 
 SPACE_DOC = json.dumps(
     {
@@ -97,6 +98,15 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         space, _ = write_inputs(tmp_path, ["A,100,test,1,x"])
         assert main(["validate", "--space", space, "--scores", "/nope.csv"]) == 2
+
+    def test_a_file_without_records_says_so(self, tmp_path, capsys):
+        # Only the header line: the analysis commands stop, validate says why.
+        space, scores = write_inputs(tmp_path, [])
+        assert main(["rank", "--space", space, "--scores", scores]) == 2
+        capsys.readouterr()
+        assert main(["validate", "--space", space, "--scores", scores]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if not line.startswith("#")] == ["no records"]
 
 
 class TestRank:
@@ -1612,6 +1622,63 @@ class TestClosedStdout:
             returncode = child.wait(timeout=60)
             child.stderr.close()
         assert (returncode, stderr) == (0, b"")
+
+
+class TestClosedPipe:
+    """A reader that closed the pipe before the command writes its report
+    ends the command with exit 0 and nothing on stderr, however large the
+    report: buffered, the write fails at once, or at the flush on exit."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Inputs on a 14-hyperparameter binary grid: one context holds the
+        whole grid and ranks it all, another one point and misses the rest,
+        so both the ranking and the gap report run over 1 MiB."""
+        tmp = tmp_path_factory.mktemp("pipe")
+        space = cat_space([2] * 14)
+        rows = [f"a,100,test,1.0,{','.join(c.values)}" for c in space.grid()]
+        rows.append(f"b,100,test,1.0,{','.join(['v0'] * 14)}")
+        (tmp / "space.json").write_text(serialize_space(space), encoding="utf-8")
+        header = "dataset,train_size,split,score," + ",".join(space.names)
+        (tmp / "scores.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        return ["--space", str(tmp / "space.json"), "--scores", str(tmp / "scores.csv")]
+
+    @staticmethod
+    def run_closed(argv, unbuffered):
+        """``(exit code, stderr)`` of a child whose stdout pipe has no reader."""
+        env = {**os.environ, "PYTHONPATH": str(Path(covsearch.__file__).resolve().parents[1]),
+               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONUNBUFFERED": "1" if unbuffered else ""}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "covsearch.cli", *argv],
+                env=env, stdout=write, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write)
+        return done.returncode, done.stderr
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["rank", "validate"])
+    def test_a_reader_gone_before_the_report(self, tmp_path, inputs, command, unbuffered):
+        out = tmp_path / "report"
+        assert main([command, *inputs, "--out", str(out)]) == 0
+        assert out.stat().st_size > 1 << 20
+        assert self.run_closed([command, *inputs], unbuffered) == (0, b"")
+
+    def test_a_short_report_fails_only_at_the_flush_on_exit(self, inputs):
+        assert self.run_closed(["rank", *inputs, "--top", "1"], False) == (0, b"")
+
+    def test_a_command_started_without_stdout_writes_its_out_file(self, tmp_path, inputs):
+        out = tmp_path / "ranking"
+        done = subprocess.run(
+            [sys.executable, "-m", "covsearch.cli", "rank", *inputs, "--top", "1", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(covsearch.__file__).resolve().parents[1])},
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_text(encoding="utf-8").startswith("# covsearch rank\n")
 
 
 # Each subcommand's flags that take a value.

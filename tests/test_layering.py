@@ -11,7 +11,10 @@ CLI holds no input rule of its own: default configurations are read in
 the number range; and only the CLI writes to stderr, every line through
 ``cli._line``, which alone bounds a diagnostic's width; the CLI queries no
 bundled catalog, which ``ingest.catalog_entries`` answers; it prints only
-in ``cli._write`` and ``cmd_synth``, and writes every file in ``cli._save``."""
+in ``cli._write`` and ``cmd_synth``, and writes every file in ``cli._save``;
+``protocols`` selects on validation in one function, which ``upper_bound``
+and ``budget_curve`` both call, and raises a missing split cell and a chosen
+configuration's missing test record at one site each."""
 
 import ast
 import importlib.util
@@ -278,3 +281,15 @@ def test_the_cli_queries_no_catalog_and_writes_through_write():
     assert len(writes(MODULES["cli"], stdout)) == sum(
         len(writes(functions[name], stdout)) for name in printers
     )
+
+
+def test_protocols_select_and_look_up_in_one_place():
+    tree = MODULES["protocols"]
+    raised = [ast.unparse(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    for message in ("split unavailable for context", "has no test record on"):
+        assert sum(message in text for text in raised) == 1, message
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("upper_bound", "budget_curve"):
+        called = {ast.unparse(node.func) for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call)}
+        assert "_selected" in called and "max" not in called, name

@@ -25,7 +25,7 @@ from covsearch import (
     upper_bound,
 )
 from helpers import build_table, cat_space, make_space, random_instance
-from oracle_impl import reference_budget, reference_loo
+from oracle_impl import reference_budget, reference_loo, reference_upper_bound
 
 
 def one_hp_instance(val, test, domain=("a", "b", "c")):
@@ -969,3 +969,90 @@ class TestWinnerGroups:
             assert groups + recomputed / datasets < datasets - 1
             per_held_out[datasets] = len(calls) / datasets
         assert per_held_out[24] <= per_held_out[12]
+
+
+# ---------------------------------------------------------------------------
+# The upper bound against the oracle: grid search on partial cells whose
+# validation scores tie, alone, as the budget's denominator, and as the
+# comparison's column.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def partial_tie_instances(draw):
+    """(domain sizes, raw) on a grid of at most six points, two to four
+    datasets, and cells that each miss a random part of the grid: at most
+    half of it in validation, one point in test, so most budgets succeed.
+    Validation scores come from three values, so selections tie."""
+    domains = draw(st.sampled_from([[2], [3], [2, 2], [2, 3], [1, 3]]))
+    grid = [c.values for c in cat_space(domains).grid()]
+    datasets = [f"d{i}" for i in range(draw(st.integers(2, 4)))]
+    sizes = draw(st.sampled_from([(100,), (100, 1000)]))
+    scores = {"validation": st.sampled_from([0.25, 0.5, 1.0]), "test": SCORES}
+    raw = {split: {} for split in SPLITS}
+    for split in SPLITS:
+        for dataset in datasets:
+            for size in sizes:
+                most = len(grid) // 2 if split == "validation" else min(1, len(grid) - 1)
+                gap = draw(st.sets(st.sampled_from(grid), max_size=most))
+                raw[split][(dataset, size)] = {
+                    values: draw(scores[split]) for values in grid if values not in gap
+                }
+    return domains, raw
+
+
+class TestUpperBoundReference:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=partial_tie_instances())
+    def test_upper_bound_budget_and_compare_match_the_reference(self, instance):
+        domains, raw = instance
+        table = build_table(cat_space(domains), raw)
+        grid = [c.values for c in table.space.grid()]
+        bounds = reference_upper_bound(raw["validation"], raw["test"], grid)
+        for (dataset, size), (config, val, test) in bounds.items():
+            ctx = Context(dataset, size)
+            if test is None:
+                with pytest.raises(DataError, match=r"^validation-selected configuration \("):
+                    upper_bound(table, ctx)
+            else:
+                result = upper_bound(table, ctx)
+                assert (result.config.values, result.validation_score) == (config, val)
+                assert result.test_score == test
+
+        datasets = {dataset for dataset, _ in raw["test"]}
+        denominators = {ctx: test for ctx, (_, _, test) in bounds.items()}
+        try:
+            points, selections = reference_budget(
+                raw["test"], raw["validation"], raw["test"], grid, 0.9, datasets, 3,
+                denominators=denominators,
+            )
+        except (KeyError, TypeError):  # a selection without a record, or a None denominator
+            with pytest.raises(DataError):
+                budget_curve(table, threshold=0.9, max_budget=3, normalize_by="upper_bound")
+        else:
+            curve = budget_curve(table, threshold=0.9, max_budget=3, normalize_by="upper_bound")
+            assert {p.k: p.mean_normalized_test_score for p in curve.points} == points
+            assert {
+                (d.k, (d.context.dataset, d.context.train_size)):
+                    (d.config.values, d.validation_score, d.normalized_test_score)
+                for d in curve.details
+            } == selections
+
+        task_map = {dataset: f"t{int(dataset[1:]) % 2}" for dataset in datasets}
+        try:
+            reference_loo(raw["test"], raw["test"], grid, 0.9, datasets)
+        except KeyError:  # a recommendation without a test record
+            missing = True
+        else:
+            missing = None in denominators.values()
+        if missing:
+            with pytest.raises(DataError):
+                compare_protocols(table, task_map, threshold=0.9)
+        else:
+            columns = {}
+            for (dataset, size), test in sorted(denominators.items()):
+                columns.setdefault((task_map[dataset], size), []).append(test)
+            rows = compare_protocols(table, task_map, threshold=0.9)
+            assert {(r.task, r.train_size): r.upper_bound_score for r in rows} == {
+                key: math.fsum(tests) / len(tests) for key, tests in columns.items()
+            }
