@@ -20,7 +20,6 @@ import os
 import sys
 import warnings
 from argparse import ArgumentError, ArgumentTypeError
-from collections import Counter
 from contextlib import suppress
 from functools import partial
 from itertools import chain
@@ -39,7 +38,7 @@ from .ingest import (
     serialize_scores,
     serialize_space,
 )
-from .importance import DEFAULT_PERMUTATIONS, importance_report
+from .importance import DEFAULT_PERMUTATIONS, importance_report, importance_scopes
 from .model import INTEGER, SPLITS, CoverageRanking, CovsearchError, ScoreTable, ValidationError
 from .model import _check_count, _check_digits, _check_seed, _check_threshold, _data, _number
 from .model import _select
@@ -283,20 +282,10 @@ def cmd_importance(args: argparse.Namespace) -> int:
     if args.train_sizes is not None and (args.train_size or args.combine_sizes):
         raise ArgumentError(None, "--train-sizes excludes --train-size and --combine-sizes")
     table = _load_inputs(args)
-    if args.train_size is not None:
-        scopes = [args.train_size]
-    elif args.combine_sizes:
-        scopes = [None]
-    else:  # names and sizes are checked before any scope runs
-        _, contexts = _select(table, args.split, args.datasets, args.train_sizes)
-        counts = Counter(ctx.train_size for ctx in contexts)  # datasets per size
-        # each listed size reports or says why not; so does one size if none is selected
-        scopes = sorted(set(args.train_sizes or counts)) or table.train_sizes()[:1] or [None]
-        pooled = [size for size in scopes if counts[size] > 1]
-        if args.train_sizes is None and pooled:  # by default, skip a size one dataset has
-            for size in sorted(set(scopes).difference(pooled)):
-                warnings.warn(f"train size {size} has fewer than two datasets; skipped")
-            scopes = pooled
+    sizes = args.train_sizes if args.train_size is None else [args.train_size]
+    scopes = [None] if args.combine_sizes else importance_scopes(
+        table, args.datasets, sizes, split=args.split
+    )
     reports = [
         importance_report(
             table,

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from math import inf, log, log1p, nan
 from typing import Iterable, Sequence
 
@@ -68,6 +69,7 @@ from .model import (
     _check_count,
     _check_seed,
     _select,
+    _warn,
 )
 from .ranking import TopSet, top_set
 
@@ -313,24 +315,46 @@ def _pools(
     sizes in scope that it has; one with none sits the scope out."""
     _check_count("permutations", permutations)
     _check_seed(seed)
-    available = table.train_sizes()
-    if not available:
+    if not table.train_sizes():
         raise DataError("score table has no records")
-    if combine_train_sizes:
-        if train_size is not None:
-            raise ValidationError("train_size and combine_train_sizes are exclusive")
-    elif train_size is None and len(available) > 1:
+    if combine_train_sizes and train_size is not None:
+        raise ValidationError("train_size and combine_train_sizes are exclusive")
+    _, contexts = _select(table, split, datasets, None if train_size is None else [train_size])
+    sizes = tuple(sorted({ctx.train_size for ctx in contexts}))
+    if len(sizes) > 1 and not combine_train_sizes:
         raise DataError(
-            f"table has several train sizes {available}; pass train_size or"
+            f"selection has several train sizes {list(sizes)}; pass train_size or"
             f" combine_train_sizes=True"
         )
-    _, contexts = _select(table, split, datasets, None if train_size is None else [train_size])
     pools = {ctx.dataset: [] for ctx in contexts}
     if len(pools) < 2:
         raise DataError("need at least two datasets to compare distributions")
     for ctx in contexts:  # sorted: by dataset, then train size
         pools[ctx.dataset] += [i for i, _ in top_set(table, ctx, split, threshold).id_members]
-    return tuple(sorted({ctx.train_size for ctx in contexts})), pools
+    return sizes, pools
+
+
+def importance_scopes(
+    table: ScoreTable,
+    datasets: Sequence[str] | None = None,
+    train_sizes: Sequence[int] | None = None,
+    *,
+    split: str = "test",
+) -> list[int | None]:
+    """The train size of each importance report (``None``: one scope over all
+    sizes), once names and sizes are checked: each listed size, else each
+    selected size but those with one dataset, skipped with a warning while
+    another size has two.  No records or no selection give ``[None]``."""
+    if not table.train_sizes():
+        return [None]
+    _, contexts = _select(table, split, datasets, train_sizes)
+    if train_sizes is not None:
+        return sorted(set(train_sizes))
+    counts = Counter(ctx.train_size for ctx in contexts)  # datasets per size
+    pooled = [size for size in sorted(counts) if counts[size] > 1]
+    for size in sorted(set(counts).difference(pooled)) if pooled else ():
+        _warn(f"train size {size} has fewer than two datasets; skipped")
+    return pooled or sorted(counts) or [None]
 
 
 def _permutation_test(

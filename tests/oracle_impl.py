@@ -2,8 +2,9 @@
 
 Everything here is a literal, unoptimized transcription of the definitions:
 quadratic set algebra for the coverage ranking, exhaustive enumeration of
-all selections for the evaluation protocols, and a from-scratch permutation
-test sharing only the documented RNG recipe.  None of it touches the
+all selections for the evaluation protocols, a from-scratch permutation
+test sharing only the documented RNG recipe, and importance scoping read
+rule by rule from README.  None of it touches the
 library's internals beyond plain score dictionaries.
 
 Vocabulary: a context is a (dataset, train_size) tuple, a configuration is
@@ -184,3 +185,69 @@ def reference_permutation_pval(
         if score(vectors) > observed:
             greater += 1
     return observed, greater / permutations
+
+
+def reference_importance_scopes(rows, datasets, sizes, combine, split, domains, threshold=0.95):
+    """Importance scoping as README's "Hyperparameter consistency" states it.
+
+    ``rows`` is {split: {context: {config: raw}}}.  ``datasets`` and
+    ``sizes`` are the requested names and listed train sizes, None for all;
+    ``combine`` pools every size into one report and excludes ``sizes``.
+    ``domains`` lists each hyperparameter's values in declaration order.
+
+    Returns ``("error", rule)`` for the first rule the request breaks, one of
+    "records", "split", "datasets", "sizes" and "two"; else ``(reports,
+    skipped)``: per report (its sizes pooled, the datasets compared, each
+    dataset's value distribution per hyperparameter), and the sizes the
+    default run skipped.
+    """
+    assert not (combine and sizes is not None)
+    present = {ctx for cells in rows.values() for ctx, cell in cells.items() if cell}
+    if not present:
+        return "error", "records"
+    if split not in ("validation", "test"):
+        return "error", "split"
+    if datasets is not None and set(datasets) - {d for d, _ in present}:
+        return "error", "datasets"
+    if sizes is not None and set(sizes) - {m for _, m in present}:
+        return "error", "sizes"
+    selection = {
+        (d, m)
+        for (d, m), cell in rows.get(split, {}).items()
+        if cell and (datasets is None or d in datasets) and (sizes is None or m in sizes)
+    }
+    with_size = {m: {d for d, m2 in selection if m2 == m} for _, m in selection}
+
+    skipped = []
+    if combine:
+        scopes = [sorted(with_size)]
+    elif sizes is not None:
+        scopes = [[m] for m in sorted(set(sizes))]
+    else:
+        pooled = [m for m in sorted(with_size) if len(with_size[m]) >= 2]
+        if pooled:
+            skipped = [m for m in sorted(with_size) if m not in pooled]
+            scopes = [[m] for m in pooled]
+        else:  # every scope fails as a listed one would; no selection is one empty scope
+            scopes = [[m] for m in sorted(with_size)] or [[]]
+
+    reports = []
+    for scope in scopes:
+        in_scope = sorted(ctx for ctx in selection if ctx[1] in scope)
+        compared = sorted({d for d, _ in in_scope})
+        if len(compared) < 2:
+            return "error", "two"
+        distributions = {}
+        for dataset in compared:
+            members = []
+            for ctx in in_scope:  # train sizes ascending
+                if ctx[0] == dataset:
+                    cell = rows[split][ctx]
+                    best = max(cell.values())
+                    members += [c for c, s in cell.items() if s / best > threshold]
+            distributions[dataset] = tuple(
+                tuple(sum(c[k] == v for c in members) / len(members) for v in domain)
+                for k, domain in enumerate(domains)
+            )
+        reports.append((tuple(sorted({m for _, m in in_scope})), tuple(compared), distributions))
+    return reports, skipped

@@ -802,7 +802,10 @@ class TestErrorContract:
         self.assert_one_line_error(capsys, "score must be finite, got inf")
         assert not out.exists()
 
-    @pytest.mark.parametrize("scope", [[], ["--combine-sizes"], ["--train-size", "100"]])
+    @pytest.mark.parametrize("scope", [
+        [], ["--combine-sizes"], ["--train-size", "100"], ["--train-sizes", "100"],
+        ["--datasets", "X"],
+    ])
     def test_importance_on_a_header_only_file(self, tmp_path, capsys, scope):
         space, scores = write_inputs(tmp_path, [])
         assert main(["importance", "--space", space, "--scores", scores, *scope]) == 2

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from covsearch import (
     Hyperparameter,
     ValidationError,
     importance_report,
+    importance_scopes,
     js_distance,
     js_score,
     permutation_pval,
@@ -25,8 +27,9 @@ from covsearch import (
     top_set_95,
     value_distribution,
 )
+from covsearch.model import SPLITS
 from helpers import build_table, cat_space, make_space, random_instance
-from oracle_impl import reference_permutation_pval
+from oracle_impl import reference_importance_scopes, reference_permutation_pval
 
 
 def one_hp_table(per_context, domain=("a", "b", "c")):
@@ -436,6 +439,136 @@ class TestRaggedTable:
         for scope in ({"datasets": ["A", "C"], "train_size": 1000}, {"datasets": ["B"]}):
             with pytest.raises(DataError, match="^need at least two datasets"):
                 importance_report(table, combine_train_sizes="train_size" not in scope, **scope)
+
+
+def sizes_apart_table():
+    """A at train sizes 100 and 1000, B only at 100, C and D only at 1000."""
+    rows = {
+        ("A", 100): {"a": 100.0, "b": 99.0, "c": 10.0},
+        ("A", 1000): {"a": 10.0, "b": 100.0, "c": 99.0},
+        ("B", 100): {"a": 100.0, "b": 10.0, "c": 10.0},
+        ("C", 1000): {"a": 99.0, "b": 10.0, "c": 100.0},
+        ("D", 1000): {"a": 10.0, "b": 10.0, "c": 100.0},
+    }
+    return one_hp_table(rows)[1]
+
+
+class TestScopes:
+    """Which train sizes an importance run reports: ``importance_scopes``."""
+
+    def test_a_report_pools_the_sizes_of_its_selection(self):
+        table = sizes_apart_table()
+        report = importance_report(table, ["C", "D"], permutations=5)
+        assert (report.train_sizes, report.datasets) == ((1000,), ("C", "D"))
+        assert permutation_pval(table, "hp", ["C", "D"], permutations=5) == (
+            report.entries[0].js_score, report.entries[0].js_pval
+        )
+        with pytest.raises(DataError, match=r"^selection has several train sizes \[100, 1000\]"):
+            importance_report(table, ["A", "B"])
+
+    def test_default_scopes_skip_a_size_with_one_dataset(self):
+        table = sizes_apart_table()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert importance_scopes(table) == [100, 1000]
+            assert importance_scopes(table, ["C", "D"]) == [1000]
+            assert importance_scopes(table, ["A", "C"]) == [1000]
+            assert importance_scopes(table, ["A"]) == [100, 1000]  # none pools: none skipped
+        assert [str(w.message) for w in caught] == [
+            "train size 100 has fewer than two datasets; skipped"
+        ]
+        assert caught[0].filename == __file__  # the caller's line
+
+    def test_listed_sizes_are_scopes_once_each(self):
+        table = sizes_apart_table()
+        assert importance_scopes(table, ["B", "C"], [1000, 100, 1000]) == [100, 1000]
+        with pytest.raises(DataError, match=r"^train size\(s\) not in table: \[7\]$"):
+            importance_scopes(table, train_sizes=[100, 7])
+        with pytest.raises(DataError, match=r"^dataset\(s\) not in table: \['X'\]$"):
+            importance_scopes(table, ["X"])
+        with pytest.raises(ValidationError, match="^split must be one of"):
+            importance_scopes(table, split="train")
+
+    def test_no_records_and_no_selection_are_one_scope_that_fails(self):
+        empty = build_table(cat_space([2]), {})
+        assert importance_scopes(empty, ["X"], [7], split="train") == [None]
+        assert importance_scopes(sizes_apart_table(), split="validation") == [None]
+
+
+@st.composite
+def ragged_requests(draw):
+    """(domains, raw rows, datasets, listed sizes, combine, split): up to four
+    datasets, each at some of three train sizes, a context on one split or
+    both, cells that miss part of the grid, scores that tie and that sit on
+    the 0.95 band; requests that may name what the table lacks."""
+    domains = draw(st.sampled_from([[2], [3], [2, 2], [1, 3], [2, 3]]))
+    grid = [c.values for c in cat_space(domains).grid()]
+    names = [f"d{i}" for i in range(draw(st.sampled_from([0, 1, 2, 3, 4, 4])))]
+    raw = {"test": {}, "validation": {}}
+    for dataset in names:
+        for size in sorted(draw(st.sets(st.sampled_from([10, 100, 1000]), min_size=1))):
+            for split in draw(st.sampled_from([("test",), ("validation",), SPLITS, SPLITS])):
+                cell = draw(st.lists(st.sampled_from(grid), min_size=1, unique=True))
+                raw[split][(dataset, size)] = {
+                    values: draw(st.sampled_from([0.3, 0.95, 0.96, 1.0])) for values in cell
+                }
+    datasets = draw(st.none() | st.lists(st.sampled_from([*names * 3, "x"]), min_size=1, max_size=3))
+    scope = draw(st.sampled_from(["default", "listed", "combine"]))
+    present = sorted({size for cells in raw.values() for _, size in cells})
+    sizes = None
+    if scope == "listed":
+        sizes = draw(st.lists(st.sampled_from([*present * 3, 7]), min_size=1, max_size=2))
+    split = draw(st.sampled_from(["test", "test", "validation", "train"]))
+    return domains, raw, datasets, sizes, scope == "combine", split
+
+
+SCOPE_ERRORS = {
+    "records": (DataError, r"^score table has no records$"),
+    "split": (ValidationError, r"^split must be one of"),
+    "datasets": (DataError, r"^dataset\(s\) not in table"),
+    "sizes": (DataError, r"^train size\(s\) not in table"),
+    "two": (DataError, r"^need at least two datasets to compare distributions$"),
+}
+
+
+class TestScopesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(request=ragged_requests(), permutations=st.integers(1, 5), seed=st.integers(0, 2**32))
+    def test_scopes_and_reports_match_the_reference(self, request, permutations, seed):
+        domains, raw, datasets, sizes, combine, split = request
+        table = build_table(cat_space(domains), raw)
+        hp_domains = [hp.domain for hp in table.space.hyperparameters]
+        expected = reference_importance_scopes(raw, datasets, sizes, combine, split, hp_domains)
+
+        def run():
+            scopes = [None] if combine else importance_scopes(table, datasets, sizes, split=split)
+            return [
+                importance_report(
+                    table, datasets, size, split=split, permutations=permutations, seed=seed,
+                    combine_train_sizes=combine,
+                )
+                for size in scopes
+            ]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if expected[0] == "error":
+                error, message = SCOPE_ERRORS[expected[1]]
+                with pytest.raises(error, match=message):
+                    run()
+                return
+            reports = run()
+        reference, skipped = expected
+        assert [str(w.message) for w in caught] == [
+            f"train size {size} has fewer than two datasets; skipped" for size in skipped
+        ]
+        # repr tells every bit of a float apart
+        assert repr([
+            (r.train_sizes, r.datasets, {
+                d: tuple(e.distributions[i] for e in r.entries) for i, d in enumerate(r.datasets)
+            })
+            for r in reports
+        ]) == repr(reference)
 
 
 def test_negative_seed_is_a_validation_error():

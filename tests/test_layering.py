@@ -14,7 +14,9 @@ bundled catalog, which ``ingest.catalog_entries`` answers; it prints only
 in ``cli._write`` and ``cmd_synth``, and writes every file in ``cli._save``;
 ``protocols`` selects on validation in one function, which ``upper_bound``
 and ``budget_curve`` both call, and raises a missing split cell and a chosen
-configuration's missing test record at one site each."""
+configuration's missing test record at one site each; and the CLI holds no
+importance scope rule: ``cmd_importance`` asks ``importance_scopes`` which
+train sizes to report, and only ``importance`` words the skip warning."""
 
 import ast
 import importlib.util
@@ -293,3 +295,22 @@ def test_protocols_select_and_look_up_in_one_place():
         called = {ast.unparse(node.func) for node in ast.walk(functions[name])
                   if isinstance(node, ast.Call)}
         assert "_selected" in called and "max" not in called, name
+
+
+def test_the_cli_holds_no_importance_scope_rule():
+    (command,) = [
+        node for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_importance"
+    ]
+    called = {ast.unparse(node.func) for node in ast.walk(command) if isinstance(node, ast.Call)}
+    assert "importance_scopes" in called and called.isdisjoint({"_select", "Counter"})
+    imported = {
+        alias.name for node in ast.walk(MODULES["cli"])
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    assert "Counter" not in imported
+    wording = {
+        name for name, tree in MODULES.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and "fewer than two datasets; skipped" in str(node.value)
+    }
+    assert wording == {"importance"}
