@@ -39,8 +39,8 @@ from .ingest import (
     serialize_space,
 )
 from .importance import DEFAULT_PERMUTATIONS, importance_report, importance_scopes
-from .model import INTEGER, SPLITS, CoverageRanking, CovsearchError, ScoreTable, ValidationError
-from .model import _check_count, _check_digits, _check_seed, _check_threshold, _data, _number
+from .model import SPLITS, CoverageRanking, CovsearchError, ScoreTable, ValidationError
+from .model import _check_count, _check_seed, _check_threshold, _data, _integer, _number
 from .model import _select
 from .protocols import budget_curve, compare_protocols, loo_cbs
 from .ranking import rank
@@ -104,11 +104,8 @@ def _real(text: str) -> float:
     return float(_number(text.strip(), f"invalid number {text!r}"))
 
 
-def _integer(text: str) -> int:
-    if not INTEGER.fullmatch(text.strip()):
-        raise ValidationError(f"invalid integer {text!r}")
-    _check_digits("integer", text.strip())  # the score file's train-size bound
-    return int(text)
+def _int(text: str) -> int:
+    return _integer(text.strip(), "integer", f"invalid integer {text!r}")
 
 
 def _checked(parse, check, *names):
@@ -126,7 +123,7 @@ def _checked(parse, check, *names):
     return convert
 
 
-_count = partial(_checked, _integer, _check_count)  # _count("top"): an integer >= 1
+_count = partial(_checked, _int, _check_count)  # _count("top"): an integer >= 1
 
 
 def _comma_list(text: str) -> list[str]:
@@ -224,6 +221,12 @@ def _load_inputs(args: argparse.Namespace) -> ScoreTable:
     return load_scores(args.scores, space, warn_incomplete=False)
 
 
+def _selection(args: argparse.Namespace) -> dict:
+    """The keywords that choose what loo_cbs, budget_curve and compare_protocols read."""
+    keys = ("datasets", "train_sizes", "split", "threshold", "skip_degenerate")
+    return {key: getattr(args, key) for key in keys}
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -251,29 +254,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_loo(args: argparse.Namespace) -> int:
-    table = _load_inputs(args)
-    results = loo_cbs(
-        table,
-        args.datasets,
-        args.train_sizes,
-        split=args.split,
-        threshold=args.threshold,
-        skip_degenerate=args.skip_degenerate,
-    )
+    results = loo_cbs(_load_inputs(args), **_selection(args))
     return _write(args, results, _whole(report.render_loo), "results")
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    table = _load_inputs(args)
     curve = budget_curve(
-        table,
-        args.datasets,
-        args.train_sizes,
-        threshold=args.threshold,
+        _load_inputs(args),
         max_budget=args.max_budget,
-        split=args.split,
         normalize_by=args.normalize_by,
-        skip_degenerate=args.skip_degenerate,
+        **_selection(args),
     )
     return _write(args, curve, _whole(partial(report.render_budget, details=args.details)), "curve")
 
@@ -317,16 +307,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not matches:  # each bundled pair has one; this guards an edited bundle
             raise CovsearchError(f"no bundled default for ({args.model!r}, {args.method!r})")
         default_config = table.space.configuration(matches[0].config.as_dict())
-    rows = compare_protocols(
-        table,
-        task_map,
-        default_config,
-        datasets=args.datasets,
-        train_sizes=args.train_sizes,
-        threshold=args.threshold,
-        split=args.split,
-        skip_degenerate=args.skip_degenerate,
-    )
+    rows = compare_protocols(table, task_map, default_config, **_selection(args))
     return _write(args, rows, _whole(report.render_compare), "rows")
 
 
@@ -473,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool top sets over all train sizes instead of one scope per size",
     )
     p.add_argument("--permutations", type=_count("permutations"), default=DEFAULT_PERMUTATIONS)
-    p.add_argument("--seed", type=_checked(_integer, _check_seed), default=0)
+    p.add_argument("--seed", type=_checked(_int, _check_seed), default=0)
     _add_output_arguments(p)
     p.set_defaults(func=cmd_importance)
 
@@ -520,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-sizes", type=_train_sizes, default=None)
     p.add_argument("--correlation", type=_checked(_real, _check_correlation), default=0.7)
     p.add_argument("--noise", type=_checked(_real, _check_noise), default=0.1)
-    p.add_argument("--seed", type=_checked(_integer, _check_seed), default=0)
+    p.add_argument("--seed", type=_checked(_int, _check_seed), default=0)
     p.add_argument("--scale", type=_checked(_real, _check_scale), default=100.0)
     p.set_defaults(func=cmd_synth)
 

@@ -59,7 +59,6 @@ from .model import (
     Context,
     CovsearchError,
     Hyperparameter,
-    INTEGER,
     NUMBER,
     RESERVED_COLUMNS,
     ScoreTable,
@@ -67,9 +66,9 @@ from .model import (
     _Record,
     _fill,
     _check_count,
-    _check_digits,
     _check_score,
     _check_split,
+    _integer,
     _warn,
 )
 
@@ -277,16 +276,13 @@ class _ScoreRows:
                 line=lineno,
             )
         size_text, score_text = fields[1].strip(), fields[3].strip()
-        if not INTEGER.fullmatch(size_text):
-            raise ParseError(
-                f"train_size must be an integer, got {fields[1]!r}", line=lineno
-            )
+        invalid = f"train_size must be an integer, got {fields[1]!r}"
         try:
-            _check_digits("train_size", size_text)
+            size = _integer(size_text, "train_size", invalid)
             if not NUMBER.fullmatch(score_text):
                 raise ParseError(f"invalid score {score_text!r}", line=lineno)
             index = self.space._grid_id(hp.index(fields[f].strip()) for hp, f in self.columns)
-            key = (fields[0].strip(), int(size_text), fields[2].strip())
+            key = (fields[0].strip(), size, fields[2].strip())
             cell = self.cells.get(key)
             if cell is None:  # a new (context, split): check both once
                 if key[:2] not in self.contexts:

@@ -129,11 +129,6 @@ def _check_count(name: str, value: int) -> None:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
-def _check_digits(name: str, text: str) -> None:
-    if len(text.lstrip("+-")) > MAX_EXPONENT + 1:  # as a value, within the float range
-        raise ValidationError(f"{name} has more than {MAX_EXPONENT + 1} digits")
-
-
 def _number(text: str, invalid: str) -> Decimal:
     """The one reader of numbers from outside: ``text`` in the NUMBER grammar
     (else a ValidationError worded ``invalid``), its exponent in ±MAX_EXPONENT."""
@@ -144,6 +139,16 @@ def _number(text: str, invalid: str) -> Decimal:
         bound = f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]"
         raise ValidationError(f"value {text!r} has a decimal exponent outside {bound}")
     return dec
+
+
+def _integer(text: str, name: str, invalid: str) -> int:
+    """The one reader of integers from outside: ``text`` in the INTEGER grammar
+    (else a ValidationError worded ``invalid``), of at most MAX_EXPONENT + 1 digits."""
+    if not INTEGER.fullmatch(text):
+        raise ValidationError(invalid)
+    if len(text.lstrip("+-")) > MAX_EXPONENT + 1:  # as a value, within the float range
+        raise ValidationError(f"{name} has more than {MAX_EXPONENT + 1} digits")
+    return int(text)
 
 
 def _one_line(text: str) -> bool:
@@ -177,11 +182,11 @@ def canonical_value(kind: str, raw: object) -> str:
         return str(int(dec))
     if dec == 0:
         return "0.0e0"
-    norm = dec.normalize()
-    digits = "".join(str(d) for d in norm.as_tuple().digits)
-    sign = "-" if norm < 0 else ""
+    # The digits themselves: normalize() would round to the context's 28 digits.
+    digits = "".join(str(d) for d in dec.as_tuple().digits).rstrip("0")
+    sign = "-" if dec < 0 else ""
     head, tail = digits[0], digits[1:] or "0"
-    return f"{sign}{head}.{tail}e{norm.adjusted()}"
+    return f"{sign}{head}.{tail}e{dec.adjusted()}"
 
 
 # Sets a field of a record past its read-only __setattr__.  Unlike a write

@@ -73,7 +73,7 @@ def fixed_config_eval(
     unweighted mean over the contexts of each task.
     """
     index = table.space.config_index(config)
-    selected = sorted(dict.fromkeys(contexts)) if contexts is not None else table.contexts("test")
+    selected = _select(table, "test")[1] if contexts is None else sorted(dict.fromkeys(contexts))
     if not selected:
         raise DataError("no contexts to evaluate")
     missing = [ctx for ctx in selected if index not in table.cell(ctx, "test")]

@@ -88,6 +88,91 @@ def reference_upper_bound(val_scores, test_scores, config_order):
     return results
 
 
+def reference_fixed_config(test_scores, config, contexts=None, task_map=None):
+    """One fixed configuration everywhere: ({context: raw}, {task: mean}).
+
+    ``contexts`` default to every context with a test record.  Each raw
+    score is the configuration's test score on a context, and a task's
+    macro-average the unweighted mean over its contexts, all in one task
+    "all" without a ``task_map``.  Raises ValueError without a context and
+    KeyError for a missing test record or a dataset the task map lacks.
+    """
+    if contexts is None:
+        contexts = [ctx for ctx, rows in test_scores.items() if rows]
+    contexts = sorted(set(contexts))
+    if not contexts:
+        raise ValueError("no contexts to evaluate")
+    raw = {ctx: test_scores.get(ctx, {})[config] for ctx in contexts}
+    tasks = {}
+    for ctx, score in raw.items():
+        task = "all" if task_map is None else task_map[ctx[0]]
+        tasks.setdefault(task, []).append(score)
+    return raw, {task: math.fsum(vals) / len(vals) for task, vals in sorted(tasks.items())}
+
+
+def reference_compare(
+    raw, config_order, task_map, default=None, datasets=None, sizes=None,
+    threshold=0.97, split="test", skip_degenerate=False,
+):
+    """The protocol comparison: per (task, train size), the mean raw test
+    score of the default configuration, of leave-one-out's top
+    recommendation and of the per-context upper bound, over the held-out
+    test contexts that keep a leave-one-out score.
+
+    ``raw`` is {split: {context: {config: raw}}}; ``datasets`` and ``sizes``
+    are the requested names and train sizes, None for all.  The ranking
+    reads ``split``, the held-out scores test, and ``skip_degenerate`` leaves
+    out every all-zero context of either.  Returns [(task, size, n_datasets,
+    default, cbs_1, upper_bound)] sorted by task and size; where the library
+    raises, raises KeyError, ValueError, IndexError or ZeroDivisionError.
+    """
+    present = {ctx for cells in raw.values() for ctx, rows in cells.items() if rows}
+    if datasets is not None and set(datasets) - {d for d, _ in present}:
+        raise KeyError("dataset not in table")
+    if sizes is not None and set(sizes) - {m for _, m in present}:
+        raise KeyError("train size not in table")
+    names = sorted({d for d, _ in present} if datasets is None else set(datasets))
+    if len(names) < 2:
+        raise ValueError("leave-one-out requires at least 2 datasets")
+    if set(names) - set(task_map):
+        raise KeyError("dataset missing from task map")
+
+    def selected(on):
+        return {
+            ctx: rows for ctx, rows in raw.get(on, {}).items()
+            if rows and ctx[0] in names and (sizes is None or ctx[1] in sizes)
+        }
+
+    def usable(cells):  # else an all-zero context divides by zero
+        return {
+            ctx: rows for ctx, rows in cells.items()
+            if not skip_degenerate or max(rows.values()) > 0
+        }
+
+    tested = selected("test")
+    if {d for d, _ in tested} != set(names):
+        raise KeyError("held-out dataset without test records")
+    loo = reference_loo(usable(selected(split)), usable(tested), config_order, threshold, names)
+    bounds = reference_upper_bound(raw.get("validation", {}), raw.get("test", {}), config_order)
+
+    groups = {}
+    for _, per_context in loo.values():
+        for ctx, (score, _) in per_context.items():
+            groups.setdefault((task_map[ctx[0]], ctx[1]), []).append((ctx, score))
+    rows = []
+    for (task, size), scored in sorted(groups.items()):
+        contexts = [ctx for ctx, _ in scored]
+        uppers = [bounds[ctx][2] for ctx in contexts]
+        if None in uppers:
+            raise KeyError("validation-selected configuration without a test record")
+        fixed = None
+        if default is not None:
+            fixed = reference_fixed_config(raw.get("test", {}), default, contexts)[1]["all"]
+        cbs_1 = math.fsum(score for _, score in scored) / len(scored)
+        rows.append((task, size, len(scored), fixed, cbs_1, math.fsum(uppers) / len(uppers)))
+    return rows
+
+
 def reference_budget(
     ranking_scores, val_scores, test_scores, config_order, threshold, datasets, max_budget,
     denominators=None,

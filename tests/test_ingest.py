@@ -335,6 +335,13 @@ class TestStrictNumbers:
         with pytest.raises(ParseError, match="^line 2: train_size has more than 309 digits$"):
             parse_scores(scores_text(rows), space, warn_incomplete=False)
 
+    def test_a_value_apart_past_the_28th_digit_is_no_domain_value(self):
+        space = make_space(("lr", "real", ["1"]))
+        row = "d1,100,test,0.5,1.00000000000000000000000000001"
+        text = scores_text([row], "dataset,train_size,split,score,lr")
+        with pytest.raises(ParseError, match="^line 2: value .* not in domain"):
+            parse_scores(text, space, warn_incomplete=False)
+
     def test_grammar_spellings_parse_as_before(self):
         spelled = [
             "d1,+100,test,+0.5,5e-05,5",

@@ -16,10 +16,15 @@ in ``cli._write`` and ``cmd_synth``, and writes every file in ``cli._save``;
 and ``budget_curve`` both call, and raises a missing split cell and a chosen
 configuration's missing test record at one site each; and the CLI holds no
 importance scope rule: ``cmd_importance`` asks ``importance_scopes`` which
-train sizes to report, and only ``importance`` words the skip warning."""
+train sizes to report, and only ``importance`` words the skip warning; only
+``model`` names the integer grammar, and the CLI and the score parser read
+every integer through its one reader; and the leave-one-out, budget and
+compare commands pass their selection flags through one hand-off."""
 
+import argparse
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -314,3 +319,59 @@ def test_the_cli_holds_no_importance_scope_rule():
         if isinstance(node, ast.Constant) and "fewer than two datasets; skipped" in str(node.value)
     }
     assert wording == {"importance"}
+
+
+def mentions(tree):
+    """Every name a module mentions: as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_model_names_the_integer_grammar():
+    holders = {name for name, tree in MODULES.items() if "INTEGER" in mentions(tree)}
+    assert holders == {"model"}
+
+
+def test_integers_from_outside_have_one_reader():
+    assert not [name for name, tree in MODULES.items() if "_check_digits" in mentions(tree)]
+    for module in ("cli", "ingest"):
+        imported = {
+            alias.name for node in ast.walk(MODULES[module])
+            if isinstance(node, ast.ImportFrom) and node.module == "model" for alias in node.names
+        }
+        called = {
+            ast.unparse(node.func) for node in ast.walk(MODULES[module])
+            if isinstance(node, ast.Call)
+        }
+        assert "_integer" in imported & called, module
+
+
+def test_the_held_out_commands_select_through_one_hand_off():
+    keys = {"datasets", "train_sizes", "split", "threshold", "skip_degenerate"}
+    args = argparse.Namespace(**{key: key for key in keys}, command="loo")
+    assert covsearch.cli._selection(args) == {key: key for key in keys}
+    for function in (covsearch.loo_cbs, covsearch.budget_curve, covsearch.compare_protocols):
+        assert keys <= set(inspect.signature(function).parameters), function.__name__
+    held_out = ("cmd_loo", "cmd_budget", "cmd_compare")
+    commands = {
+        node.name: node for node in ast.walk(MODULES["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name in held_out
+    }
+    assert len(commands) == 3
+    for name, command in commands.items():
+        read = {
+            node.attr for node in ast.walk(command)
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args"
+        }
+        assert read.isdisjoint(keys), name
+        handed = [
+            keyword for node in ast.walk(command) if isinstance(node, ast.Call)
+            for keyword in node.keywords
+            if keyword.arg is None and ast.unparse(keyword.value) == "_selection(args)"
+        ]
+        assert len(handed) == 1, name

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from covsearch import (
@@ -60,6 +61,17 @@ class TestCanonicalValue:
     def test_real(self, raw, expected):
         assert canonical_value("real", raw) == expected
 
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            ("1.00000000000000000000000000001", "1.00000000000000000000000000001e0"),
+            ("123456789012345678901234567891", "1.23456789012345678901234567891e29"),
+            ("-0.000" + "9" * 40 + "000", "-9." + "9" * 39 + "e-4"),
+        ],
+    )
+    def test_real_keeps_every_significant_digit(self, raw, expected):
+        assert canonical_value("real", raw) == expected
+
     @pytest.mark.parametrize("raw,expected", [("8", "8"), ("08", "8"), ("8.0", "8"), (32, "32")])
     def test_integer(self, raw, expected):
         assert canonical_value("integer", raw) == expected
@@ -97,6 +109,11 @@ class TestHyperparameter:
     def test_duplicate_after_canonicalization(self):
         with pytest.raises(ValidationError, match="duplicate"):
             Hyperparameter("lr", "real", ("0.0001", "1e-4"))
+
+    def test_values_apart_past_the_28th_digit_are_distinct(self):
+        hp = Hyperparameter("lr", "real", ("1", "1.00000000000000000000000000001"))
+        assert hp.domain == ("1.0e0", "1.00000000000000000000000000001e0")
+        assert hp.index("1.000000000000000000000000000010") == 1
 
     def test_empty_domain(self):
         with pytest.raises(ValidationError, match="empty domain"):
@@ -186,6 +203,19 @@ class TestCanonicalProperties:
             assert index_outcome(hp, raw) == expected
             if isinstance(expected, int):
                 assert hp.canonical(raw) == hp.domain[expected]
+
+
+    @given(
+        sign=st.sampled_from(["", "+", "-"]),
+        digits=st.text("0123456789", min_size=1, max_size=60),
+        point=st.integers(0, 60),
+        exponent=st.integers(-370, 370),
+    )
+    def test_canonical_real_is_the_value(self, sign, digits, point, exponent):
+        text = f"{sign}{digits[:point]}.{digits[point:]}e{exponent}"
+        value = Decimal(text)
+        assume(not value or abs(value.adjusted()) <= 308)
+        assert Decimal(canonical_value("real", text)) == value
 
 
 class TestConfigSpace:

@@ -1,5 +1,6 @@
 """Evaluation protocols: fixed config, upper bound, leave-one-out, budget."""
 
+import json
 import math
 import warnings
 
@@ -11,6 +12,7 @@ import covsearch.ranking as ranking_module
 from covsearch import (
     Context,
     CoverageRanking,
+    CovsearchError,
     DataError,
     ScoreTable,
     ValidationError,
@@ -24,8 +26,15 @@ from covsearch import (
     top_set,
     upper_bound,
 )
+from covsearch.model import _data
 from helpers import build_table, cat_space, make_space, random_instance
-from oracle_impl import reference_budget, reference_loo, reference_upper_bound
+from oracle_impl import (
+    reference_budget,
+    reference_compare,
+    reference_fixed_config,
+    reference_loo,
+    reference_upper_bound,
+)
 
 
 def one_hp_instance(val, test, domain=("a", "b", "c")):
@@ -1056,3 +1065,116 @@ class TestUpperBoundReference:
             assert {(r.task, r.train_size): r.upper_bound_score for r in rows} == {
                 key: math.fsum(tests) / len(tests) for key, tests in columns.items()
             }
+
+
+# ---------------------------------------------------------------------------
+# The fixed configuration and the protocol comparison against the oracle, on
+# ragged tables: datasets that lack a train size, contexts with one split,
+# all-zero cells and tied scores.
+# ---------------------------------------------------------------------------
+
+# The reference's errors, each where the library raises a CovsearchError.
+REFERENCE_ERRORS = (KeyError, ValueError, IndexError, ZeroDivisionError)
+
+
+@st.composite
+def ragged_instances(draw, min_datasets=1):
+    """(domain sizes, datasets, raw) on a grid of at most six points, with
+    ``min_datasets`` to four datasets.  Most (dataset, train size) pairs
+    have both splits; some have one or none.  A validation cell misses up to
+    half the grid, one test cell in four a point.  Scores come from three
+    values, so cells tie; in one instance in three a cell in four is all zero."""
+    domains = draw(st.sampled_from([[2], [3], [2, 2], [2, 3], [1, 3]]))
+    grid = [c.values for c in cat_space(domains).grid()]
+    datasets = [f"d{i}" for i in range(draw(st.integers(min_datasets, 4)))]
+    zeros = draw(st.integers(0, 2)) == 0
+    raw = {split: {} for split in SPLITS}
+    kinds = st.sampled_from([SPLITS] * 9 + [("validation",), (), ("test",)])
+    for dataset in datasets:
+        for size in (100, 1000):
+            for split in draw(kinds):
+                most = len(grid) // 2 if split == "validation" else draw(st.integers(0, 3)) == 0
+                gap = draw(st.sets(st.sampled_from(grid), max_size=min(most, len(grid) - 1)))
+                zero = zeros and draw(st.integers(0, 3)) == 0
+                raw[split][(dataset, size)] = {
+                    values: 0.0 if zero else draw(st.sampled_from([0.25, 0.5, 1.0]))
+                    for values in grid if values not in gap
+                }
+    return domains, datasets, raw
+
+
+def task_maps(datasets):
+    """Two tasks over the datasets; one map in six misses the first dataset."""
+    full = {dataset: f"t{i % 2}" for i, dataset in enumerate(datasets)}
+    return st.sampled_from([full] * 5 + [{d: t for d, t in full.items() if d != "d0"}])
+
+
+def rarely(data, strategy):
+    """None five times in six, else a draw of ``strategy``."""
+    return data.draw(strategy) if data.draw(st.integers(0, 5)) == 0 else None
+
+
+def document(value):
+    """A result's JSON text: equal texts are equal bit for bit."""
+    return json.dumps(_data(value))
+
+
+class TestFixedConfigAndCompareReference:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=ragged_instances(), data=st.data())
+    def test_fixed_config_matches_the_reference(self, instance, data):
+        domains, datasets, raw = instance
+        table = build_table(cat_space(domains), raw)
+        grid = [c.values for c in table.space.grid()]
+        config = data.draw(st.sampled_from(grid))
+        every = [(dataset, size) for dataset in datasets for size in (100, 1000)]
+        contexts = data.draw(st.none() | st.lists(st.sampled_from(every), max_size=4))
+        task_map = data.draw(st.none() | task_maps(datasets))
+        requested = None if contexts is None else [Context(*ctx) for ctx in contexts]
+        try:
+            scores, macro = reference_fixed_config(raw["test"], config, contexts, task_map)
+        except REFERENCE_ERRORS:
+            with pytest.raises(CovsearchError):
+                fixed_config_eval(table, table.space.configuration(config), requested, task_map)
+            return
+        result = fixed_config_eval(table, table.space.configuration(config), requested, task_map)
+        assert document(result) == json.dumps({
+            "config": table.space.configuration(config).as_dict(),
+            "scores": {str(Context(*ctx)): score for ctx, score in scores.items()},
+            "macro_averages": macro,
+        })
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=ragged_instances(min_datasets=2), data=st.data())
+    def test_compare_matches_the_reference(self, instance, data):
+        domains, datasets, raw = instance
+        table = build_table(cat_space(domains), raw)
+        grid = [c.values for c in table.space.grid()]
+        names = st.sets(st.sampled_from([*datasets, "zz"]), min_size=1).map(sorted)
+        request = {
+            "datasets": rarely(data, names),
+            "train_sizes": rarely(
+                data, st.sets(st.sampled_from([100, 1000, 10]), min_size=1).map(sorted)
+            ),
+            "threshold": data.draw(st.sampled_from([0.5, 0.9])),
+            "split": data.draw(st.sampled_from(SPLITS)),
+            "skip_degenerate": data.draw(st.booleans()),
+        }
+        task_map = data.draw(task_maps(datasets))
+        default = data.draw(st.none() | st.sampled_from(grid))
+        config = None if default is None else table.space.configuration(default)
+        try:
+            expected = reference_compare(
+                raw, grid, task_map, default, request["datasets"], request["train_sizes"],
+                request["threshold"], request["split"], request["skip_degenerate"],
+            )
+        except REFERENCE_ERRORS:
+            with pytest.raises(CovsearchError), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                compare_protocols(table, task_map, config, **request)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = compare_protocols(table, task_map, config, **request)
+        keys = ("task", "train_size", "n_datasets", "default", "cbs_1", "upper_bound")
+        assert document(rows) == json.dumps([dict(zip(keys, row)) for row in expected])
