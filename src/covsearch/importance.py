@@ -21,6 +21,8 @@ bit for bit):
   (seed, i)).permutation(len(pool))`` from a fresh PCG64 generator seeded
   with SeedSequence((seed, i)).  The order does not depend on the
   hyperparameter, so a report draws it once and deals it for every one.
+  ``_permutation`` draws the same order on plain ints, from ``seed`` and
+  ``i`` as 32-bit words, low word first.
 * The permuted pool ``[pool[j] for j in order]`` is dealt back to datasets
   in ascending name order, each receiving as many members as its original
   top set held.
@@ -46,10 +48,15 @@ score with proof; only the rest get their exact distances from
 every p-value, is the recipe's bit for bit.  A hyperparameter with one
 value deals the same vectors in every permutation, so none is greater and
 its p-value is 0 without a permutation being scored.
+
+A run too small to repay numpy's import, while numpy is not yet imported,
+takes ``_pure_permutation_test`` instead, which scores every permutation
+exactly on plain floats and returns the chunked path's results bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections import Counter
@@ -95,10 +102,17 @@ _LOG_ERROR = 2.0**-40
 # against eight chunks and 0.25 MB at 1 << 14.
 _CHUNK_ELEMENTS = 1 << 15
 
-# numpy takes about a tenth of a second to import and only the distance and
-# the permutation test use it, so it is bound on first use instead of at
-# import time, which every CLI command would pay.
+# numpy.random takes 90-140 ms to import and only the distance and the
+# chunked permutation test use it, so it is bound on first use instead of at
+# import time, which every CLI command would pay.  A run with numpy not yet
+# imported and work, permutations x (pool + dataset pairs x summed domain
+# sizes of the tested hyperparameters), within this budget takes the
+# pure-Python test, at 0.8-3.4 us a unit: at most about 55 ms.
+_PURE_WORK = 1 << 14
 np = None
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
 
 
 def _load_numeric() -> None:
@@ -146,6 +160,32 @@ def _rel_entr(x: float, y: float) -> float:
     if x == 0 and y >= 0:
         return 0.0
     return nan if x != x or y != y else inf
+
+
+def _add_reduce(terms: list[float]) -> float:
+    """``np.add.reduce`` of a list of floats, bit for bit: numpy adds, to its
+    identity 0.0, a pairwise sum that splits runs over 128 at a multiple of 8
+    near their middle and sums each run with eight strided accumulators."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(terms[:half]) + _add_reduce(terms[half:])
+    total, stop = 0.0, n - n % 8
+    if stop:
+        acc = terms[:8]
+        for start in range(8, stop, 8):
+            acc = [a + b for a, b in zip(acc, terms[start:start + 8])]
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for term in terms[stop:]:
+        total += term
+    return total
+
+
+def _distance(p: list[float], q: list[float]) -> float:
+    """``js_distance(p, q)`` bit for bit, on lists of floats."""
+    m = [0.5 * (x + y) for x, y in zip(p, q)]
+    sums = _add_reduce(list(map(_rel_entr, p, m))) + _add_reduce(list(map(_rel_entr, q, m)))
+    return math.sqrt(min(max(0.5 * sums / _LN2, 0.0), 1.0))
 
 
 def _rel_entrs(x, y):
@@ -357,6 +397,86 @@ def importance_scopes(
     return pooled or sorted(counts) or [None]
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's running 32-bit hash from ``const``, stepped by ``mult``."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _draws(seed: int, i: int):
+    """The 32-bit draws of ``numpy.random.default_rng((seed, i))``: PCG64
+    seeded by SeedSequence, each 64-bit output split low half first."""
+    words = [v >> s & _M32 for v in (seed, i) for s in range(0, max(v.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+
+    def mix(dst: int, value: int) -> None:
+        x = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value) & _M32
+        pool[dst] = x ^ x >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for word in words[4:]:
+        for dst in range(4):
+            mix(dst, word)
+    seeded = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))  # generate_state, 8 words
+    high, low, inc_high, inc_low = (seeded[k] | seeded[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _M128
+    state = ((inc + (high << 64 | low)) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        out, turn = (state >> 64 ^ state) & _M64, state >> 122
+        out = (out >> turn | out << 64 - turn) & _M64  # XSL-RR
+        yield out & _M32
+        yield out >> 32
+
+
+def _permutation(seed: int, i: int, n: int) -> list[int]:
+    """``numpy.random.default_rng((seed, i)).permutation(n).tolist()``."""
+    draws, order = _draws(seed, i), list(range(n))
+    for top in range(n - 1, 0, -1):  # Generator.shuffle, by masked rejection
+        mask = (1 << top.bit_length()) - 1
+        j = next(draws) & mask
+        while j > top:
+            j = next(draws) & mask
+        order[top], order[j] = order[j], order[top]
+    return order
+
+
+def _pure_permutation_test(space, pools, hps, permutations, seed):
+    """``_permutation_test`` on plain ints and floats, bit for bit."""
+    names = sorted(pools)
+    ids = [index for d in names for index in pools[d]]
+    ends = list(itertools.accumulate(len(pools[d]) for d in names))
+    values = [[space.value_positions(hp.name, index) for index in ids] for hp in hps]
+
+    def deal(k, order):  # per dataset, the distribution of hps[k]
+        dealt = [values[k][j] for j in order]
+        counts = [Counter(dealt[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+        return [[c[v] / c.total() for v in range(len(hps[k].domain))] for c in counts]
+
+    def score(vectors):
+        row = list(itertools.starmap(_distance, itertools.combinations(vectors, 2)))
+        return 1.0 - math.fsum(row) / len(row)
+
+    observed = [deal(k, range(len(ids))) for k in range(len(hps))]
+    scores = list(map(score, observed))
+    greater = [0] * len(hps)
+    for i in range(permutations):
+        order = _permutation(seed, i, len(ids))
+        for k, hp in enumerate(hps):
+            greater[k] += len(hp.domain) > 1 and score(deal(k, order)) > scores[k]
+    return [(tuple(map(tuple, vectors)), s, g / permutations)
+            for vectors, s, g in zip(observed, scores, greater)]
+
+
 def _permutation_test(
     space: ConfigSpace,
     pools: dict[str, list[int]],
@@ -368,6 +488,10 @@ def _permutation_test(
     (datasets in name order), their js_score and its p-value.  Each
     permutation order is drawn once and dealt for every hyperparameter
     with more than one value."""
+    widths = sum(len(hp.domain) for hp in hps if len(hp.domain) > 1)
+    work = sum(map(len, pools.values())) + len(pools) * (len(pools) - 1) // 2 * widths
+    if "numpy" not in sys.modules and permutations * work <= _PURE_WORK:
+        return _pure_permutation_test(space, pools, hps, permutations, seed)
     _load_numeric()
     names = sorted(pools)
     ids = np.array([index for d in names for index in pools[d]], dtype=np.intp)

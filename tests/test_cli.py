@@ -34,7 +34,7 @@ from covsearch import (
 )
 from covsearch import report
 from covsearch.cli import build_parser, main
-from covsearch.importance import DEFAULT_PERMUTATIONS
+from covsearch.importance import DEFAULT_PERMUTATIONS, _PURE_WORK
 from covsearch.ingest import CATALOG_METHODS, CATALOG_SOURCES
 from covsearch.model import SPLITS
 from covsearch.protocols import DEFAULT_MAX_BUDGET, NORMALIZE_MODES
@@ -907,7 +907,12 @@ class TestStartup:
             ["budget", *io, "--max-budget", "2"],
             ["compare", *io, "--task-map", str(task_map)],
         ]
-        importance = ["importance", *io, "--permutations", "5"]
+        # A few permutations stay within the pure-Python test's budget.
+        commands.append(["importance", *io, "--permutations", "5"])
+        # Each permutation deals a 4-slot pool and scores 3 dataset pairs
+        # over 4 values: 16 work units, so this many pass the budget.
+        past = str(_PURE_WORK // 16 + 1)
+        importance = ["importance", *io, "--permutations", past]
         script = f"""
 import sys
 def heavy():
@@ -917,7 +922,7 @@ assert heavy() == [], ("import", heavy())
 for argv in {commands!r}:
     assert covsearch.cli.main(argv) == 0, argv
     assert heavy() == [], (argv[0], heavy())
-# The permutation test needs numpy, and no more.
+# The chunked permutation test needs numpy, and no more.
 assert covsearch.cli.main({importance!r}) == 0
 assert heavy() == ["numpy"], ("importance", heavy())
 """
@@ -927,6 +932,56 @@ assert heavy() == ["numpy"], ("importance", heavy())
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestPurePermutationPath:
+    """A light ``importance`` run writes the same bytes whether it finds numpy
+    unloaded, and runs the pure-Python permutation test, or already
+    imported, and runs the chunked numpy test."""
+
+    SCRIPT = """
+import sys
+{preload}
+import covsearch.cli
+code = covsearch.cli.main({argv!r})
+sys.stdout.flush()
+sys.stderr.write("\\n" + repr((code, "numpy" in sys.modules)))
+"""
+
+    @pytest.fixture(params=["ragged", "synth"])
+    def io(self, request, tmp_path, capsys):
+        if request.param == "ragged":
+            space, scores = write_inputs(tmp_path, RAGGED_ROWS)
+            return ["--space", space, "--scores", scores]
+        scores, space = tmp_path / "s.csv", tmp_path / "space.json"
+        main(["synth", "--out-scores", str(scores), "--out-space", str(space),
+              "--datasets", "4", "--seed", "3"])
+        capsys.readouterr()
+        lines = scores.read_text(encoding="utf-8").splitlines(keepends=True)
+        scores.write_text("".join(l for l in lines if not l.startswith("ds01,1000,")),
+                          encoding="utf-8")
+        return ["--space", str(space), "--scores", str(scores)]
+
+    def run(self, argv, preload):
+        src = str(Path(covsearch.__file__).resolve().parents[1])
+        script = self.SCRIPT.format(preload=preload, argv=argv)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        *_, status = done.stderr.decode().rsplit("\n", 1)
+        return done.stdout, status
+
+    @pytest.mark.parametrize("options", [
+        [],
+        ["--format", "machine"],
+        ["--combine-sizes"],
+        ["--seed", str(10**30), "--format", "machine"],
+    ], ids=lambda options: " ".join(options)[:20] or "text")
+    def test_both_paths_write_the_same_bytes(self, io, options):
+        argv = ["importance", *io, "--permutations", "10", *options]
+        pure, pure_status = self.run(argv, "")
+        chunked, chunked_status = self.run(argv, "import numpy")
+        assert (pure_status, chunked_status) == ("(0, False)", "(0, True)")
+        assert pure == chunked
 
 
 class TestManifest:

@@ -744,6 +744,67 @@ class TestBatchedPermutationTest:
 
 
 @st.composite
+def pure_pools(draw):
+    """A space of 1-3 hyperparameters with 1-20 values each, and pools of
+    2-8 datasets drawn from a few grid ids, so ids repeat within a pool as
+    combined train sizes repeat them; one case in four gives every dataset
+    the same pool, whose observed score is 1.0."""
+    space = cat_space(draw(st.lists(st.integers(1, 20), min_size=1, max_size=3)))
+    names = [f"d{k}" for k in range(draw(st.integers(2, 8)))]
+    grid = draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=6))
+    pool = st.lists(st.sampled_from(grid), min_size=1, max_size=20)
+    if draw(st.integers(0, 3)) == 0:
+        shared = draw(pool)
+        return space, {name: list(shared) for name in names}
+    return space, {name: draw(pool) for name in names}
+
+
+def hexed(results):
+    return [(tuple(tuple(map(float.hex, v)) for v in vectors), score.hex(), pval.hex())
+            for vectors, score, pval in results]
+
+
+BIG_SEEDS = st.one_of(
+    st.integers(0, 2**70),
+    st.sampled_from([2**32 - 1, 2**32, 2**64]),
+    st.integers(10**299, 10**300 - 1),  # more than four 32-bit words
+)
+
+
+class TestPurePermutationTest:
+    """The pure-Python test draws numpy's orders, sums as numpy does and
+    returns the chunked test's results, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=BIG_SEEDS, i=st.integers(0, 2**40), n=st.integers(0, 2000))
+    def test_permutation_is_numpys(self, seed, i, n):
+        expected = list(np.random.default_rng((seed, i)).permutation(n))
+        assert importance._permutation(seed, i, n) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_add_reduce_is_numpys(self, data):
+        # Lengths across numpy's 8-element unroll and 128-element block.
+        edges = st.sampled_from([7, 8, 9, 127, 128, 129, 135, 136, 255, 256, 257, 264])
+        n = data.draw(st.one_of(st.integers(0, 400), edges))
+        term = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0),
+                         st.floats(-1e300, 1e300))
+        terms = data.draw(st.lists(term, min_size=n, max_size=n))
+        expected = float(np.add.reduce(np.array(terms, dtype=float)))
+        assert importance._add_reduce(terms).hex() == expected.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pure_pools(), permutations=st.integers(1, 15), seed=BIG_SEEDS)
+    def test_equals_the_chunked_test(self, case, permutations, seed):
+        space, pools = case
+        hps = space.hyperparameters
+        # numpy is loaded here, so _permutation_test takes the chunked path.
+        chunked = importance._permutation_test(space, pools, hps, permutations, seed)
+        pure = importance._pure_permutation_test(space, pools, hps, permutations, seed)
+        assert hexed(pure) == hexed(chunked)
+
+
+@st.composite
 def distance_rows(draw):
     """1-4 rows of one length (1-13,000) drawn from a palette of a few values
     in [0, 1], so values repeat; later rows reorder the first or move one of
