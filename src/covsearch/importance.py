@@ -66,7 +66,6 @@ from typing import Iterable, Sequence
 from .model import (
     ConfigSpace,
     Configuration,
-    Context,
     DataError,
     HpImportance,
     Hyperparameter,
@@ -120,15 +119,6 @@ def _load_numeric() -> None:
     import numpy as np
 
 
-def top_set_95(table: ScoreTable, context: Context, split: str = "test") -> TopSet:
-    """Top set at the 0.95 band used by the consistency analysis.
-
-    Thresholding raw scores against 0.95 times the maximum is the same as
-    thresholding normalized scores strictly above 0.95.
-    """
-    return top_set(table, context, split, threshold=DEFAULT_THRESHOLD)
-
-
 def value_distribution(
     members: TopSet | Iterable[Configuration], hp: Hyperparameter
 ) -> tuple[float, ...]:
@@ -141,10 +131,13 @@ def value_distribution(
     configs = members.configs if isinstance(members, TopSet) else tuple(members)
     if not configs:
         raise DataError("cannot build a value distribution from an empty top set")
-    counts = [0] * len(hp.domain)
-    for cfg in configs:
-        counts[hp.index(cfg.get(hp.name))] += 1
-    return tuple(c / len(configs) for c in counts)
+    return tuple(_shares([hp.index(cfg.get(hp.name)) for cfg in configs], len(hp.domain)))
+
+
+def _shares(positions: list[int], width: int) -> list[float]:
+    """Share of each domain position 0..width-1 among ``positions``."""
+    counts = Counter(positions)
+    return [counts[v] / len(positions) for v in range(width)]
 
 
 def _rel_entr(x: float, y: float) -> float:
@@ -201,14 +194,19 @@ def _pair_distances(vectors, pairs):
     return js_distance(vectors[..., i, :], vectors[..., j, :]).reshape(-1, len(i))
 
 
-def _js_score(vectors, pairs) -> float:
-    (row,) = _pair_distances(vectors, pairs).tolist()
+def _row_score(row: list[float]) -> float:
+    """The js_score of one row of pair distances: 1 minus their mean."""
     return 1.0 - math.fsum(row) / len(row)
 
 
+def _js_score(vectors, pairs) -> float:
+    (row,) = _pair_distances(vectors, pairs).tolist()
+    return _row_score(row)
+
+
 def _split(lo, hi, score: float):
-    """Which rows surely have ``1.0 - math.fsum(row) / n > score``, and which
-    are undecided, for rows of n non-negative distances bounded entrywise
+    """Which rows surely have ``_row_score(row) > score``, and which are
+    undecided, for rows of n non-negative distances bounded entrywise
     by ``lo <= row <= hi``; every other row surely has not.
 
     Let S be a row's exact sum and F = fsum(row) its correct rounding, so
@@ -234,10 +232,9 @@ def _split(lo, hi, score: float):
 
 
 def _count_greater(distances, score: float) -> int:
-    """How many rows of distances have ``1.0 - math.fsum(row) / n > score``,
-    n the row length."""
-    n = distances.shape[1]
-    return sum(1.0 - math.fsum(row) / n > score for row in distances.tolist())
+    """How many rows of pair distances have a js_score, by ``_row_score``'s
+    one formula, above ``score``."""
+    return sum(_row_score(row) > score for row in distances.tolist())
 
 
 def _entropy_terms(x):
@@ -459,12 +456,10 @@ def _pure_permutation_test(space, pools, hps, permutations, seed):
 
     def deal(k, order):  # per dataset, the distribution of hps[k]
         dealt = [values[k][j] for j in order]
-        counts = [Counter(dealt[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-        return [[c[v] / c.total() for v in range(len(hps[k].domain))] for c in counts]
+        return [_shares(dealt[lo:hi], len(hps[k].domain)) for lo, hi in zip([0, *ends], ends)]
 
     def score(vectors):
-        row = list(itertools.starmap(_distance, itertools.combinations(vectors, 2)))
-        return 1.0 - math.fsum(row) / len(row)
+        return _row_score(list(itertools.starmap(_distance, itertools.combinations(vectors, 2))))
 
     observed = [deal(k, range(len(ids))) for k in range(len(hps))]
     scores = list(map(score, observed))

@@ -63,6 +63,7 @@ from .model import (
     RESERVED_COLUMNS,
     ScoreTable,
     ValidationError,
+    canonical_value,
     _Record,
     _fill,
     _check_count,
@@ -492,7 +493,7 @@ def _catalog() -> tuple[dict[tuple[str, str], ConfigSpace], tuple[CatalogEntry, 
             # outside the searched domains; canonicalize per kind only.
             config = Configuration(
                 tuple(
-                    (hp.name, hp.canonical(item["values"][hp.name]))
+                    (hp.name, canonical_value(hp.kind, item["values"][hp.name]))
                     for hp in space.hyperparameters
                 )
             )

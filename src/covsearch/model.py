@@ -298,9 +298,6 @@ class Hyperparameter(_Record):
         _set_field(self, "domain", canon)
         _set_field(self, "_value_index", {v: i for i, v in enumerate(canon)})
 
-    def canonical(self, raw: object) -> str:
-        return canonical_value(self.kind, raw)
-
     def index(self, raw: object) -> int:
         """Position of a value inside the domain; raises if not a member.
         A ``str`` spelling that proves a member is remembered; a failed one
@@ -421,9 +418,6 @@ class ConfigSpace(_Record):
                 for hp, raw in zip(self.hyperparameters, aligned)
             )
         )
-
-    def validate_config(self, config: Configuration) -> None:
-        self.config_index(config)
 
     def config_index(self, config: Configuration) -> int:
         """Grid id of a configuration: its position in grid() order.  Raises

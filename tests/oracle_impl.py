@@ -336,3 +336,49 @@ def reference_importance_scopes(rows, datasets, sizes, combine, split, domains, 
             )
         reports.append((tuple(sorted({m for _, m in in_scope})), tuple(compared), distributions))
     return reports, skipped
+
+
+def reference_permuted_scores(
+    cells, datasets, sizes, config_order, domains, permutations, seed, threshold=0.95,
+):
+    """The permutation test's scores, read from the documented recipe.
+
+    ``cells`` is one split's {context: {config: raw}}.  Each dataset of
+    ``datasets`` pools the configurations whose raw score over their
+    context's best is above ``threshold``, in ``config_order`` within a
+    context, over its contexts at the train sizes of ``sizes``, ascending.
+    ``domains`` lists each hyperparameter's values in declaration order.
+
+    Returns per hyperparameter (observed js_score, [js_score of permutation
+    i for each i]); distances come from scipy.
+    """
+    names = sorted(datasets)
+    pools = {dataset: [] for dataset in names}
+    for (dataset, size), cell in sorted(cells.items()):
+        if dataset in pools and size in sizes and cell:
+            best = max(cell.values())
+            pools[dataset] += [c for c in config_order if c in cell and cell[c] / best > threshold]
+    pool = [c for dataset in names for c in pools[dataset]]
+    orders = [range(len(pool))] + [
+        np.random.default_rng((seed, i)).permutation(len(pool)) for i in range(permutations)
+    ]
+
+    def score(k, order):
+        dealt = [pool[j] for j in order]
+        vectors, offset = [], 0
+        for dataset in names:
+            members = dealt[offset : offset + len(pools[dataset])]
+            offset += len(members)
+            vectors.append([sum(c[k] == v for c in members) / len(members) for v in domains[k]])
+        distances = [
+            float(jensenshannon(vectors[i], vectors[j], base=2.0))
+            for i in range(len(vectors))
+            for j in range(i + 1, len(vectors))
+        ]
+        return 1.0 - math.fsum(distances) / len(distances)
+
+    results = []
+    for k in range(len(domains)):
+        observed, *permuted = [score(k, order) for order in orders]
+        results.append((observed, permuted))
+    return results

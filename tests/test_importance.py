@@ -24,12 +24,16 @@ from covsearch import (
     js_score,
     permutation_pval,
     synthetic_table,
-    top_set_95,
+    top_set,
     value_distribution,
 )
-from covsearch.model import SPLITS
+from covsearch.model import SPLITS, _data
 from helpers import build_table, cat_space, make_space, random_instance
-from oracle_impl import reference_importance_scopes, reference_permutation_pval
+from oracle_impl import (
+    reference_importance_scopes,
+    reference_permutation_pval,
+    reference_permuted_scores,
+)
 
 
 def one_hp_table(per_context, domain=("a", "b", "c")):
@@ -44,17 +48,17 @@ def one_hp_table(per_context, domain=("a", "b", "c")):
 class TestTopSet95:
     def test_band(self):
         space, table = one_hp_table({("d", 100): {"a": 100.0, "b": 96.0, "c": 94.0}})
-        ts = top_set_95(table, Context("d", 100))
+        ts = top_set(table, Context("d", 100), "test", importance.DEFAULT_THRESHOLD)
         assert {c.values[0] for c in ts.configs} == {"a", "b"}
 
     def test_boundary_excluded(self):
         space, table = one_hp_table({("d", 100): {"a": 100.0, "b": 95.0}})
-        ts = top_set_95(table, Context("d", 100))
+        ts = top_set(table, Context("d", 100), "test", importance.DEFAULT_THRESHOLD)
         assert {c.values[0] for c in ts.configs} == {"a"}
 
     def test_all_tied_gives_full_grid(self):
         space, table = one_hp_table({("d", 100): {"a": 5.0, "b": 5.0, "c": 5.0}})
-        ts = top_set_95(table, Context("d", 100))
+        ts = top_set(table, Context("d", 100), "test", importance.DEFAULT_THRESHOLD)
         assert len(ts) == 3
 
 
@@ -345,7 +349,8 @@ class TestImportanceReport:
         scopes.append(({"combine_train_sizes": True}, table.train_sizes()))
         for scope, sizes in scopes:
             pools = [
-                [cfg for m in sizes for cfg in top_set_95(table, Context(d, m)).configs]
+                [cfg for m in sizes for cfg in
+                 top_set(table, Context(d, m), "test", importance.DEFAULT_THRESHOLD).configs]
                 for d in datasets
             ]
             report = importance_report(table, permutations=15, seed=4, **scope)
@@ -409,7 +414,7 @@ class TestRaggedTable:
         assert report.train_sizes == (100, 1000)
         pools = [
             [cfg for ctx in table.contexts("test") if ctx.dataset == d
-             for cfg in top_set_95(table, ctx).configs]
+             for cfg in top_set(table, ctx, "test", importance.DEFAULT_THRESHOLD).configs]
             for d in "ABC"
         ]
         hp = table.space.hyperparameters[0]
@@ -531,6 +536,25 @@ SCOPE_ERRORS = {
 }
 
 
+# How far a report's js_score may sit from the reference's, whose distances
+# are scipy's.  In ragged_requests' tables a dataset pools at most N = 18
+# members (6 grid points at each of 3 train sizes), so each value share is a
+# ratio c / n with n <= N, over at most V = 3 values.  Two unequal such
+# vectors differ by at least 1 / N**2 in two entries, so by Pinsker's
+# inequality their divergence is at least 1 / (2 ln 2 N**4) > 2**-18 and
+# their distance at least 2**-9; equal vectors give exactly 0 on both sides.
+# Each side computes a divergence within 32u = 2**-48 of the true one (u =
+# 2**-53): the library within ``_distance_bounds``' E1 < 24u, with the libm
+# log error of 2**-50 that TestLogError pins, and scipy within that plus
+# 6u for renormalizing the vectors.  As |sqrt(a) - sqrt(b)| = |a - b| /
+# (sqrt(a) + sqrt(b)), two distances of a pair differ by at most
+# 2**-47 / 2**-8 = 2**-39 and their roundings, and the scores, fsum means
+# of the distances, by less than 2**-37.  The tolerance is twice that, so
+# when a permuted reference score lies farther than it from the observed
+# one, the library's two scores compare the same way.
+SCORE_TOLERANCE = 2.0**-36
+
+
 class TestScopesReference:
     @settings(max_examples=300, deadline=None)
     @given(request=ragged_requests(), permutations=st.integers(1, 5), seed=st.integers(0, 2**32))
@@ -569,6 +593,52 @@ class TestScopesReference:
             })
             for r in reports
         ]) == repr(reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(request=ragged_requests(), permutations=st.integers(1, 20), seed=st.integers(0, 2**32))
+    def test_report_documents_match_the_reference(self, request, permutations, seed):
+        domains, raw, datasets, sizes, combine, split = request
+        table = build_table(cat_space(domains), raw)
+        hps = table.space.hyperparameters
+        hp_domains = [hp.domain for hp in hps]
+        expected = reference_importance_scopes(raw, datasets, sizes, combine, split, hp_domains)
+        if expected[0] == "error":
+            return  # the scope test above checks the errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # and the skip warnings
+            scopes = [None] if combine else importance_scopes(table, datasets, sizes, split=split)
+        grid = [config.values for config in table.space.grid()]
+        for size, (pooled, compared, distributions) in zip(scopes, expected[0], strict=True):
+            document = _data(importance_report(
+                table, datasets, size, split=split, permutations=permutations, seed=seed,
+                combine_train_sizes=combine,
+            ))
+            tests = reference_permuted_scores(
+                raw[split], compared, pooled, grid, hp_domains, permutations, seed
+            )
+            reference = {
+                "threshold": importance.DEFAULT_THRESHOLD, "permutations": permutations,
+                "seed": seed, "split": split, "train_sizes": list(pooled),
+                "datasets": list(compared),
+                "entries": [
+                    {
+                        "hyperparameter": hp.name, "datasets": list(compared),
+                        "distributions": [list(distributions[d][k]) for d in compared],
+                        "error": None,
+                    }
+                    for k, hp in enumerate(hps)
+                ],
+            }
+            scores = [(entry.pop("js_score"), entry.pop("js_pval"))
+                      for entry in document["entries"]]
+            assert document == reference  # all but the scores, exactly
+            for (score, pval), (observed, permuted) in zip(scores, tests):
+                assert abs(score - observed) <= SCORE_TOLERANCE
+                # A permuted score within the tolerance may fall either way;
+                # with none there, the p-values are equal.
+                above = sum(other - observed > SCORE_TOLERANCE for other in permuted)
+                near = sum(abs(other - observed) <= SCORE_TOLERANCE for other in permuted)
+                assert above / permutations <= pval <= (above + near) / permutations
 
 
 def test_negative_seed_is_a_validation_error():

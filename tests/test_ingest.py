@@ -617,7 +617,7 @@ class TestCatalog:
             if entry.source != "cbs_recommendation":
                 continue
             space = builtin_space(entry.model, entry.method)
-            space.validate_config(entry.config)
+            space.config_index(entry.config)
 
     def test_space_sizes(self):
         assert builtin_space("Llama-3-8B", "full_ft").size == 36

@@ -19,7 +19,9 @@ importance scope rule: ``cmd_importance`` asks ``importance_scopes`` which
 train sizes to report, and only ``importance`` words the skip warning; only
 ``model`` names the integer grammar, and the CLI and the score parser read
 every integer through its one reader; and the leave-one-out, budget and
-compare commands pass their selection flags through one hand-off."""
+compare commands pass their selection flags through one hand-off; and
+``importance`` writes the js_score formula in one function and counts
+value frequencies in plain Python in one function."""
 
 import argparse
 import ast
@@ -375,3 +377,27 @@ def test_the_held_out_commands_select_through_one_hand_off():
             if keyword.arg is None and ast.unparse(keyword.value) == "_selection(args)"
         ]
         assert len(handed) == 1, name
+
+
+
+def importance_functions():
+    tree = MODULES["importance"]
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_importance_writes_the_js_score_formula_once():
+    holders = [
+        name for name, function in importance_functions().items()
+        for node in ast.walk(function) if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub) and ast.unparse(node.left) == "1.0"
+        and ast.unparse(node.right).startswith("math.fsum(")
+    ]
+    assert holders == ["_row_score"]  # a nested holder would list its outer function too
+
+
+def test_importance_counts_value_frequencies_in_one_function():
+    functions = importance_functions()
+    for name in ("value_distribution", "_pure_permutation_test"):
+        called = {ast.unparse(node.func) for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call)}
+        assert "_shares" in called and "Counter" not in called, name
