@@ -48,7 +48,7 @@ import codecs
 import csv
 import io
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from pathlib import Path
 
@@ -402,6 +402,9 @@ class CompletenessReport(_Record):
     that cell holds the full grid.  Cells with equal gaps may share one
     tuple.  ``single_split`` lists contexts present in only one split, with
     the split they do have.
+
+    ``completeness_report`` keeps each distinct gap as one tuple of grid ids
+    and decodes ``missing`` from them when it is first read.
     """
 
     def __init__(
@@ -411,16 +414,29 @@ class CompletenessReport(_Record):
     ) -> None:
         _fill(self, locals())
 
+    @cached_property
+    def missing(self) -> tuple[tuple[Context, str, tuple[Configuration, ...]], ...]:
+        shared = {id(gap): gap for _, _, gap in self._ids}  # each distinct gap tuple
+        shared = {key: tuple(self._space._decode(gap)) for key, gap in shared.items()}
+        return tuple((ctx, split, shared[id(gap)]) for ctx, split, gap in self._ids)
+
+    def _gaps(self) -> tuple:
+        """Each cell's (context, split, gap) as held, ids until ``missing`` is
+        read, and the function that gives a gap's row texts."""
+        if "missing" in vars(self):
+            return self.missing, partial(map, str)
+        return self._ids, self._space._rows
+
     @property
     def is_complete(self) -> bool:
-        return all(not m for _, _, m in self.missing)
+        return all(not gap for _, _, gap in self._gaps()[0])
 
 
 def completeness_report(table: ScoreTable) -> CompletenessReport:
     space = table.space
     # Cell ids are stored ascending, so a cell's id tuple keys its id set:
-    # cells holding the same ids share one computed gap tuple.
-    gaps: dict[tuple[int, ...], tuple[Configuration, ...]] = {}
+    # cells holding the same ids share one tuple of missing ids.
+    gaps: dict[tuple[int, ...], tuple[int, ...]] = {}
     missing = []
     single = []
     for ctx in table.contexts():
@@ -436,11 +452,13 @@ def completeness_report(table: ScoreTable) -> CompletenessReport:
                 mask = bytearray(b"\x01") * space.size
                 for index in ids:
                     mask[index] = 0
-                gap = gaps[ids] = tuple(space._decode(list(compress(range(space.size), mask))))
+                gap = gaps[ids] = tuple(compress(range(space.size), mask))
             missing.append((ctx, split, gap))
         if len(splits) == 1:
             single.append((ctx, splits[0]))
-    return CompletenessReport(missing=tuple(missing), single_split=tuple(single))
+    report = CompletenessReport.__new__(CompletenessReport)
+    vars(report).update(_space=space, _ids=tuple(missing), single_split=tuple(single))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from decimal import Decimal
 from functools import cached_property, total_ordering
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 VALID_KINDS = ("real", "integer", "categorical")
 SPLITS = ("validation", "test")
@@ -350,7 +350,7 @@ class Configuration(_Record):
         return dict(self.items)
 
     def __str__(self) -> str:
-        return " ".join(f"{n}={v}" for n, v in self.items)
+        return " ".join(map("=".join, self.items))
 
 
 class ConfigSpace(_Record):
@@ -457,15 +457,23 @@ class ConfigSpace(_Record):
         config_at reads, so every path shares one object per id."""
         decoded = self._decoded  # type: ignore[attr-defined]
         new = [index for index in ids if index not in decoded]
-        if new:
-            wanted = bytearray(self.size)
-            for index in new:
-                wanted[index] = 1
-            pairs = [[(hp.name, value) for value in hp.domain] for hp in self.hyperparameters]
-            grid = itertools.compress(itertools.product(*pairs), wanted)
-            for index, items in zip(new, grid):
-                decoded[index] = Configuration(items)
+        for index, items in zip(new, self._walk(new, tuple)):
+            decoded[index] = Configuration(items)
         return [decoded[index] for index in ids]
+
+    def _rows(self, ids: Sequence[int]) -> Iterator[str]:
+        """``str(config_at(i))`` for ascending, in-range grid ids ``i``, joined
+        from "name=value" tokens: no Configuration is built or memoized."""
+        return map(" ".join, self._walk(ids, "=".join))
+
+    def _walk(self, ids: Sequence[int], item) -> Iterator[tuple]:
+        """Each ascending, in-range grid id's ``item((name, value))`` per
+        hyperparameter, in one pass over the grid order."""
+        wanted = bytearray(self.size)
+        for index in ids:
+            wanted[index] = 1
+        domains = [[item((hp.name, value)) for value in hp.domain] for hp in self.hyperparameters]
+        return itertools.compress(itertools.product(*domains), wanted)
 
     def value_positions(self, name: str, ids):
         """Domain position of hyperparameter ``name``'s value in each grid id.

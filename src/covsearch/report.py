@@ -134,30 +134,19 @@ def render_completeness(report: CompletenessReport) -> str:
 def completeness_pieces(report: CompletenessReport) -> Iterator[str]:
     """``render_completeness``'s text as pieces, for a writer that need not
     hold it whole: each header and warning line, and each gap's rows as one
-    block."""
-    if report.is_complete:  # missing has an entry for every cell that holds a record
-        yield "grid complete\n" if report.missing else "no records\n"
-    # The same configurations go missing in many cells, and cells with equal
-    # gaps share one tuple: format each configuration once, and join a
-    # tuple's rows into one block, kept while a later cell shares it.  Both
-    # are keyed by id(), not by hashing: completeness_report shares one tuple
-    # between cells and config_at one object per grid id, and the report
-    # keeps every tuple and configuration alive while this runs, so no id is
-    # reused.  Equal but distinct objects are merely formatted twice.
-    gaps = [gap for gap in report.missing if gap[2]]
-    last = {id(missing): i for i, (_, _, missing) in enumerate(gaps)}
-    rows: dict[int, str] = {}
+    block.  A block is joined once per gap tuple, which equal cells share,
+    and kept by id() while a later cell shares it (the report holds them)."""
+    cells, rows = report._gaps()
+    gaps = [cell for cell in cells if cell[2]]
+    if not gaps:  # cells has an entry for every cell that holds a record
+        yield "grid complete\n" if cells else "no records\n"
+    last = {id(gap): i for i, (_, _, gap) in enumerate(gaps)}
     blocks: dict[int, str] = {}
-    for i, (ctx, split, missing) in enumerate(gaps):
-        yield f"{ctx} [{split}]: {len(missing)} missing configuration(s)\n"
-        block = blocks.pop(id(missing), None)
-        if block is None:
-            for cfg in missing:
-                if id(cfg) not in rows:
-                    rows[id(cfg)] = f"  {cfg}\n"
-            block = "".join([rows[id(cfg)] for cfg in missing])
-        if last[id(missing)] > i:
-            blocks[id(missing)] = block
+    for i, (ctx, split, gap) in enumerate(gaps):
+        yield f"{ctx} [{split}]: {len(gap)} missing configuration(s)\n"
+        block = blocks.pop(id(gap), None) or "  " + "\n  ".join(rows(gap)) + "\n"
+        if last[id(gap)] > i:
+            blocks[id(gap)] = block
         yield block
     for ctx, split in report.single_split:
         yield f"warning: {ctx} has records only for the {split} split\n"

@@ -1267,18 +1267,6 @@ class TestGapReport:
         render_completeness(report)
         assert len(formatted) == space.size - len(present)
 
-    def test_distinct_gaps_format_each_configuration_once(self, monkeypatch):
-        space = cat_space([3, 4])
-        table = ScoreTable._from_cells(space, {
-            (Context("a", 100), "test"): {0: 1.0},
-            (Context("b", 100), "test"): {1: 1.0},
-            (Context("c", 100), "test"): {0: 1.0, 1: 1.0},
-        })
-        report = completeness_report(table)
-        formatted = counted(monkeypatch, Configuration, "__str__")
-        render_completeness(report)
-        assert len(formatted) == space.size
-
     def test_grid_returns_the_config_at_objects(self):
         space = cat_space([2, 3, 2])
         early = {i: space.config_at(i) for i in (1, 7, 11)}
