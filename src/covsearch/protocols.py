@@ -45,12 +45,12 @@ from .model import (
     _select,
 )
 # normalize and rank are not called here (held-out scores divide by the cell
-# maximum, and _held_out ranks through ranking._ranker); they stay module
+# maximum, and _held_out ranks through ranking._Pool); they stay module
 # attributes, which perfbench/tracing.py wraps.
 from .ranking import (  # noqa: F401
     DEFAULT_THRESHOLD,
     _cell_and_best,
-    _ranker,
+    _Pool,
     _usable,
     normalize,
     rank,
@@ -161,22 +161,19 @@ def _held_out(
     cell and that cell's maximum.  Both sets of contexts are selected once,
     then split by dataset; ``skip_degenerate`` applies to both.
 
-    The order is ``ranking._ranker``'s over the pool without the held-out
-    dataset, the order of the ranking ``rank`` gives over the other
-    datasets' contexts; only a caller that returns the ranking builds it.
-    The ranker builds every top set of the pool before the first dataset is
-    yielded, so a degenerate pool context raises (or warns) once."""
+    The order is ``ranking._Pool.order``'s without the held-out dataset, the
+    order of the ranking ``rank`` gives over the other datasets' contexts;
+    only a caller that returns the ranking builds it.  The pool builds every
+    top set before the first dataset is yielded, so a degenerate pool
+    context raises (or warns) once; ``order`` raises if no context remains."""
     names, pool = _select(table, split, datasets, train_sizes)
     if len(names) < 2:
         raise DataError("leave-one-out requires at least 2 datasets")
     _, tested = _select(table, "test", names, train_sizes)  # sorted: by dataset first
     tests = {dataset: list(group) for dataset, group in groupby(tested, attrgetter("dataset"))}
-    without = _ranker(table, pool, split, threshold, skip_degenerate)
-    pool_datasets = {ctx.dataset for ctx in pool}
+    order = _Pool(table, pool, split, threshold, skip_degenerate).order
     for held_out in names:
-        if pool_datasets <= {held_out}:
-            raise DataError(f"no contexts remain after holding out {held_out!r}")
-        ordered, ranking = without(held_out)
+        ordered, ranking = order(held_out)
         held_out_contexts = tests.get(held_out)
         if not held_out_contexts:
             raise DataError(

@@ -8,24 +8,24 @@ a context when it is in that context's top set and no configuration with a
 strictly larger score sum is.  The final ranking orders configurations by
 how many contexts they cover.
 
-``_ranker`` builds every ranking.  Over the given contexts it builds each
+``_Pool`` builds every ranking.  Over the given contexts it builds each
 top set once and adds up each dataset's normalized scores per grid id once,
 as exact integers: multiples of 2**-1074, the smallest subnormal float.
 The pool's sums are the sums of those.  It splits each top set into levels
 of equal score sum and files the contexts by their levels: contexts with
 the same winners over the whole pool form a winner group, and so on down.
-It returns a function that ranks without one dataset.  That function
-subtracts the dataset's exact partial sums, which leaves exactly the sum
-over the others, and divides once, correctly rounded, so each score sum is
-the float that fsum over the others gives.  Only the ids in the held-out
-top sets lose sum, and no sum rises, so a winner group's best remaining sum
-is one value.  One bisect finds the group's contexts whose runner-up is
-below it; they keep the winners tied at it, and only the others go down a
-level.  Coverage is a count per id.  The covered contexts are listed only
-when the ranking (``CoverageRanking``) is built, on request, reusing any
-entry equal to one built for an earlier held-out dataset.  ``rank`` is that
-function with nothing held out.  ``protocols._held_out`` calls it once per
-dataset: O(D*G + D*(T + W + R + N log N)) for D datasets, G grid points,
+Its ``order`` ranks without one dataset.  It subtracts the dataset's exact
+partial sums, which leaves exactly the sum over the others, and divides
+once, correctly rounded, so each score sum is the float that fsum over
+the others gives.  Only the ids in the held-out top sets lose sum, and no
+sum rises, so a winner group's best remaining sum is one value.  One
+bisect finds the group's contexts whose runner-up is below it; they keep
+the winners tied at it, and only the others go down a level.  Coverage is
+a count per id.  The covered contexts are listed only when the ranking
+(``CoverageRanking``) is built, on request, reusing any entry equal to one
+built for an earlier held-out dataset.  ``rank`` is ``order`` with nothing
+held out.  ``protocols._held_out`` builds one pool and calls ``order`` once
+per dataset: O(D*G + D*(T + W + R + N log N)) for D datasets, G grid points,
 top sets of mean size T, W winner groups, R lower levels visited per
 held-out dataset, N <= G ids with a score sum, instead of O(D*G + D^2*T)
 for visiting every context per held-out dataset.  W and R do not grow with
@@ -243,46 +243,55 @@ class _Levels:
         return level
 
 
-def _ranker(
-    table: ScoreTable,
-    contexts: Iterable[Context],
-    split: str,
-    threshold: float,
-    skip_degenerate: bool,
-) -> Callable[[str | None], tuple[list[int], Callable[[], CoverageRanking]]]:
-    """The ranking over ``contexts`` without one dataset (``None``: none), as a
-    function of that dataset: its ids in ranking order, and a function that
-    builds the ranking itself.  Top sets, exact sums and each context's
-    levels of score sum are built once, here: contexts in ascending order,
-    duplicates dropped, degenerate ones as in ``_usable``."""
-    selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
-    top_sets = _usable(selected, skip_degenerate, lambda c: top_set(table, c, split, threshold))
-    # The pool by position, so no Context is hashed per held-out dataset.
-    pool, tops = tuple(top_sets), list(top_sets.values())
-    datasets = [ctx.dataset for ctx in pool]
-    spans, partials = {}, {}  # sorted, the contexts of a dataset are adjacent
-    for dataset, group in groupby(range(len(pool)), datasets.__getitem__):
-        ks = list(group)
-        spans[dataset] = range(ks[0], ks[-1] + 1)
-        partials[dataset] = _exact_sums(tops[k] for k in ks)
-    totals: Counter[int] = Counter()
-    for partial in partials.values():
-        totals.update(partial)  # exact integers: the sum does not depend on the order
-    sums = {i: totals[i] / _SUM_UNIT for i in sorted(totals)}
-    levels = []  # per context, its members tied at each score sum, in descending order
-    for top in tops:
-        tied: dict[float, list[int]] = {}
-        for i, _ in top.id_members:
-            tied.setdefault(sums[i], []).append(i)
-        levels.append([*sorted(((s, tuple(ids)) for s, ids in tied.items()), reverse=True), _LAST])
-    root = _Levels((), math.inf, range(len(pool)), 0, levels, datasets)
-    entries: dict[tuple[int, float, tuple[int, ...]], RankingEntry] = {}
+class _Pool:
+    """The coverage rankings over ``contexts``, each without one dataset.
+    Top sets, exact sums and each context's levels of score sum are built
+    once, here: contexts in ascending order, duplicates dropped, degenerate
+    ones as in ``_usable``."""
 
-    def without(held_out: str | None) -> tuple[list[int], Callable[[], CoverageRanking]]:
-        if partials.keys() <= {held_out}:
+    def __init__(
+        self,
+        table: ScoreTable,
+        contexts: Iterable[Context],
+        split: str,
+        threshold: float,
+        skip_degenerate: bool,
+    ):
+        selected = sorted(dict.fromkeys(contexts))  # one linear pass when already in order
+        self.selected_datasets = {ctx.dataset for ctx in selected}  # degenerate ones' too
+        top_sets = _usable(selected, skip_degenerate, lambda c: top_set(table, c, split, threshold))
+        # The pool by position, so no Context is hashed per held-out dataset.
+        self.contexts, tops = tuple(top_sets), list(top_sets.values())
+        datasets = [ctx.dataset for ctx in self.contexts]
+        self.spans, self.partials = {}, {}  # sorted, the contexts of a dataset are adjacent
+        for dataset, group in groupby(range(len(tops)), datasets.__getitem__):
+            ks = list(group)
+            self.spans[dataset] = range(ks[0], ks[-1] + 1)
+            self.partials[dataset] = _exact_sums(tops[k] for k in ks)
+        self.totals: Counter[int] = Counter()
+        for partial in self.partials.values():
+            self.totals.update(partial)  # exact integers: the sum does not depend on the order
+        self.sums = sums = {i: self.totals[i] / _SUM_UNIT for i in sorted(self.totals)}
+        levels = []  # per context, its members tied at each score sum, in descending order
+        for top in tops:
+            tied: dict[float, list[int]] = {}
+            for i, _ in top.id_members:
+                tied.setdefault(sums[i], []).append(i)
+            ranked = sorted(((s, tuple(ids)) for s, ids in tied.items()), reverse=True)
+            levels.append([*ranked, _LAST])
+        self.root = _Levels((), math.inf, range(len(tops)), 0, levels, datasets)
+        self.entries: dict[tuple[int, float, tuple[int, ...]], RankingEntry] = {}
+        self.space, self.split, self.threshold = table.space, split, threshold
+
+    def order(self, held_out: str | None = None) -> tuple[list[int], Callable[[], CoverageRanking]]:
+        """The ranking without ``held_out`` (``None``: nothing held out): its
+        ids in ranking order, and a function that builds the ranking itself."""
+        if self.selected_datasets <= {held_out}:
+            raise DataError(f"no contexts remain after holding out {held_out!r}")
+        if self.partials.keys() <= {held_out}:
             raise DataError("all requested contexts are degenerate")
-        score_sum = dict(sums)
-        partial = partials.get(held_out, {})
+        score_sum, totals = dict(self.sums), self.totals
+        partial = self.partials.get(held_out, {})
         for i, part in partial.items():
             rest = totals[i] - part
             if rest:
@@ -297,7 +306,7 @@ def _ranker(
         # per context only in ranking().
         count: dict[int, int] = {}
         covers = []  # (contexts, how many of them lead, their winners)
-        stack = [(root, -math.inf, ())]
+        stack = [(self.root, -math.inf, ())]
         while stack:
             level, best, won = stack.pop()
             cut = bisect_left(level.below, best)
@@ -325,7 +334,7 @@ def _ranker(
         ordered += filterfalse(count.__contains__, by_sum)
 
         def ranking() -> CoverageRanking:
-            held = spans.get(held_out, range(0))
+            held, pool, entries = self.spans.get(held_out, range(0)), self.contexts, self.entries
             covered: dict[int, list[int]] = {}
             for contexts, cut, won in covers:
                 leading = list(filterfalse(held.__contains__, contexts[:cut]))
@@ -338,14 +347,12 @@ def _ranker(
                 entry = entries.get(key)
                 if entry is None:  # else built for an earlier held-out dataset
                     cover = frozenset(map(pool.__getitem__, key[2]))
-                    entry = entries[key] = RankingEntry(table.space.config_at(i), key[1], cover)
+                    entry = entries[key] = RankingEntry(self.space.config_at(i), key[1], cover)
                 built.append(entry)
             kept = pool[: held.start] + pool[held.stop :]
-            return CoverageRanking(tuple(built), kept, split, threshold)
+            return CoverageRanking(tuple(built), kept, self.split, self.threshold)
 
         return ordered, ranking
-
-    return without
 
 
 def rank(
@@ -367,5 +374,5 @@ def rank(
     _check_threshold(threshold)
     if not selected:
         raise DataError("no contexts to rank over")
-    _, ranking = _ranker(table, selected, split, threshold, skip_degenerate)(None)
+    _, ranking = _Pool(table, selected, split, threshold, skip_degenerate).order()
     return ranking()

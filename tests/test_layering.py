@@ -21,7 +21,10 @@ train sizes to report, and only ``importance`` words the skip warning; only
 every integer through its one reader; and the leave-one-out, budget and
 compare commands pass their selection flags through one hand-off; and
 ``importance`` writes the js_score formula in one function and counts
-value frequencies in plain Python in one function."""
+value frequencies in plain Python in one function; and a coverage ranking's
+pool is built only by ``rank`` and ``protocols._held_out``, which reaches
+into ``ranking`` through three private names, and only ``ranking`` says
+when the pool runs out of contexts."""
 
 import argparse
 import ast
@@ -401,3 +404,34 @@ def test_importance_counts_value_frequencies_in_one_function():
         called = {ast.unparse(node.func) for node in ast.walk(functions[name])
                   if isinstance(node, ast.Call)}
         assert "_shares" in called and "Counter" not in called, name
+
+
+def test_only_rank_and_the_held_out_analyses_build_the_pool():
+    builders = {
+        (name, getattr(statement, "name", None))
+        for name, tree in MODULES.items() for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_Pool"
+    }
+    assert builders == {("ranking", "rank"), ("protocols", "_held_out")}
+    package = Path(covsearch.__file__).parent
+    named = [path.name for path in package.glob("*.py") if "_ranker" in path.read_text("utf-8")]
+    assert named == []  # the closure-returning builder that _Pool replaced
+
+
+def test_only_ranking_says_when_the_pool_runs_out():
+    for message in ("no contexts remain after holding out", "all requested contexts are degenerate"):
+        holders = {
+            name for name, tree in MODULES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and message in str(node.value)
+        }
+        assert holders == {"ranking"}, message
+
+
+def test_protocols_imports_three_private_ranking_names():
+    private = {
+        alias.name for node in ast.walk(MODULES["protocols"])
+        if isinstance(node, ast.ImportFrom) and node.module == "ranking"
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert private <= {"_Pool", "_cell_and_best", "_usable"}

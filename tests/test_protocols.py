@@ -530,6 +530,20 @@ class TestHeldOutErrors:
             "skipping degenerate context B@100", "skipping degenerate context C@100",
         ]
 
+    @pytest.mark.parametrize("run,kwargs", [
+        (loo_cbs, {}),
+        (budget_curve, {}),
+        (compare_protocols, {"task_map": dict.fromkeys("ABC", "t")}),
+    ], ids=["loo_cbs", "budget_curve", "compare_protocols"])
+    def test_no_contexts_remain_before_all_degenerate(self, run, kwargs):
+        # A is the only dataset with validation records, and its one context
+        # is skipped: holding A out leaves no context, degenerate or not.
+        table = self.instance({("A", 100): self.ZERO})
+        with pytest.warns(UserWarning) as caught:
+            with pytest.raises(DataError, match="no contexts remain after holding out 'A'"):
+                run(table, split="validation", skip_degenerate=True, **kwargs)
+        assert [str(w.message) for w in caught] == ["skipping degenerate context A@100"]
+
 
 class TestWarningsNameTheCaller:
     """A skipped context's warning points at the line that called into the

@@ -1,7 +1,10 @@
 """Coverage ranking: normalization, top sets, ranking math, properties."""
 
+import gc
 import math
 import random
+import warnings
+import weakref
 
 import pytest
 
@@ -16,6 +19,7 @@ from covsearch import (
     rank,
     top_set,
 )
+from covsearch.ranking import _Pool
 from helpers import build_table, make_space, random_instance, ranking_as_tuples
 from oracle_impl import reference_rank
 
@@ -283,3 +287,51 @@ class TestRankProperties:
         a = top_set(table, Context("d", 100), "test", 0.97)
         b = top_set(scaled, Context("d", 100), "test", 0.97)
         assert a.configs == b.configs
+
+
+class TestPoolReuse:
+    """One pool answers every held-out dataset, in any order and more than
+    once, as a fresh pool does: the levels it builds on first use and the
+    ranking entries it keeps across calls change no answer."""
+
+    @staticmethod
+    def answer(pool, held_out):
+        """The ids in ranking order and the ranking, or the error's message."""
+        try:
+            ordered, ranking = pool.order(held_out)
+        except DataError as err:
+            return str(err)
+        return ordered, ranking()
+
+    @pytest.mark.parametrize("skip_degenerate", [False, True])
+    def test_any_order_matches_a_fresh_pool(self, skip_degenerate):
+        for seed in range(40):
+            space, table, raw = random_instance(seed, partial=True, max_contexts=8)
+            if skip_degenerate:  # the first context is all zero, so the pool leaves it out
+                first = raw["test"][min(raw["test"])]
+                first.update(dict.fromkeys(first, 0.0))
+                table = build_table(space, raw)
+            args = (table, table.contexts("test"), "test", (0.3, 0.6, 0.9)[seed % 3])
+            calls = [None, None, *table.datasets() * 2]
+            random.Random(seed).shuffle(calls)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                pool = _Pool(*args, skip_degenerate)
+                for held_out in calls:
+                    fresh = self.answer(_Pool(*args, skip_degenerate), held_out)
+                    assert self.answer(pool, held_out) == fresh, (seed, held_out)
+
+    def test_a_pool_is_freed_without_the_cycle_collector(self):
+        # A pool left for the collector would outlive each rank and loo call,
+        # and the collector's passes would slow the calls that follow.
+        _, table, _ = random_instance(3, min_datasets=2)
+        gc.disable()
+        try:
+            pool = _Pool(table, table.contexts("test"), "test", 0.6, False)
+            _, ranking = pool.order(table.datasets()[0])
+            ranking()
+            freed = weakref.ref(pool)
+            del pool, ranking
+            assert freed() is None
+        finally:
+            gc.enable()
