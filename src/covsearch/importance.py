@@ -50,16 +50,19 @@ value deals the same vectors in every permutation, so none is greater and
 its p-value is 0 without a permutation being scored.
 
 A run too small to repay numpy's import, while numpy is not yet imported,
-takes ``_pure_permutation_test`` instead, which scores every permutation
-exactly on plain floats and returns the chunked path's results bit for bit.
+and any run where numpy cannot be imported, takes ``_pure_permutation_test``
+instead, which scores every permutation exactly on plain floats and returns
+the chunked path's results bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
+from contextlib import suppress
 from math import inf, log, log1p, nan
 from typing import Iterable, Sequence
 
@@ -405,10 +408,11 @@ def _hasher(const: int, mult: int):
     return hashmix
 
 
-def _draws(seed: int, i: int):
-    """The 32-bit draws of ``numpy.random.default_rng((seed, i))``: PCG64
-    seeded by SeedSequence, each 64-bit output split low half first."""
-    words = [v >> s & _M32 for v in (seed, i) for s in range(0, max(v.bit_length(), 1), 32)]
+def _outputs(*entropy: int):
+    """The 64-bit outputs of ``numpy.random.default_rng(entropy)``: PCG64
+    seeded by SeedSequence from each value's 32-bit words, low word first."""
+    words = [v >> s & _M32 for v in map(operator.index, entropy)
+             for s in range(0, max(v.bit_length(), 1), 32)]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
 
@@ -430,14 +434,13 @@ def _draws(seed: int, i: int):
     while True:
         state = (state * _PCG_MULT + inc) & _M128
         out, turn = (state >> 64 ^ state) & _M64, state >> 122
-        out = (out >> turn | out << 64 - turn) & _M64  # XSL-RR
-        yield out & _M32
-        yield out >> 32
+        yield (out >> turn | out << 64 - turn) & _M64  # XSL-RR
 
 
 def _permutation(seed: int, i: int, n: int) -> list[int]:
     """``numpy.random.default_rng((seed, i)).permutation(n).tolist()``."""
-    draws, order = _draws(seed, i), list(range(n))
+    halves = ((out & _M32, out >> 32) for out in _outputs(seed, i))
+    draws, order = itertools.chain.from_iterable(halves), list(range(n))
     for top in range(n - 1, 0, -1):  # Generator.shuffle, by masked rejection
         mask = (1 << top.bit_length()) - 1
         j = next(draws) & mask
@@ -485,9 +488,11 @@ def _permutation_test(
     with more than one value."""
     widths = sum(len(hp.domain) for hp in hps if len(hp.domain) > 1)
     work = sum(map(len, pools.values())) + len(pools) * (len(pools) - 1) // 2 * widths
-    if "numpy" not in sys.modules and permutations * work <= _PURE_WORK:
+    if "numpy" in sys.modules or permutations * work > _PURE_WORK:
+        with suppress(ImportError):
+            _load_numeric()
+    if np is None:  # small and numpy not yet imported, or no numpy at all
         return _pure_permutation_test(space, pools, hps, permutations, seed)
-    _load_numeric()
     names = sorted(pools)
     ids = np.array([index for d in names for index in pools[d]], dtype=np.intp)
     counts = np.array([len(pools[d]) for d in names])

@@ -368,7 +368,6 @@ def serialize_scores(table: ScoreTable) -> str:
     back as comments."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    quoted = csv.writer(out, lineterminator=",", quoting=csv.QUOTE_ALL)
     writer.writerow(list(RESERVED_COLUMNS) + list(table.space.names))
     for ctx in table.contexts():
         rows = (
@@ -378,7 +377,7 @@ def serialize_scores(table: ScoreTable) -> str:
         )
         if ctx.dataset.startswith("#"):
             for row in rows:
-                quoted.writerow(row[:1])  # the quoted dataset and its comma
+                out.write('"' + ctx.dataset.replace('"', '""') + '",')  # quoted, and its comma
                 writer.writerow(row[1:])
         else:
             writer.writerows(rows)

@@ -505,7 +505,7 @@ class Context(_Record):
             raise ValidationError(f"invalid dataset identifier {self.dataset!r}")
         if not _one_line(self.dataset):
             raise ValidationError("dataset identifier must not contain newlines")
-        if not isinstance(self.train_size, int):
+        if isinstance(self.train_size, bool) or not isinstance(self.train_size, int):
             raise ValidationError(f"train_size must be an integer, got {self.train_size!r}")
         _check_count("train_size", self.train_size)
 

@@ -8,13 +8,16 @@ validation/test jitter on top.  Contexts also get a random scale factor, so
 raw score magnitudes differ per context the way task metrics do.
 
 Given equal arguments the output table is identical across runs: all
-randomness comes from one numpy PCG64 generator consumed in a fixed order.
+randomness comes from one PCG64 generator consumed in a fixed order, the
+stream of ``numpy.random.default_rng(seed)`` drawn in plain Python, so
+numpy is not needed.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .importance import _outputs
 from .model import (
     ConfigSpace,
     Context,
@@ -52,7 +55,7 @@ def _check_noise(noise: float) -> None:
 
 
 def _check_scale(scale: float) -> None:
-    if scale <= 0:
+    if not scale > 0:
         raise ValidationError(f"scale must be positive, got {scale!r}")
 
 
@@ -82,30 +85,31 @@ def synthetic_table(
         names = [f"ds{i:02d}" for i in range(datasets)]
     else:
         names = list(datasets)
+        if not names:
+            raise ValidationError("need at least one dataset")
         if len(set(names)) != len(names):
             raise ValidationError("dataset names must be unique")
     sizes = sorted(set(train_sizes))
     if not sizes:
         raise ValidationError("need at least one train size")
 
-    import numpy as np  # only here, so importing the package stays cheap
+    outputs = _outputs(seed)
 
-    rng = np.random.default_rng(seed)
-    n = space.size
-    quality = rng.uniform(0.05, 1.0, size=n)
+    def uniform(lo: float, hi: float) -> float:  # numpy's Generator.uniform
+        return lo + (hi - lo) * ((next(outputs) >> 11) * 2.0**-53)
 
+    quality = [uniform(0.05, 1.0) for _ in range(space.size)]
     cells = {}
     for dataset in names:
         for size in sizes:
             context = Context(dataset=dataset, train_size=size)
-            local = rng.uniform(0.05, 1.0, size=n)
-            base = correlation * quality + (1.0 - correlation) * local
-            context_scale = scale * rng.uniform(0.5, 1.5)
+            local = [uniform(0.05, 1.0) for _ in quality]
+            base = [correlation * q + (1.0 - correlation) * x for q, x in zip(quality, local)]
+            context_scale = scale * uniform(0.5, 1.5)
             for split in SPLITS:
-                jitter = rng.uniform(0.05, 1.0, size=n)
-                blended = (1.0 - noise) * base + noise * jitter
+                blended = ((1.0 - noise) * b + noise * uniform(0.05, 1.0) for b in base)
                 cells[context, split] = {
-                    index: _check_score(score)
-                    for index, score in enumerate((context_scale * blended).tolist())
+                    index: _check_score(context_scale * score)
+                    for index, score in enumerate(blended)
                 }
     return ScoreTable._from_cells(space, cells)

@@ -382,3 +382,23 @@ def reference_permuted_scores(
         observed, *permuted = [score(k, order) for order in orders]
         results.append((observed, permuted))
     return results
+
+
+def reference_synthetic_table(n, names, sizes, correlation, noise, seed, scale):
+    """The synthetic generator on numpy's own ``default_rng(seed)``, drawn and
+    blended as numpy arrays: {(dataset, size, split): [score per grid id]}
+    for a grid of ``n`` configurations and the validation split first."""
+    rng = np.random.default_rng(seed)
+    quality = rng.uniform(0.05, 1.0, size=n)
+
+    cells = {}
+    for dataset in names:
+        for size in sorted(set(sizes)):
+            local = rng.uniform(0.05, 1.0, size=n)
+            base = correlation * quality + (1.0 - correlation) * local
+            context_scale = scale * rng.uniform(0.5, 1.5)
+            for split in ("validation", "test"):
+                jitter = rng.uniform(0.05, 1.0, size=n)
+                blended = (1.0 - noise) * base + noise * jitter
+                cells[dataset, size, split] = (context_scale * blended).tolist()
+    return cells

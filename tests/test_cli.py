@@ -984,6 +984,76 @@ sys.stderr.write("\\n" + repr((code, "numpy" in sys.modules)))
         assert pure == chunked
 
 
+class TestWithoutNumpy:
+    """Every command runs where numpy cannot be imported and writes the bytes
+    of a run that has numpy; importance past the pure budget then takes the
+    pure-Python test at any size."""
+
+    SCRIPT = """
+import json, sys
+{preload}
+import covsearch.cli
+io = ["--space", "space.json", "--scores", "s.csv"]
+runs = [
+    ["synth", "--out-scores", "s.csv", "--out-space", "space.json", "--datasets", "4",
+     "--seed", str(2**64 + 3)],
+    ["validate", *io],
+    ["rank", *io], ["rank", *io, "--format", "machine"],
+    ["loo", *io, "--format", "machine"],
+    ["budget", *io, "--details"],
+    ["compare", *io, "--task-map", "tasks.json"],
+    ["importance", *io, "--permutations", "10"],
+    ["importance", *io, "--permutations", {past!r}],
+    ["importance", *io, "--permutations", "300", "--combine-sizes"],
+    ["recommend", "--top", "2"],
+]
+with open("tasks.json", "w") as tasks:
+    json.dump({{f"ds{{i:02d}}": f"t{{i % 2}}" for i in range(4)}}, tasks)
+codes = []
+for argv in runs:
+    codes.append(covsearch.cli.main(argv))
+    if argv[0] == "synth":
+        with open("s.csv") as full, open("gaps.csv", "w") as gaps:
+            gaps.writelines(line for i, line in enumerate(full) if i % 7 != 1)
+        codes.append(covsearch.cli.main(["validate", "--space", "space.json",
+                                         "--scores", "gaps.csv"]))
+print(open("s.csv").read() + open("space.json").read(), flush=True)
+sys.stderr.write("\\n" + repr((codes, sys.modules.get("numpy") is not None)))
+"""
+
+    def run(self, directory, preload):
+        directory.mkdir()
+        src = str(Path(covsearch.__file__).resolve().parents[1])
+        # Each permutation scores 6 dataset pairs over 9 values: more than 16 units.
+        script = self.SCRIPT.format(preload=preload, past=str(_PURE_WORK // 16 + 1))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              cwd=directory, env={**os.environ, "PYTHONPATH": src})
+        err, status = done.stderr.decode().rsplit("\n", 1)
+        return done.stdout, err, status
+
+    def test_every_command_writes_the_bytes_of_a_numpy_run(self, tmp_path):
+        blocked = self.run(tmp_path / "blocked", 'sys.modules["numpy"] = None')
+        normal = self.run(tmp_path / "normal", "")
+        assert blocked[2] == repr(([0] * 12, False)), blocked[1]
+        assert normal[2] == repr(([0] * 12, True)), normal[1]
+        assert blocked[:2] == normal[:2]
+        assert "missing configuration(s)" in blocked[0].decode()
+
+    def test_synth_loads_neither_numpy_nor_scipy(self, tmp_path):
+        script = f"""
+import sys
+import covsearch.cli
+assert covsearch.cli.main(["synth", "--out-scores", {str(tmp_path / "s.csv")!r},
+                           "--datasets", "7", "--seed", str(2**200)]) == 0
+heavy = sorted({{m.split(".")[0] for m in sys.modules}} & {{"numpy", "scipy"}})
+assert heavy == [], heavy
+"""
+        src = str(Path(covsearch.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+
+
 class TestManifest:
     """The manifest records every option that shaped a result."""
 

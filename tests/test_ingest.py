@@ -477,6 +477,27 @@ class TestNamesRoundTrip:
         assert rows[:48] == ['"#a"' + row[2:] for row in plain[:48]]
         assert rows[48:] == plain[48:]
 
+    def test_no_writer_ends_a_line_with_the_delimiter(self, monkeypatch):
+        # Python 3.13 rejects a csv writer whose line terminator is its delimiter.
+        table = synthetic_table(datasets=["#a", '#"q"', "b"], train_sizes=(100,))
+        writer = csv.writer
+
+        def strict(out, *args, **options):
+            if options.get("lineterminator", "\r\n") == options.get("delimiter", ","):
+                raise TypeError("bad delimiter or lineterminator value")
+            return writer(out, *args, **options)
+
+        monkeypatch.setattr(ingest.csv, "writer", strict)
+        text = serialize_scores(table)
+        assert parse_scores(text, table.space, warn_incomplete=False) == table
+        rows = text.splitlines()[1:]
+        # Each "#" dataset is the field a quote-all writer makes of it.
+        for block, name in (rows[:48], '#"q"'), (rows[48:96], "#a"):
+            out = io.StringIO()
+            writer(out, lineterminator=",", quoting=csv.QUOTE_ALL).writerow([name])
+            assert all(row.startswith(out.getvalue()) for row in block), name
+        assert all(row.startswith("b,") for row in rows[96:])
+
     def test_carriage_return_in_a_dataset(self):
         with pytest.raises(ValidationError, match="^dataset identifier must not contain newlines$"):
             Context("a\rb", 100)

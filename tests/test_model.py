@@ -1,11 +1,13 @@
 """Domain types: canonical values, grids, identity, table invariants."""
 
 import itertools
+import math
 import random
 from decimal import Decimal
 
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covsearch import (
@@ -40,6 +42,7 @@ from covsearch import (
 from covsearch.model import _Record
 from covsearch.report import render_importance
 from helpers import cat_space, make_space
+from oracle_impl import reference_synthetic_table
 
 
 class TestCanonicalValue:
@@ -336,6 +339,12 @@ class TestContext:
         with pytest.raises(ValidationError, match=message):
             Context("d", size)
 
+    def test_a_bool_is_not_a_train_size(self):
+        with pytest.raises(ValidationError, match="^train_size must be an integer, got True$"):
+            Context("a", True)
+        with pytest.raises(ValidationError, match="^train_size must be an integer, got True$"):
+            synthetic_table(train_sizes=[True])
+
 
 class TestCoverageRanking:
     EMPTY = CoverageRanking(entries=(), contexts=(), split="test", threshold=0.5)
@@ -482,6 +491,54 @@ class TestSyntheticTable:
         # scores must fail the score check, not enter the table.
         with pytest.raises(ValidationError, match=r"^score must be finite, got inf$"):
             synthetic_table(scale=1.7e308)
+
+
+class TestSyntheticArguments:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"datasets": []}, "^need at least one dataset$"),
+        ({"scale": math.nan}, "^scale must be positive, got nan$"),
+    ])
+    def test_argument_errors(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            synthetic_table(**kwargs)
+
+
+class TestSyntheticStream:
+    """The generator draws numpy's ``default_rng(seed)`` stream in plain
+    Python and blends it as numpy's arrays would, bit for bit."""
+
+    SEEDS = st.one_of(
+        st.integers(0, 2**70),
+        st.sampled_from([2**32 - 1, 2**32, 2**64 + 3, np.uint64(2**63)]),
+        st.integers(2**199, 2**200 - 1),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        domains=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        datasets=st.integers(1, 7),
+        sizes=st.lists(st.integers(1, 10**6), min_size=1, max_size=3),
+        correlation=st.floats(0.0, 1.0),
+        noise=st.floats(0.0, 1.0, exclude_max=True),
+        scale=st.floats(1e-5, 1e300),
+        seed=SEEDS,
+    )
+    def test_equals_numpys_generator(
+        self, domains, datasets, sizes, correlation, noise, scale, seed
+    ):
+        space = cat_space(domains)
+        table = synthetic_table(space, datasets, sizes, correlation=correlation,
+                                noise=noise, seed=seed, scale=scale)
+        names = [f"ds{i:02d}" for i in range(datasets)]
+        expected = reference_synthetic_table(space.size, names, sizes, correlation,
+                                             noise, seed, scale)
+        cells = {
+            (ctx.dataset, ctx.train_size, split): list(table.cell(ctx, split).values())
+            for ctx in table.contexts() for split in table.splits_for(ctx)
+        }
+        assert list(table.cell(table.contexts()[0], "test")) == list(range(space.size))
+        hexed = {key: [x.hex() for x in scores] for key, scores in cells.items()}
+        assert hexed == {key: [x.hex() for x in scores] for key, scores in expected.items()}
 
 
 class TestPublicPaths:
