@@ -22,7 +22,8 @@ import warnings
 from argparse import ArgumentError, ArgumentTypeError
 from contextlib import suppress
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -164,14 +165,46 @@ def _whole(render):
     return lambda result: (render(result),)  # a renderer of one string, as one piece
 
 
+def _dumps(document: object) -> str:
+    """``json.dumps(document, indent=2)`` bit for bit, for str-keyed documents.
+    A container of scalars is one call of json's C encoder (``indent`` makes
+    json encode in Python), its items split by line break and indentation; one
+    of containers recurses, and one met again at the same depth reuses its text."""
+    texts, flat = {}, {}
+
+    def encode(value, depth):  # the text of ``value``, its items at ``depth``
+        if depth not in flat:  # json.dumps's C encoder as it builds one without indent, if any
+            sep = ",\n" + "  " * depth
+            flat[depth] = (c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                          None, ": ", sep, False, False, True) if c_make_encoder
+                           else lambda value, _: [json.dumps(value, separators=(sep, ": "))])
+        if not (value and isinstance(value, (dict, list, tuple))):
+            return "".join(flat[depth](value, 0))
+        pad, text = "\n" + "  " * depth, texts.get((id(value), depth))
+        if text is None:
+            items = value.values() if isinstance(value, dict) else value
+            if not any(map(isinstance, items, repeat((dict, list, tuple)))):
+                inner = "".join(flat[depth](value, 0))[1:-1]
+            else:
+                parts = [encode(item, depth + 1) for item in items]
+                if isinstance(value, dict):
+                    parts = map("{}: {}".format, map(encode_basestring_ascii, value), parts)
+                inner = ("," + pad).join(parts)
+            ends = "{}" if isinstance(value, dict) else "[]"
+            text = texts[id(value), depth] = f"{ends[0]}{pad}{inner}\n{'  ' * (depth - 1)}{ends[1]}"
+        return text
+
+    return encode(document, 1)
+
+
 def _write(args: argparse.Namespace, result, render, key: str | None = None) -> int:
     """Write one command's report to --out or stdout: given a ``key``, with
-    ``--format machine`` a JSON object of the manifest and the result's JSON
-    form under key; else the pieces ``render(result)`` yields under the
-    manifest's comment lines.  A file takes them one by one, stdout in one
-    write; a reader that stops reading, as ``head`` does, is no error."""
+    ``--format machine`` the manifest and the result's ``_data``, which shares
+    sub-objects, under key as ``_dumps`` JSON; else the pieces ``render(result)``
+    yields under the manifest's comment lines.  A file takes them one by one,
+    stdout in one write; a reader that stops reading, as ``head`` does, is no error."""
     if key is not None and args.format == "machine":
-        pieces = [json.dumps({"manifest": _manifest(args), key: _data(result)}, indent=2), "\n"]
+        pieces = [_dumps({"manifest": _manifest(args), key: _data(result)}), "\n"]
     else:
         pieces = chain([_header(args)], render(result))
     if args.out:

@@ -125,6 +125,8 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_count(name: str, value: int) -> None:
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value}")
 
@@ -248,23 +250,29 @@ def _fill(record: _Record, values: Mapping[str, object]) -> None:
         record.__post_init__()
 
 
-def _data(value: object) -> object:
+def _data(value: object, memo: dict | None = None) -> object:
     """A result value in JSON form: contexts as text, configurations as dicts,
-    records by ``to_dict()``, tuples and lists as lists item by item; the rest as is."""
+    records by ``to_dict()``, tuples and lists as lists item by item; the rest
+    as is.  Within one call a record is one document, shared where it recurs."""
+    memo = {} if memo is None else memo
     if isinstance(value, _Record):
         if isinstance(value, Context):
             return str(value)
-        if isinstance(value, Configuration):
-            return value.as_dict()
-        return value.to_dict()
+        if id(value) not in memo:
+            memo[id(value)] = (
+                value.as_dict() if isinstance(value, Configuration)
+                else value.to_dict() if type(value).to_dict is not _to_dict
+                else {key: _data(getattr(value, name), memo) for key, name in value._json_fields}
+            )
+        return memo[id(value)]
     if isinstance(value, (tuple, list)):
-        return [_data(item) for item in value]
+        return [_data(item, memo) for item in value]
     return value
 
 
 def _to_dict(record: _Record) -> dict:
     """A record's JSON object: each field's ``_data`` under its ``_json_fields`` key."""
-    return {key: _data(getattr(record, name)) for key, name in record._json_fields}
+    return _data(record)
 
 
 class Hyperparameter(_Record):
@@ -505,7 +513,7 @@ class Context(_Record):
             raise ValidationError(f"invalid dataset identifier {self.dataset!r}")
         if not _one_line(self.dataset):
             raise ValidationError("dataset identifier must not contain newlines")
-        if isinstance(self.train_size, bool) or not isinstance(self.train_size, int):
+        if not isinstance(self.train_size, int):
             raise ValidationError(f"train_size must be an integer, got {self.train_size!r}")
         _check_count("train_size", self.train_size)
 
@@ -670,7 +678,7 @@ class RankingEntry(_Record):
             "config": self.config.as_dict(),
             "score_sum": self.score_sum,
             "coverage_size": len(self.coverage),
-            "coverage": [str(c) for c in sorted(self.coverage)],
+            "coverage": [str(c) for c in sorted(self.coverage, key=Context._key)],
         }
 
 

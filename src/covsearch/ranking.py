@@ -157,11 +157,15 @@ def top_set(
     split: str,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> TopSet:
-    """Configurations with normalized score strictly above the threshold."""
+    """Configurations with normalized score strictly above the threshold.
+    Only scores >= the rounded ``threshold * best`` are divided; no member is
+    cut: rounding is monotone and keeps floats, so ``score / best`` rounding
+    above ``threshold`` means ``score > threshold * best`` exactly, hence >=."""
     _check_threshold(threshold)
     cell, best = _cell_and_best(table, context, split)
-    scaled = ((i, score / best) for i, score in cell.items())
-    members = tuple(pair for pair in scaled if pair[1] > threshold)
+    cut = threshold * best
+    kept = ((i, score) for i, score in cell.items() if score >= cut)
+    members = tuple((i, ratio) for i, score in kept if (ratio := score / best) > threshold)
     return TopSet(context, split, threshold, table.space, members)
 
 

@@ -24,7 +24,8 @@ compare commands pass their selection flags through one hand-off; and
 value frequencies in plain Python in one function; and a coverage ranking's
 pool is built only by ``rank`` and ``protocols._held_out``, which reaches
 into ``ranking`` through three private names, and only ``ranking`` says
-when the pool runs out of contexts."""
+when the pool runs out of contexts; and every report is indented by one
+encoder, ``cli._dumps``."""
 
 import argparse
 import ast
@@ -435,3 +436,31 @@ def test_protocols_imports_three_private_ranking_names():
         for alias in node.names if alias.name.startswith("_")
     }
     assert private <= {"_Pool", "_cell_and_best", "_usable"}
+
+
+def test_reports_are_indented_by_the_one_encoder():
+    # ``cli._write`` hands every machine-format document to ``cli._dumps``,
+    # the one JSON encoder of reports, which passes no ``indent=``.  The one
+    # other indented JSON is the space file of ``ingest.serialize_space``,
+    # which keeps non-ASCII text as it is.
+    writers = [
+        (name, getattr(top, "name", None))
+        for name, tree in MODULES.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.keyword) and node.arg == "indent"
+    ]
+    assert writers == [("ingest", "serialize_space")]
+    functions = {
+        node.name: node for node in MODULES["cli"].body if isinstance(node, ast.FunctionDef)
+    }
+    dumps_calls = {
+        name
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+    }
+    assert dumps_calls == {"_dumps"}
+    called = {ast.unparse(node.func) for node in ast.walk(functions["_write"])
+              if isinstance(node, ast.Call)}
+    assert "_dumps" in called

@@ -34,8 +34,11 @@ from covsearch import (
     TopSet,
     UpperBoundResult,
     ValidationError,
+    budget_curve,
     canonical_value,
     completeness_report,
+    importance_report,
+    rank,
     serialize_scores,
     synthetic_table,
 )
@@ -731,3 +734,32 @@ class TestRecords:
         cached, fresh = ConfigSpace((HP,)), ConfigSpace((HP,))
         assert cached.size == 2 and "size" in vars(cached) and "size" not in vars(fresh)
         assert cached == fresh and hash(cached) == hash(fresh)
+
+
+class TestCountsAreNotBools:
+    """A bool is an int to Python, but no count: True is not one permutation."""
+
+    TABLE = synthetic_table(datasets=3, seed=0)
+
+    def test_permutations(self):
+        with pytest.raises(ValidationError, match="^permutations must be an integer, got True$"):
+            importance_report(self.TABLE, permutations=True)
+
+    def test_max_budget(self):
+        with pytest.raises(ValidationError, match="^max_budget must be an integer, got True$"):
+            budget_curve(self.TABLE, max_budget=True)
+
+    def test_top(self):
+        with pytest.raises(ValidationError, match="^k must be an integer, got True$"):
+            rank(self.TABLE).top(True)
+
+    def test_synthetic_datasets(self):
+        with pytest.raises(ValidationError, match="^datasets must be an integer, got True$"):
+            synthetic_table(datasets=True)
+        with pytest.raises(ValidationError, match="^datasets must be an integer, got False$"):
+            synthetic_table(datasets=False)
+
+    def test_other_counts_still_pass(self):
+        ranking = rank(self.TABLE)
+        assert ranking.top(np.int64(2)) == ranking.entries[:2]
+        assert len(synthetic_table(datasets=2, seed=0).datasets()) == 2

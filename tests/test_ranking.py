@@ -7,6 +7,8 @@ import warnings
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsearch import (
     Context,
@@ -335,3 +337,46 @@ class TestPoolReuse:
             assert freed() is None
         finally:
             gc.enable()
+
+
+def plain_members(cell, best, threshold):
+    """The top set's definition: every id whose score / best exceeds the threshold."""
+    return tuple((i, s / best) for i, s in cell.items() if s / best > threshold)
+
+
+THRESHOLDS = st.one_of(
+    st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
+    st.sampled_from(
+        [5e-324, 1e-300, 2.2250738585072014e-308, 1e-17, math.nextafter(1.0, 0.0),
+         1 - 2**-52, 0.5, 0.9, 0.1]
+    ),
+)
+MAXIMA = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.sampled_from(
+        [5e-324, 1e-320, 2.2250738585072014e-308, 1.0, 3.0, 1e300, 1.7976931348623157e308]
+    ),
+)
+
+
+class TestTopSetCut:
+    """``top_set`` divides only scores at or above the rounded threshold *
+    best; its members equal the plain definition's, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(threshold=THRESHOLDS, best=MAXIMA, data=st.data())
+    def test_members_equal_the_plain_definition(self, threshold, best, data):
+        cut = threshold * best
+        near = [cut, math.nextafter(cut, 0.0), math.nextafter(cut, math.inf),
+                math.nextafter(math.nextafter(cut, math.inf), math.inf),
+                math.nextafter(math.nextafter(cut, 0.0), 0.0), best, math.nextafter(best, 0.0),
+                0.0, 5e-324]
+        ratios = data.draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+        scores = [min(max(s, 0.0), best) for s in near + [r * best for r in ratios]]
+        space = make_space(("hp", "categorical", [f"v{i}" for i in range(len(scores))]))
+        table = build_table(
+            space, {"test": {("d", 1): {f"v{i}": s for i, s in enumerate(scores)}}}
+        )
+        members = top_set(table, Context("d", 1), "test", threshold).id_members
+        expected = plain_members(table.cell(Context("d", 1), "test"), best, threshold)
+        assert [(i, s.hex()) for i, s in members] == [(i, s.hex()) for i, s in expected]
